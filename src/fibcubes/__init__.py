@@ -9,11 +9,9 @@ module cross-checks all of those routes against each other.
 """
 
 from .counting import (
-    CountTable,
     HSequence,
     binom,
     convolve,
-    count_table,
     cycle_count,
     cycle_count_k,
     cycle_count_rec,
@@ -76,8 +74,6 @@ __all__ = [
     "cycle_edges_closed",
     "cycle_edges_conv",
     "t_count",
-    "CountTable",
-    "count_table",
     "max_subset_size",
     "PATH",
     "CYCLE",

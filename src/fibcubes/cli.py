@@ -124,48 +124,36 @@ def _cmd_table(args) -> int:
     if args.paper_layout:
         if args.n_max is not None or args.k_max is not None:
             return _usage("--paper-layout fixes the extents; drop --n-max/--k-max")
-        if per_size:
-            if args.h is None:
-                return _usage(f"table {which} needs --h")
-            try:
-                lo, hi = _parse_h_range(args.h)
-            except ValueError as exc:
-                return _usage(str(exc))
+        if not per_size and args.h is not None:
+            return _usage("--paper-layout fixes the h range; drop --h")
+    elif not per_size and args.k_max is not None:
+        return _usage(f"table {which} has no k axis")
+    if per_size and args.h is None:
+        return _usage(f"table {which} needs --h")
+    try:
+        h_lo, h_hi = PAPER_H_RANGE if args.h is None else _parse_h_range(args.h)
+    except ValueError as exc:
+        return _usage(str(exc))
+
+    if per_size:
+        h = h_lo
+        n_min = 0
+        if args.paper_layout:
             layouts = PAPER_TABLE_LAYOUTS[which]
-            if lo != hi or lo not in layouts:
+            if h_lo != h_hi or h not in layouts:
                 return _usage(
                     f"--paper-layout for {which} exists only for --h in {sorted(layouts)}")
-            h = lo
             n_max, k_max = layouts[h]
-            n_min = 0
         else:
-            if args.h is not None:
-                return _usage("--paper-layout fixes the h range; drop --h")
-            n_min, n_max = PAPER_TABLE_LAYOUTS[which]
-            h_lo, h_hi = PAPER_H_RANGE
-    else:
-        if per_size:
-            if args.h is None:
-                return _usage(f"table {which} needs --h")
-            try:
-                lo, hi = _parse_h_range(args.h)
-            except ValueError as exc:
-                return _usage(str(exc))
-            if lo != hi:
+            if h_lo != h_hi:
                 return _usage(f"table {which} needs a single --h, not a range")
-            h = lo
-            n_min = 0
             n_max = args.n_max if args.n_max is not None else 15
             k_max = args.k_max if args.k_max is not None else max_subset_size(n_max, h)
-        else:
-            if args.k_max is not None:
-                return _usage(f"table {which} has no k axis")
-            try:
-                h_lo, h_hi = _parse_h_range(args.h) if args.h is not None else (0, 10)
-            except ValueError as exc:
-                return _usage(str(exc))
-            n_min = 1 if which in ("F", "L") else 0
-            n_max = args.n_max if args.n_max is not None else 15
+    elif args.paper_layout:
+        n_min, n_max = PAPER_TABLE_LAYOUTS[which]
+    else:
+        n_min = 1 if which in ("F", "L") else 0
+        n_max = args.n_max if args.n_max is not None else 15
 
     cols = list(range(n_min, n_max + 1))
     if not cols:
@@ -235,63 +223,51 @@ def _cmd_graph(args) -> int:
 # count
 # ---------------------------------------------------------------------------
 
-def _oracle_set_count(kind: str, n: int, h: int, k: int | None, cap: int) -> int:
-    masks = enumeration.iter_masks(GapGraph(kind, n, h), cap=cap)
-    if k is None:
+def _oracle_set_count(kind: str, a) -> int:
+    masks = enumeration.iter_masks(GapGraph(kind, a.n, a.h), cap=a.cap)
+    if a.k is None:
         return len(masks)
-    return sum(1 for m in masks if m.bit_count() == k)
+    return sum(1 for m in masks if m.bit_count() == a.k)
+
+
+# (quantity, route) -> value(args); a quantity ending in "-k" is the count of
+# one subset size k.  Entries look functions up by module-level name when
+# called, so names rebound after import (as a call tracer does) take effect.
+_COUNT_ROUTES = {
+    ("path", "closed"): lambda a: path_count(a.n, a.h),
+    ("path", "recurrence"): lambda a: path_count_rec(a.n, a.h),
+    ("path", "oracle"): lambda a: _oracle_set_count(PATH, a),
+    ("path-k", "closed"): lambda a: path_count_k(a.n, a.h, a.k),
+    ("path-k", "oracle"): lambda a: _oracle_set_count(PATH, a),
+    ("cycle", "closed"): lambda a: cycle_count(a.n, a.h),
+    ("cycle", "recurrence"): lambda a: cycle_count_rec(a.n, a.h),
+    ("cycle", "oracle"): lambda a: _oracle_set_count(CYCLE, a),
+    ("cycle-k", "closed"): lambda a: cycle_count_k(a.n, a.h, a.k),
+    ("cycle-k", "oracle"): lambda a: _oracle_set_count(CYCLE, a),
+    ("path-edges", "closed"): lambda a: path_edges(a.n, a.h),
+    ("path-edges", "conv"): lambda a: path_edges_conv(a.n, a.h),
+    ("path-edges", "oracle"): lambda a: cube.cover_count(GapGraph(PATH, a.n, a.h), cap=a.cap),
+    ("cycle-edges", "closed"): lambda a: cycle_edges(a.n, a.h),
+    ("cycle-edges", "conv"): lambda a: cycle_edges_conv(a.n, a.h),
+    ("cycle-edges", "oracle"): lambda a: cube.cover_count(GapGraph(CYCLE, a.n, a.h), cap=a.cap),
+}
 
 
 def _cmd_count(args) -> int:
-    n, h, k = args.n, args.h, args.k
-    if n < 0 or h < 0:
+    if args.n < 0 or args.h < 0:
         return _usage("n and h must be nonnegative")
-    route = args.route
-    quantity = args.quantity
-    edge_quantity = quantity in ("path-edges", "cycle-edges")
-
-    if k is not None and edge_quantity:
-        return _usage(f"{quantity} takes no subset size")
-    if route == "recurrence" and (edge_quantity or k is not None):
-        return _usage("recurrence route only computes set totals")
-    if route == "conv" and not edge_quantity:
-        return _usage("conv route only computes edge counts")
-
+    quantity = args.quantity if args.k is None else f"{args.quantity}-k"
+    fn = _COUNT_ROUTES.get((quantity, args.route))
+    if fn is None:
+        sized = "" if args.k is None else " of one subset size"
+        return _usage(f"the {args.route} route does not count {args.quantity}{sized}")
     try:
-        if quantity == "path":
-            if route == "closed":
-                value = path_count(n, h) if k is None else path_count_k(n, h, k)
-            elif route == "recurrence":
-                value = path_count_rec(n, h)
-            else:  # oracle
-                value = _oracle_set_count(PATH, n, h, k, args.cap)
-        elif quantity == "cycle":
-            if route == "closed":
-                value = cycle_count(n, h) if k is None else cycle_count_k(n, h, k)
-            elif route == "recurrence":
-                value = cycle_count_rec(n, h)
-            else:
-                value = _oracle_set_count(CYCLE, n, h, k, args.cap)
-        elif quantity == "path-edges":
-            if route == "closed":
-                value = path_edges(n, h)
-            elif route == "conv":
-                value = path_edges_conv(n, h)
-            else:
-                value = cube.cover_count(GapGraph(PATH, n, h), cap=args.cap)
-        else:  # cycle-edges
-            if route == "closed":
-                value = cycle_edges(n, h)
-            elif route == "conv":
-                if n <= h:
-                    return _usage(f"conv route needs n > h, got n={n} h={h}")
-                value = cycle_edges_conv(n, h)
-            else:
-                value = cube.cover_count(GapGraph(CYCLE, n, h), cap=args.cap)
+        value = fn(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-
+    except ValueError as exc:
+        return _usage(str(exc))
     _emit(f"{value}\n", args.out)
     return EXIT_OK
 

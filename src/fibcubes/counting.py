@@ -13,13 +13,18 @@ Conventions used throughout:
   m < 0 < k, or k > m.  This is exactly what makes the closed forms vanish
   outside their support.
 * All results are Python ints, so nothing ever overflows.
+* Every sequence here obeys one delayed recurrence t(n) = t(n-1) + t(n-h-1)
+  and differs only in its seeds; :class:`HSequence` is its one
+  implementation.  Its six kinds are the delayed Fibonacci and Lucas
+  sequences, both also extended down to index -h, and the path and cycle
+  totals (p(n) = n+1 for n <= h, c(n) = n+1 for n <= 2h+1) that give the
+  recurrence route independently of the closed forms.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 
 __all__ = [
     "binom",
@@ -47,8 +52,6 @@ __all__ = [
     "cycle_edges_closed",
     "cycle_edges_conv",
     "t_count",
-    "CountTable",
-    "count_table",
     "max_subset_size",
     "clear_caches",
 ]
@@ -88,31 +91,28 @@ def path_count_k(n: int, h: int, k: int) -> int:
     return binom(n - h * k + h, k)
 
 
+def _require_nonnegative(n: int, h: int) -> None:
+    if n < 0 or h < 0:
+        raise ValueError(f"n and h must be nonnegative, got n={n} h={h}")
+
+
 def path_count(n: int, h: int) -> int:
     """Total number of independent sets of the h-power of the n-path."""
+    _require_nonnegative(n, h)
     bound = max_subset_size(n, h)
     total = sum(path_count_k(n, h, k) for k in range(bound + 1))
     # Terms past the structural bound must vanish; a nonzero one means the
     # binomial convention is broken.
-    assert path_count_k(n, h, bound + 1) == 0, (n, h, bound + 1)
+    if path_count_k(n, h, bound + 1) != 0:
+        raise ArithmeticError(f"nonzero path count past the size bound: n={n} h={h}")
     return total
-
-
-_PATH_REC: dict[int, list[int]] = {}
-_CYCLE_REC: dict[int, list[int]] = {}
-_REC_LOCK = threading.Lock()
 
 
 def path_count_rec(n: int, h: int) -> int:
     """path_count via its recurrence p(n) = p(n-1) + p(n-h-1), p(n) = n+1 for
-    n <= h+1.  Independent route from the closed form, kept for cross-checks.
+    n <= h.  Independent route from the closed form, kept for cross-checks.
     """
-    with _REC_LOCK:
-        seq = _PATH_REC.setdefault(h, [])
-        while len(seq) <= n:
-            m = len(seq)
-            seq.append(m + 1 if m <= h + 1 else seq[m - 1] + seq[m - h - 1])
-        return seq[n]
+    return _sequence(_PATH_TOTALS, h).term(n)
 
 
 # ---------------------------------------------------------------------------
@@ -132,26 +132,24 @@ def cycle_count_k(n: int, h: int, k: int) -> int:
     if k == 1:
         return n
     num = n * binom(n - h * k - 1, k - 1)
-    assert num % k == 0, f"inexact division for cycle count n={n} h={h} k={k}"
+    if num % k:
+        raise ArithmeticError(f"inexact division for cycle count n={n} h={h} k={k}")
     return num // k
 
 
 def cycle_count(n: int, h: int) -> int:
     """Total number of independent sets of the h-power of the n-cycle."""
+    _require_nonnegative(n, h)
     bound = max_subset_size(n, h)
     total = sum(cycle_count_k(n, h, k) for k in range(bound + 1))
-    assert cycle_count_k(n, h, bound + 1) == 0, (n, h, bound + 1)
+    if cycle_count_k(n, h, bound + 1) != 0:
+        raise ArithmeticError(f"nonzero cycle count past the size bound: n={n} h={h}")
     return total
 
 
 def cycle_count_rec(n: int, h: int) -> int:
     """cycle_count via c(n) = c(n-1) + c(n-h-1), c(n) = n+1 for n <= 2h+1."""
-    with _REC_LOCK:
-        seq = _CYCLE_REC.setdefault(h, [])
-        while len(seq) <= n:
-            m = len(seq)
-            seq.append(m + 1 if m <= 2 * h + 1 else seq[m - 1] + seq[m - h - 1])
-        return seq[n]
+    return _sequence(_CYCLE_TOTALS, h).term(n)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +160,8 @@ FIBONACCI = "fibonacci"
 LUCAS = "lucas"
 EXTENDED_FIBONACCI = "extended-fibonacci"
 EXTENDED_LUCAS = "extended-lucas"
-
-_KINDS = (FIBONACCI, LUCAS, EXTENDED_FIBONACCI, EXTENDED_LUCAS)
+_PATH_TOTALS = "path-totals"
+_CYCLE_TOTALS = "cycle-totals"
 
 
 def _fib_base(h: int, n: int) -> int:
@@ -188,10 +186,33 @@ def _ext_lucas_base(h: int, n: int) -> int:
     return 0
 
 
+def _total_base(h: int, n: int) -> int:
+    # Too few vertices for two of them to be independent: the empty set and
+    # the n singletons.
+    return n + 1
+
+
+# kind -> (first index, last seeded index, name of the seed function), the
+# indices as functions of h.  The seed function is looked up by name when a
+# sequence is built, so a patched module global takes effect after
+# clear_caches().
+_SEEDS = {
+    FIBONACCI: (lambda h: 1, lambda h: h + 1, "_fib_base"),
+    LUCAS: (lambda h: 1, lambda h: h + 1, "_lucas_base"),
+    EXTENDED_FIBONACCI: (lambda h: -h, lambda h: 0, "_ext_fib_base"),
+    EXTENDED_LUCAS: (lambda h: -h, lambda h: 0, "_ext_lucas_base"),
+    _PATH_TOTALS: (lambda h: 0, lambda h: h, "_total_base"),
+    _CYCLE_TOTALS: (lambda h: 0, lambda h: 2 * h + 1, "_total_base"),
+}
+
+# Guards inserts into _SEQUENCES and the extension of every sequence.
+_LOCK = threading.Lock()
+
+
 class HSequence:
     """A lazily extended integer sequence t(n) = t(n-1) + t(n-h-1).
 
-    Four kinds share the recurrence and differ only in base cases:
+    Six kinds share the recurrence and differ only in their seeds:
 
     * ``fibonacci``: t(1..h+1) = 1 (indexed from 1)
     * ``lucas``: t(1) = h+1, t(2..h+1) = 1 (indexed from 1)
@@ -199,57 +220,49 @@ class HSequence:
       needs h >= 2)
     * ``extended-lucas``: t(-h) = h+1, t(-h+1) = -h, then 0 up to t(0)
       (indexed from -h, needs h >= 2; the one kind that can go negative)
+    * ``path-totals`` (private): t(0..h) = n+1, the path totals
+    * ``cycle-totals`` (private): t(0..2h+1) = n+1, the cycle totals
 
-    The cache is append-only and grows monotonically, so concurrent readers
-    always see a consistent prefix.
+    Each seed is written once, and only when an index at or past it is
+    asked for, so a large h costs nothing until its terms are needed; past
+    the seeds every term is one addition.  The terms are append-only, so
+    concurrent readers always see a consistent prefix.
     """
 
     def __init__(self, kind: str, h: int):
-        if kind not in _KINDS:
+        if kind not in _SEEDS:
             raise ValueError(f"unknown sequence kind {kind!r}")
         if h < 0:
             raise ValueError("h must be nonnegative")
         if kind in (EXTENDED_FIBONACCI, EXTENDED_LUCAS) and h < 2:
             raise ValueError(f"{kind} sequences are only defined for h >= 2")
+        first, last, seed = _SEEDS[kind]
         self.kind = kind
         self.h = h
-        self.min_index = -h if kind in (EXTENDED_FIBONACCI, EXTENDED_LUCAS) else 1
+        self.min_index = first(h)
+        self._seed_count = last(h) - self.min_index + 1
+        self._seed = globals()[seed]
         self._terms: list[int] = []
-        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         return f"HSequence({self.kind!r}, h={self.h})"
 
-    def _base(self, n: int) -> int | None:
-        """Base-case value at index n, or None if n is in the recurrence range."""
-        h = self.h
-        if self.kind == FIBONACCI:
-            return _fib_base(h, n) if n <= h + 1 else None
-        if self.kind == LUCAS:
-            return _lucas_base(h, n) if n <= h + 1 else None
-        if self.kind == EXTENDED_FIBONACCI:
-            return _ext_fib_base(h, n) if n <= 0 else None
-        return _ext_lucas_base(h, n) if n <= 0 else None
-
     def term(self, n: int) -> int:
-        """The n-th term; n counts from ``min_index`` (1, or -h when extended)."""
-        if n < self.min_index:
+        """The n-th term; n counts from ``min_index`` (1, 0, or -h)."""
+        pos = n - self.min_index
+        if pos < 0:
             raise ValueError(
                 f"index {n} below first index {self.min_index} of {self.kind} sequence"
             )
-        lo = self.min_index
-        pos = n - lo
         terms = self._terms
-        if pos < len(terms):
-            return terms[pos]
-        with self._lock:
-            while len(terms) <= pos:
-                i = lo + len(terms)
-                base = self._base(i)
-                if base is not None:
-                    terms.append(base)
-                else:
-                    terms.append(terms[i - 1 - lo] + terms[i - self.h - 1 - lo])
+        if pos >= len(terms):
+            h = self.h
+            with _LOCK:
+                if len(terms) < self._seed_count:
+                    lo, seeded = self.min_index, min(pos + 1, self._seed_count)
+                    terms.extend(self._seed(h, lo + i) for i in range(len(terms), seeded))
+                while len(terms) <= pos:
+                    terms.append(terms[-1] + terms[-h - 1])
         return terms[pos]
 
     __call__ = term
@@ -261,14 +274,13 @@ class HSequence:
 
 
 _SEQUENCES: dict[tuple[str, int], HSequence] = {}
-_SEQ_LOCK = threading.Lock()
 
 
 def _sequence(kind: str, h: int) -> HSequence:
     key = (kind, h)
     seq = _SEQUENCES.get(key)
     if seq is None:
-        with _SEQ_LOCK:
+        with _LOCK:
             seq = _SEQUENCES.setdefault(key, HSequence(kind, h))
     return seq
 
@@ -319,16 +331,12 @@ def convolve(a: HSequence, b: HSequence, n: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop all memoized sequences and recurrence prefixes.
+    """Drop all memoized sequences.
 
     Only needed when base-case behavior is deliberately altered (fault
     injection in tests); normal use never requires it.
     """
-    with _REC_LOCK:
-        _PATH_REC.clear()
-        _CYCLE_REC.clear()
-    with _SEQ_LOCK:
-        _SEQUENCES.clear()
+    _SEQUENCES.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +347,7 @@ def path_edges(n: int, h: int) -> int:
     """Edges of the inclusion diagram over independent sets of the path
     power: every k-subset covers exactly k subsets, so this is
     sum_k k * path_count_k(n, h, k)."""
+    _require_nonnegative(n, h)
     bound = max_subset_size(n, h)
     return sum(k * path_count_k(n, h, k) for k in range(1, bound + 1))
 
@@ -359,6 +368,7 @@ def cycle_edges(n: int, h: int) -> int:
     Defined for every n, h >= 0.  For 0 < n <= h the diagram is the star of
     n singletons below the empty set, giving n edges.
     """
+    _require_nonnegative(n, h)
     bound = max_subset_size(n, h)
     return sum(k * cycle_count_k(n, h, k) for k in range(1, bound + 1))
 
@@ -410,40 +420,3 @@ def t_count(n: int, h: int, k: int, i: int) -> int:
         _path_count_k_clamped(i - h - 1, h, r) * _path_count_k_clamped(n - i - h, h, k - 1 - r)
         for r in range(k)
     )
-
-
-# ---------------------------------------------------------------------------
-# Tables
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CountTable:
-    """A (n, k) -> count table for one graph family and gap h."""
-
-    kind: str  # "path" or "cycle"
-    h: int
-    n_max: int
-    k_max: int
-    entries: dict[tuple[int, int], int] = field(repr=False)
-
-    def value(self, n: int, k: int) -> int:
-        return self.entries.get((n, k), 0)
-
-    def row_total(self, n: int) -> int:
-        """Sum over k of the column at n; equals the family's total count."""
-        return sum(self.entries[(n, k)] for k in range(self.k_max + 1))
-
-
-def count_table(kind: str, h: int, n_max: int, k_max: int | None = None) -> CountTable:
-    """Tabulate path or cycle per-size counts for 0 <= n <= n_max."""
-    if kind not in ("path", "cycle"):
-        raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
-    if k_max is None:
-        k_max = max_subset_size(n_max, h)
-    cell = path_count_k if kind == "path" else cycle_count_k
-    entries = {
-        (n, k): cell(n, h, k)
-        for n in range(n_max + 1)
-        for k in range(k_max + 1)
-    }
-    return CountTable(kind, h, n_max, k_max, entries)

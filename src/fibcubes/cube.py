@@ -74,7 +74,8 @@ class CubeGraph:
             for b in range(n):
                 if bits ^ (1 << b) in pos:
                     hits += 1
-        assert hits % 2 == 0
+        if hits % 2:
+            raise ArithmeticError(f"odd Hamming pair count {hits}")
         return hits // 2
 
     def vertex_filter_count(self, rank: int, contains: int) -> int:

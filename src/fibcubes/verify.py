@@ -245,7 +245,7 @@ def _run_exact_arithmetic_sanity(b: Bounds, s: _Sweep):
                 try:
                     pk = path_count_k(n, h, k)
                     ck = cycle_count_k(n, h, k)
-                except AssertionError as exc:
+                except ArithmeticError as exc:
                     s.crash(exc, n=n, h=h, k=k)
                     continue
                 s.eq(True, pk >= 0 and ck >= 0, n=n, h=h, k=k)

@@ -6,13 +6,17 @@ transcribed from.  Cross-route equalities (closed form vs recurrence vs
 convolution) are swept exhaustively over small ranges.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from fibcubes import counting
 from fibcubes.counting import (
     binom,
     convolve,
-    count_table,
     cycle_count,
     cycle_count_k,
     cycle_count_rec,
@@ -58,6 +62,74 @@ def test_max_subset_size_is_ceiling():
     assert max_subset_size(7, 1) == 4
     assert max_subset_size(6, 2) == 2
     assert max_subset_size(7, 2) == 3
+    # and it is the true bound: every per-size count above it is 0
+    for h in range(6):
+        for n in range(25):
+            for k in range(max_subset_size(n, h) + 1, n + 3):
+                assert path_count_k(n, h, k) == 0, (n, h, k)
+                assert cycle_count_k(n, h, k) == 0, (n, h, k)
+
+
+def test_bound_check_survives_optimized_mode():
+    # Under python -O an assert would vanish and the broken convention below
+    # would go unnoticed; the explicit check still raises.
+    code = textwrap.dedent("""
+        import math
+        from fibcubes import counting
+
+        def signed_binom(m, k):
+            if k < 0:
+                return 0
+            if m < 0:
+                return (-1) ** k * math.comb(-m + k - 1, k)
+            return math.comb(m, k) if k <= m else 0
+
+        counting.binom = signed_binom
+        try:
+            counting.path_count(1, 2)
+        except ArithmeticError:
+            print("raised")
+    """)
+    src = os.path.dirname(os.path.dirname(counting.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True, timeout=60)
+    assert out.stdout == "raised\n"
+
+
+@pytest.mark.parametrize("fn,n,h", [
+    (path_count, -3, 1),
+    (path_count, 5, -1),
+    (cycle_count, -2, 0),
+    (path_edges, -4, 2),
+    (cycle_edges, -4, 2),
+])
+def test_totals_reject_negative_arguments(fn, n, h):
+    with pytest.raises(ValueError):
+        fn(n, h)
+
+
+def test_recurrence_routes_reject_negative_n_after_warming():
+    path_count_rec(30, 1)
+    cycle_count_rec(30, 1)
+    with pytest.raises(ValueError):
+        path_count_rec(-2, 1)
+    with pytest.raises(ValueError):
+        cycle_count_rec(-1, 1)
+
+
+def test_recurrence_routes_do_not_share_fibonacci_seeds(monkeypatch):
+    # The recurrence route must stay independent of F, or the
+    # path/cycle-count-recurrence identities would compare F with itself.
+    expected = [(path_count_rec(n, h), cycle_count_rec(n, h))
+                for h in range(5) for n in range(30)]
+    with monkeypatch.context() as mp:
+        counting.clear_caches()
+        mp.setattr(counting, "_fib_base", lambda h, n: 2 if n == 1 else 1)
+        mp.setattr(counting, "_lucas_base", lambda h, n: h if n == 1 else 1)
+        assert [(path_count_rec(n, h), cycle_count_rec(n, h))
+                for h in range(5) for n in range(30)] == expected
+    counting.clear_caches()
 
 
 # --- path counts --------------------------------------------------------------
@@ -210,6 +282,40 @@ def test_sequences_consistent_under_concurrent_extension():
     for t in threads:
         t.join()
     assert all(r == expected for r in results)
+
+
+def test_all_sequence_kinds_extend_safely_under_one_lock():
+    # Registry inserts and extension of every kind share one lock.  Threads
+    # race to write the same long seed runs (a Python call per seed, so a
+    # thread can be switched out midway); unlocked, a late thread would
+    # append its seeds again after the terms already written.
+    import threading
+
+    routes = (h_fibonacci, h_lucas,
+              lambda h, n: path_count_rec(n, h), lambda h, n: cycle_count_rec(n, h))
+    expected = [route(200, n) for route in routes for n in range(1, 1500)]
+
+    def worker():
+        start.wait()
+        for route in routes:
+            route(200, 999)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            counting.clear_caches()
+            start = threading.Barrier(12, timeout=30)
+            threads = [threading.Thread(target=worker) for _ in range(12)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            # read past the raced prefix too: stray late seeds land there
+            assert [route(200, n) for route in routes for n in range(1, 1500)] == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # --- extended sequences ----------------------------------------------------------
@@ -376,25 +482,3 @@ def test_lucas_terms_are_shifted_cycle_totals():
     for h in range(11):
         for i in range(h + 2, 41):
             assert h_lucas(h, i) == cycle_count(i - 1, h), (h, i)
-
-
-# --- tables ------------------------------------------------------------------------
-
-
-def test_count_table_row_sums_match_totals():
-    for kind, total in (("path", path_count), ("cycle", cycle_count)):
-        table = count_table(kind, 2, 12)
-        for n in range(13):
-            assert table.row_total(n) == total(n, 2)
-
-
-def test_count_table_vanishes_beyond_bound():
-    table = count_table("path", 3, 10, k_max=8)
-    for n in range(11):
-        for k in range(max_subset_size(n, 3) + 1, 9):
-            assert table.value(n, k) == 0
-
-
-def test_count_table_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        count_table("tree", 1, 5)
