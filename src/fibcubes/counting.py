@@ -13,6 +13,12 @@ Conventions used throughout:
   m < 0 < k, or k > m.  This is exactly what makes the closed forms vanish
   outside their support.
 * All results are Python ints, so nothing ever overflows.
+* The closed-form totals and edge sums walk consecutive binomials along a
+  diagonal, C(m, k) -> C(m-h, k+1), each from the one before by one
+  multiply and one exact divide, so a total costs one big-integer step per
+  subset size rather than a fresh ``math.comb``.  The per-size functions
+  ``path_count_k`` and ``cycle_count_k`` still go through :func:`binom`, and
+  each total checks its first size past the bound with them.
 * Every sequence here obeys one delayed recurrence t(n) = t(n-1) + t(n-h-1)
   and differs only in its seeds; :class:`HSequence` is its one
   implementation.  Its six kinds are the delayed Fibonacci and Lucas
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterator
 
 __all__ = [
     "binom",
@@ -78,6 +85,23 @@ def max_subset_size(n: int, h: int) -> int:
     return -(-n // (h + 1))
 
 
+def _diagonal_binomials(m: int, h: int, last: int) -> Iterator[int]:
+    """Yield C(m - h*k, k) for k = 0..last.
+
+    Each term comes from the one before by one multiply and one exact
+    divide, C(m-h, k+1) = C(m, k) * (m-k)(m-k-1)...(m-k-h) / ((k+1) *
+    m(m-1)...(m-h+1)).  Callers keep ``last`` within the support, where
+    m - h*k - k > h before every step, so both falling factorials are
+    nonzero.
+    """
+    b = 1
+    yield b
+    for k in range(last):
+        b = b * math.perm(m - k, h + 1) // ((k + 1) * math.perm(m, h))
+        m -= h
+        yield b
+
+
 # ---------------------------------------------------------------------------
 # Paths
 # ---------------------------------------------------------------------------
@@ -100,7 +124,7 @@ def path_count(n: int, h: int) -> int:
     """Total number of independent sets of the h-power of the n-path."""
     _require_nonnegative(n, h)
     bound = max_subset_size(n, h)
-    total = sum(path_count_k(n, h, k) for k in range(bound + 1))
+    total = sum(_diagonal_binomials(n + h, h, bound))
     # Terms past the structural bound must vanish; a nonzero one means the
     # binomial convention is broken.
     if path_count_k(n, h, bound + 1) != 0:
@@ -137,11 +161,23 @@ def cycle_count_k(n: int, h: int, k: int) -> int:
     return num // k
 
 
+def _cycle_size_bound(n: int, h: int) -> int:
+    # Two or more chosen vertices need h+1 cycle positions each; a single
+    # vertex always fits, and n = 0 adds only zero terms.
+    return max(n // (h + 1), 1)
+
+
 def cycle_count(n: int, h: int) -> int:
     """Total number of independent sets of the h-power of the n-cycle."""
     _require_nonnegative(n, h)
-    bound = max_subset_size(n, h)
-    total = sum(cycle_count_k(n, h, k) for k in range(bound + 1))
+    bound = _cycle_size_bound(n, h)
+    total = 1  # the empty set
+    # C(n - h*k - 1, k - 1) for k = 1..bound
+    for k, b in enumerate(_diagonal_binomials(n - h - 1, h, bound - 1), start=1):
+        count, rest = divmod(n * b, k)
+        if rest:
+            raise ArithmeticError(f"inexact division for cycle count n={n} h={h} k={k}")
+        total += count
     if cycle_count_k(n, h, bound + 1) != 0:
         raise ArithmeticError(f"nonzero cycle count past the size bound: n={n} h={h}")
     return total
@@ -322,12 +358,21 @@ def extended_lucas(h: int, n: int) -> int:
 
 
 def convolve(a: HSequence, b: HSequence, n: int) -> int:
-    """Discrete convolution sum_{i=1..n} a(i) * b(n-i+1) (n >= 1)."""
+    """Discrete convolution sum_{i=1..n} a(i) * b(n-i+1) (n >= 1).
+
+    A self-convolution (``a is b``) is symmetric under i -> n+1-i, so it sums
+    the lower half of the products, doubles them, and adds the middle square
+    when n is odd.
+    """
     if a.h != b.h:
         raise ValueError(f"cannot convolve sequences with h={a.h} and h={b.h}")
     if n < 1:
         raise ValueError("convolution index must be >= 1")
-    return sum(a.term(i) * b.term(n - i + 1) for i in range(1, n + 1))
+    if a is not b:
+        return sum(a.term(i) * b.term(n - i + 1) for i in range(1, n + 1))
+    half = sum(a.term(i) * a.term(n - i + 1) for i in range(1, n // 2 + 1))
+    middle = a.term((n + 1) // 2) ** 2 if n % 2 else 0
+    return 2 * half + middle
 
 
 def clear_caches() -> None:
@@ -349,7 +394,7 @@ def path_edges(n: int, h: int) -> int:
     sum_k k * path_count_k(n, h, k)."""
     _require_nonnegative(n, h)
     bound = max_subset_size(n, h)
-    return sum(k * path_count_k(n, h, k) for k in range(1, bound + 1))
+    return sum(k * b for k, b in enumerate(_diagonal_binomials(n + h, h, bound)))
 
 
 def path_edges_conv(n: int, h: int) -> int:
@@ -366,11 +411,11 @@ def cycle_edges(n: int, h: int) -> int:
     power: sum_k k * cycle_count_k(n, h, k).
 
     Defined for every n, h >= 0.  For 0 < n <= h the diagram is the star of
-    n singletons below the empty set, giving n edges.
+    n singletons below the empty set, giving n edges.  Summed as
+    n * sum_k C(n - h*k - 1, k - 1), since k * cycle_count_k is that term.
     """
     _require_nonnegative(n, h)
-    bound = max_subset_size(n, h)
-    return sum(k * cycle_count_k(n, h, k) for k in range(1, bound + 1))
+    return n * sum(_diagonal_binomials(n - h - 1, h, _cycle_size_bound(n, h) - 1))
 
 
 def cycle_edges_closed(n: int, h: int) -> int:

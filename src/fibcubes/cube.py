@@ -151,7 +151,7 @@ def cover_count(g: GapGraph, cap: int = DEFAULT_CAP) -> int:
         while rest:
             low = rest & -rest
             if bits ^ low not in members:
-                raise AssertionError(f"family not subset-closed at mask 0x{bits:x}")
+                raise ArithmeticError(f"family not subset-closed at mask 0x{bits:x}")
             total += 1
             rest ^= low
     return total

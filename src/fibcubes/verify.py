@@ -516,7 +516,8 @@ _REGISTRY = (
 
 ALL_IDENTITY_IDS = tuple(entry[0] for entry in _REGISTRY)
 
-assert len(set(ALL_IDENTITY_IDS)) == len(ALL_IDENTITY_IDS), "duplicate identity id"
+if len(set(ALL_IDENTITY_IDS)) != len(ALL_IDENTITY_IDS):
+    raise RuntimeError("duplicate identity id")
 
 
 def run_suite(n_max: int = 40, h_max: int = 10, oracle_n_max: int = 16) -> list[IdentityReport]:

@@ -132,6 +132,34 @@ def test_recurrence_routes_do_not_share_fibonacci_seeds(monkeypatch):
     counting.clear_caches()
 
 
+# --- totals as walked binomial sums ---------------------------------------------
+
+# Every n up to 60 covers n = 0, n <= h and n <= 2h+1 for each h <= 12; the
+# stride adds larger n, most not divisible by h+1.
+_SUM_SWEEP_N = [*range(61), *range(61, 401, 13), 400]
+
+
+def test_totals_equal_per_size_sums():
+    # The totals walk consecutive binomials; path_count_k and cycle_count_k
+    # take each one afresh from math.comb.
+    for h in range(13):
+        for n in _SUM_SWEEP_N:
+            ks = range(max_subset_size(n, h) + 2)
+            assert path_count(n, h) == sum(path_count_k(n, h, k) for k in ks), (n, h)
+            assert path_edges(n, h) == sum(k * path_count_k(n, h, k) for k in ks), (n, h)
+            assert cycle_count(n, h) == sum(cycle_count_k(n, h, k) for k in ks), (n, h)
+            assert cycle_edges(n, h) == sum(k * cycle_count_k(n, h, k) for k in ks), (n, h)
+
+
+@pytest.mark.parametrize("h", [1, 10])
+def test_closed_totals_match_recurrence_at_large_n(h):
+    try:
+        assert path_count(20000, h) == path_count_rec(20000, h)
+        assert cycle_count(20000, h) == cycle_count_rec(20000, h)
+    finally:
+        counting.clear_caches()
+
+
 # --- path counts --------------------------------------------------------------
 
 
@@ -266,45 +294,33 @@ def test_sequence_rejects_bad_parameters():
         counting.HSequence(counting.FIBONACCI, -1)
 
 
-def test_sequences_consistent_under_concurrent_extension():
-    import threading
-
-    counting.clear_caches()
-    expected = [counting.HSequence(counting.FIBONACCI, 3).term(n) for n in range(1, 301)]
-    results = []
-
-    def worker():
-        results.append([h_fibonacci(3, n) for n in range(1, 301)])
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == expected for r in results)
-
-
 def test_all_sequence_kinds_extend_safely_under_one_lock():
     # Registry inserts and extension of every kind share one lock.  Threads
     # race to write the same long seed runs (a Python call per seed, so a
     # thread can be switched out midway); unlocked, a late thread would
-    # append its seeds again after the terms already written.
+    # append its seeds again after the terms already written.  They also
+    # read a short-seeded sequence term by term while others extend it.
     import threading
 
     routes = (h_fibonacci, h_lucas,
               lambda h, n: path_count_rec(n, h), lambda h, n: cycle_count_rec(n, h))
     expected = [route(200, n) for route in routes for n in range(1, 1500)]
+    fib3 = counting.HSequence(counting.FIBONACCI, 3)
+    expected_fib3 = [fib3.term(n) for n in range(1, 301)]
+    seen = []
 
     def worker():
         start.wait()
         for route in routes:
             route(200, 999)
+        seen.append([h_fibonacci(3, n) for n in range(1, 301)])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             counting.clear_caches()
+            seen.clear()
             start = threading.Barrier(12, timeout=30)
             threads = [threading.Thread(target=worker) for _ in range(12)]
             for t in threads:
@@ -312,6 +328,7 @@ def test_all_sequence_kinds_extend_safely_under_one_lock():
             for t in threads:
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
+            assert seen == [expected_fib3] * 12
             # read past the raced prefix too: stray late seeds land there
             assert [route(200, n) for route in routes for n in range(1, 1500)] == expected
     finally:
@@ -361,6 +378,18 @@ def test_convolve_values():
     f5 = fibonacci_sequence(5)
     assert convolve(f5, f5, 1) == 1
     assert convolve(fibonacci_sequence(2), lucas_sequence(2), 6) == 32
+
+
+@pytest.mark.parametrize("shared", [fibonacci_sequence, lucas_sequence])
+def test_self_convolution_fold_matches_literal_sum(shared):
+    # convolve(f, f, m) folds the symmetric sum; a second, distinct sequence
+    # of the same kind takes the unfolded route.
+    for h in range(6):
+        f = shared(h)
+        g = counting.HSequence(f.kind, h)
+        for m in range(1, 32):
+            literal = sum(f.term(i) * f.term(m + 1 - i) for i in range(1, m + 1))
+            assert convolve(f, f, m) == literal == convolve(f, g, m), (f, m)
 
 
 def test_convolve_rejects_mixed_h_and_bad_index():

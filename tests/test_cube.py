@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fibcubes import cube
 from fibcubes.counting import cycle_count, cycle_edges, path_count, path_edges, t_count
 from fibcubes.cube import build_cube, cover_count
 from fibcubes.enumeration import CapacityError, VertexMask
@@ -110,6 +111,13 @@ def test_cover_count_streams_same_totals():
             for n in range(12):
                 g = GapGraph(kind, n, h)
                 assert cover_count(g) == build_cube(g).cover_count
+
+
+def test_cover_count_raises_on_family_not_subset_closed(monkeypatch):
+    # {0b11, 0b01} lacks 0b10 and the empty set, so two bit deletions leave it.
+    monkeypatch.setattr(cube, "iter_masks", lambda g, cap: [0b01, 0b11])
+    with pytest.raises(ArithmeticError, match="not subset-closed"):
+        cover_count(GapGraph(PATH, 2, 0))
 
 
 def test_index_of():
