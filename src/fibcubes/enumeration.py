@@ -38,6 +38,11 @@ class CapacityError(Exception):
     """Raised when an enumeration would exceed the configured size cap."""
 
 
+def _bit_string(n: int, bits: int) -> str:
+    """The b_1..b_n string of a length-n mask: b_1, the low bit, first."""
+    return format(bits, f"0{n}b")[::-1] if n else ""
+
+
 @dataclass(frozen=True)
 class VertexMask:
     """A length-n bit string encoding a vertex subset (bit i-1 <-> v_i)."""
@@ -73,13 +78,19 @@ class VertexMask:
         return cls(n, bits)
 
     def to_string(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.n))
+        return _bit_string(self.n, self.bits)
 
     __str__ = to_string
 
     def vertices(self) -> tuple[int, ...]:
         """Set vertices as ascending 1-based indices."""
-        return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
+        out = []
+        rest = self.bits
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length())
+            rest ^= low
+        return tuple(out)
 
     def size(self) -> int:
         return self.bits.bit_count()
@@ -96,15 +107,14 @@ def is_independent(g: GapGraph, mask: VertexMask) -> bool:
 def gap_check(mask: VertexMask, h: int, circular: bool = False) -> bool:
     """Whether all 1-bits are more than h apart (also around the wrap when
     circular).  Equivalent to independence in the matching gap graph."""
-    vs = mask.vertices()
-    n = mask.n
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            d = vs[b] - vs[a]
-            if d <= h:
-                return False
-            if circular and n - d <= h:
-                return False
+    bits, n = mask.bits, mask.n
+    # Two set bits d apart meet under a shift by d.  On a cycle, bits n - d
+    # apart are d apart the other way round.
+    for d in range(1, min(h, n - 1) + 1):
+        if bits & (bits >> d):
+            return False
+        if circular and bits & (bits >> (n - d)):
+            return False
     return True
 
 
@@ -195,13 +205,11 @@ def avoids_substrings(mask: VertexMask, h: int, circular: bool = False) -> bool:
         raise ValueError("substring characterization needs h >= 1")
     s = mask.to_string()
     n = mask.n
-    doubled = s + s
     for gap in range(1, h + 1):
         pat = "1" + "0" * (gap - 1) + "1"
         if pat in s:
             return False
-        if circular and len(pat) <= n and any(
-            doubled[i : i + len(pat)] == pat for i in range(n)
-        ):
+        # Around the wrap: the windows that start in s and run past its end.
+        if circular and len(pat) <= n and pat in s + s[: len(pat) - 1]:
             return False
     return True

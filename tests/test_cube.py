@@ -158,3 +158,50 @@ def test_json_export():
 def test_edgelist_export():
     text = build_cube(GapGraph(PATH, 2, 1)).to_edgelist_text()
     assert text == "0 1\n0 2\n"
+
+
+def _cubes_up_to(n_max, h_max):
+    for kind in (PATH, CYCLE):
+        for h in range(h_max + 1):
+            for n in range(n_max + 1):
+                yield build_cube(GapGraph(kind, n, h))
+
+
+def test_json_export_is_the_indented_json_dumps_layout():
+    for c in _cubes_up_to(9, 3):
+        assert c.to_json() == json.dumps(c.to_json_dict(), indent=2) + "\n", c
+    empty = build_cube(GapGraph(CYCLE, 0, 2)).to_json()
+    assert '\n  "covers": []\n' in empty
+    assert json.loads(empty)["ranks"] == [[""]]
+
+
+def test_dot_labels_are_the_vertex_strings():
+    for c in _cubes_up_to(9, 3):
+        labels = [line.split('"')[1] for line in c.to_dot().splitlines() if "label=" in line]
+        assert labels == [c.vertices[i].to_string() for i in range(c.vertex_count)], c
+
+
+def test_vertices_sequence_matches_masks_and_positions():
+    for c in _cubes_up_to(9, 3):
+        assert len(c.vertices) == c.vertex_count == len(c.masks)
+        for i in range(c.vertex_count):
+            v = c.vertices[i]
+            assert v == VertexMask(c.source.n, c.masks[i])
+            assert c.index_of(v) == i
+        assert list(c.vertices) == c.vertices[:]
+
+
+def test_vertices_are_made_on_access(monkeypatch):
+    made = []
+
+    def counting_mask(n, bits):
+        made.append(bits)
+        return VertexMask(n, bits)
+
+    monkeypatch.setattr(cube, "VertexMask", counting_mask)
+    c = build_cube(GapGraph(PATH, 12, 1))
+    c.to_dot(), c.to_json(), c.to_edgelist_text(), c.rank_profile(), c.hamming_pairs()
+    assert made == []
+    assert len(c.vertices) == 377
+    assert c.vertices[5].bits == c.masks[5]
+    assert made == [c.masks[5]]

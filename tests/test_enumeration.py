@@ -53,6 +53,21 @@ def test_mask_validation():
     assert VertexMask(0, 0).to_string() == ""
 
 
+def _literal_vertices(n, bits):
+    return [i + 1 for i in range(n) if bits >> i & 1]
+
+
+def test_mask_strings_and_vertex_tuples_roundtrip_exhaustively():
+    for n in range(11):
+        for bits in range(1 << n):
+            m = VertexMask(n, bits)
+            s = m.to_string()
+            assert s == "".join("1" if bits >> i & 1 else "0" for i in range(n))
+            assert VertexMask.from_string(s) == m
+            assert list(m.vertices()) == _literal_vertices(n, bits)
+            assert VertexMask.from_vertices(n, m.vertices()) == m
+
+
 # --- independence predicates ----------------------------------------------------
 
 
@@ -85,6 +100,28 @@ def test_gap_check_matches_independence_exhaustively():
                 m = VertexMask(n, bits)
                 assert gap_check(m, h) == is_independent(path, m)
                 assert gap_check(m, h, circular=True) == is_independent(cyc, m)
+
+
+def _gap_check_reference(n, bits, h, circular):
+    # The pair-loop definition: every two set positions more than h apart,
+    # also the short way round when circular.
+    vs = _literal_vertices(n, bits)
+    for a in range(len(vs)):
+        for b in range(a + 1, len(vs)):
+            d = vs[b] - vs[a]
+            if d <= h or (circular and n - d <= h):
+                return False
+    return True
+
+
+def test_gap_check_matches_pair_loop_reference():
+    for n in range(13):
+        for h in range(n + 2):
+            for bits in range(1 << n):
+                m = VertexMask(n, bits)
+                for circular in (False, True):
+                    assert gap_check(m, h, circular) == _gap_check_reference(
+                        n, bits, h, circular), (n, h, bits, circular)
 
 
 # --- enumeration -----------------------------------------------------------------
@@ -206,6 +243,41 @@ def test_avoids_substrings_matches_gap_check():
                 m = VertexMask(n, bits)
                 assert avoids_substrings(m, h) == gap_check(m, h), (n, h, bits)
                 assert avoids_substrings(m, h, circular=True) == gap_check(m, h, circular=True)
+
+
+def _avoids_substrings_reference(s, h, circular):
+    # Every window of the doubled string that starts inside s.
+    n = len(s)
+    doubled = s + s
+    for gap in range(1, h + 1):
+        pat = "1" + "0" * (gap - 1) + "1"
+        if pat in s:
+            return False
+        if circular and len(pat) <= n and any(
+                doubled[i:i + len(pat)] == pat for i in range(n)):
+            return False
+    return True
+
+
+def test_avoids_substrings_with_patterns_as_long_as_the_string():
+    # h = n - 2 and h = n - 1 make the longest pattern n - 1 and n long;
+    # h = n makes it longer than the string, so it never matches.
+    for n in range(2, 11):
+        for h in (n - 2, n - 1, n):
+            if h < 1:
+                continue
+            for bits in range(1 << n):
+                m = VertexMask(n, bits)
+                for circular in (False, True):
+                    got = avoids_substrings(m, h, circular)
+                    assert got == _avoids_substrings_reference(m.to_string(), h, circular)
+                    assert got == gap_check(m, h, circular), (n, h, bits, circular)
+    assert not avoids_substrings(VertexMask.from_string("10001"), 4)
+    assert avoids_substrings(VertexMask.from_string("10001"), 3)
+    assert not avoids_substrings(VertexMask.from_string("10001"), 3, circular=True)
+    # found only around the wrap
+    assert avoids_substrings(VertexMask.from_string("10010"), 2)
+    assert not avoids_substrings(VertexMask.from_string("10010"), 2, circular=True)
 
 
 # --- enumeration as counting oracle ---------------------------------------------------
