@@ -392,7 +392,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter with no digit limit
+        return args.func(args)
+    # Counts outgrow the default 4,300-digit int-to-str limit; lift it for the
+    # command, in every output format, and restore it for in-process callers.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def script() -> None:

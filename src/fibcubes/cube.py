@@ -8,7 +8,10 @@ Hamming distance 1.
 
 Vertices stay integer masks (b_1 the low bit) from enumeration to the
 exported text; :class:`VertexMask` objects are made only when a caller
-indexes or iterates ``CubeGraph.vertices``.
+indexes or iterates ``CubeGraph.vertices``.  Covers are stored as rows, one
+per lower vertex, in two ``array('I')``: one holds the V+1 row offsets,
+the other the upper indices, row after row, so a cover costs 4 bytes.  ``CubeGraph.covers`` reads (lower, upper) pairs from them on
+access, and the exporters write one string per row.
 
 For h = 0 this is the Boolean lattice (the n-cube); for h = 1 on paths and
 cycles it is the classic Fibonacci and Lucas cube.
@@ -18,14 +21,18 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from operator import itemgetter
+from operator import eq
 
 from .enumeration import DEFAULT_CAP, VertexMask, _bit_string, iter_masks
 from .graphs import GapGraph
 
 __all__ = ["CubeGraph", "build_cube", "cover_count"]
+
+# Row strings joined into one intermediate string of export text.
+_ROWS_PER_CHUNK = 4096
 
 
 class _Vertices(Sequence):
@@ -46,23 +53,65 @@ class _Vertices(Sequence):
         return VertexMask(self._n, self._masks[i])
 
 
+class _Covers(Sequence):
+    """The (lower, upper) pairs of the cover rows, in lexicographic order.
+
+    Pairs are made on access and ``len`` builds nothing.  Equal to any
+    sequence of the same pairs, such as a list of tuples.
+    """
+
+    __slots__ = ("_starts", "_uppers")
+
+    def __init__(self, starts: Sequence[int], uppers: Sequence[int]):
+        self._starts = starts
+        self._uppers = uppers
+
+    def __len__(self) -> int:
+        return len(self._uppers)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # checks the bounds, resolves a negative index
+        # Empty rows repeat an offset; the last row starting at or before i
+        # is the one holding it.
+        return bisect_right(self._starts, i) - 1, self._uppers[i]
+
+    def __iter__(self):
+        uppers = self._uppers
+        for lo, (a, b) in enumerate(itertools.pairwise(self._starts)):
+            for hi in uppers[a:b]:
+                yield lo, hi
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 class CubeGraph:
-    """Ranked vertex masks plus cover pairs; built once, then immutable.
+    """Ranked vertex masks plus cover rows; built once, then immutable.
 
     Vertex order is (rank, numeric mask value): all size-0 sets first, then
     size-1, and so on, each block ascending.  ``position`` maps each integer
     mask to its index in that order and is the only per-vertex table kept;
     ``masks`` lists its keys in order.  ``vertices`` is a read-only sequence
-    of :class:`VertexMask` whose items are made on access.  Cover pairs are
-    (lower, upper) indices, sorted lexicographically.
+    of :class:`VertexMask` whose items are made on access.
+
+    The covers of lower vertex ``lo`` are the ascending upper indices
+    ``_uppers[_starts[lo]:_starts[lo + 1]]``.  ``covers`` is a read-only
+    sequence of the (lower, upper) pairs, sorted lexicographically, whose
+    items are made on access.
     """
 
     def __init__(self, source: GapGraph, position: dict[int, int],
-                 covers: list[tuple[int, int]]):
+                 starts: Sequence[int], uppers: Sequence[int]):
         self.source = source
         self.masks = list(position)
         self.vertices = _Vertices(source.n, self.masks)
-        self.covers = covers
+        self._starts = starts
+        self._uppers = uppers
+        self.covers = _Covers(starts, uppers)
         self._position = position
 
     def __repr__(self) -> str:
@@ -81,9 +130,22 @@ class CubeGraph:
     def index_of(self, mask: VertexMask) -> int:
         return self._position[mask.bits]
 
-    def _index_names(self) -> list[str]:
-        # Formatting each index once beats formatting it at every cover.
-        return list(map(str, range(len(self.masks))))
+    def _cover_rows(self, row, sep: str = "") -> str:
+        """``sep``-joined ``row(lower_name, upper_names)`` over the nonempty rows.
+
+        Each index is formatted once, not at every cover; the row strings are
+        joined a chunk at a time, so they never all exist at once.
+        """
+        s = list(map(str, range(len(self.masks))))
+        name = s.__getitem__
+        starts, uppers = self._starts, self._uppers
+        rows = (row(lo, map(name, uppers[a:b]))
+                for lo, a, b in zip(s, starts, starts[1:]) if a != b)
+        chunks = []
+        while chunk := sep.join(itertools.islice(rows, _ROWS_PER_CHUNK)):
+            chunks.append(chunk)
+        del s, name, rows  # before the final join, which holds the text twice
+        return sep.join(chunks)
 
     def _rank_blocks(self):
         # Masks are in rank order and a down-closed family skips no rank.
@@ -120,16 +182,15 @@ class CubeGraph:
         return sum(1 for m in self.masks if m & want and m.bit_count() == rank)
 
     # -- exports ------------------------------------------------------------
+    # A row of covers is one string: its lower name is repeated through the
+    # separator of one join over its upper names.
 
     def to_dot(self) -> str:
         g = self.source
         n = g.n
-        lines = [f"graph cube_{g.kind}_{g.n}_{g.h} {{"]
-        lines += [f'  {i} [label="{_bit_string(n, m)}"];' for i, m in enumerate(self.masks)]
-        s = self._index_names()
-        lines += [f"  {s[lo]} -- {s[hi]};" for lo, hi in self.covers]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        labels = "".join([f'  {i} [label="{_bit_string(n, m)}"];\n' for i, m in enumerate(self.masks)])
+        covers = self._cover_rows(lambda lo, his: f"  {lo} -- " + f";\n  {lo} -- ".join(his) + ";\n")
+        return f"graph cube_{g.kind}_{g.n}_{g.h} {{\n{labels}{covers}}}\n"
 
     def to_json_dict(self) -> dict:
         n = self.source.n
@@ -147,15 +208,18 @@ class CubeGraph:
         n = g.n
         ranks = [_json_array([f'"{_bit_string(n, m)}"' for m in block], 2)
                  for block in self._rank_blocks()]
-        s = self._index_names()
-        covers = [f"[\n      {s[lo]},\n      {s[hi]}\n    ]" for lo, hi in self.covers]
-        return (f'{{\n  "kind": {json.dumps(g.kind)},\n  "n": {n},\n  "h": {g.h},\n'
-                f'  "ranks": {_json_array(ranks, 1)},\n'
-                f'  "covers": {_json_array(covers, 1)}\n}}\n')
+        head = (f'{{\n  "kind": {json.dumps(g.kind)},\n  "n": {n},\n  "h": {g.h},\n'
+                f'  "ranks": {_json_array(ranks, 1)},\n  "covers": ')
+        covers = self._cover_rows(
+            lambda lo, his: (f"[\n      {lo},\n      "
+                             + f"\n    ],\n    [\n      {lo},\n      ".join(his) + "\n    ]"),
+            ",\n    ")
+        if not covers:
+            return head + "[]\n}\n"
+        return f"{head}[\n    {covers}\n  ]\n}}\n"
 
     def to_edgelist_text(self) -> str:
-        s = self._index_names()
-        return "".join([f"{s[lo]} {s[hi]}\n" for lo, hi in self.covers])
+        return self._cover_rows(lambda lo, his: f"{lo} " + f"\n{lo} ".join(his) + "\n")
 
 
 def _json_array(items: list[str], depth: int) -> str:
@@ -171,24 +235,38 @@ def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:
     """Construct the inclusion diagram of g's independent sets.
 
     Covers come from bit deletion: clearing any set bit of a vertex yields a
-    subset, which down-closure guarantees is itself a vertex.
+    subset, which down-closure guarantees is itself a vertex (raising if it
+    is not).  The uppers of one rank are visited in ascending index, so the
+    rows of the rank below fill in ascending order and are written out, in
+    lower-index order, once that rank is done: no pair tuples, no sort.
     """
-    by_rank: list[list[int]] = [[] for _ in range(g.n + 1)]
+    # One bucket per rank, plus an always-empty one above the top, so that
+    # the top rank's (empty) rows are written too.
+    by_rank: list[list[int]] = [[] for _ in range(g.n + 2)]
     for m in iter_masks(g, cap):  # ascending, so each bucket is too
         by_rank[m.bit_count()].append(m)
     position = {m: i for i, m in enumerate(itertools.chain.from_iterable(by_rank))}
-    covers: list[tuple[int, int]] = []
-    add = covers.append
-    for bits, hi_idx in position.items():
-        rest = bits
-        while rest:
-            low = rest & -rest
-            add((position[bits ^ low], hi_idx))
-            rest ^= low
-    # Generated in ascending upper index, so a stable sort on the lower one
-    # gives lexicographic order.
-    covers.sort(key=itemgetter(0))
-    return CubeGraph(g, position, covers)
+    from array import array  # here, so that commands building no cube never load it
+
+    starts = array("I", [0])
+    uppers = array("I")
+    base = 0  # index of the lower rank's first vertex
+    for lower, upper in itertools.pairwise(by_rank):
+        rows: list[list[int]] = [[] for _ in lower]
+        try:
+            for hi, bits in enumerate(upper, base + len(lower)):
+                rest = bits
+                while rest:
+                    low = rest & -rest
+                    rows[position[bits ^ low] - base].append(hi)
+                    rest ^= low
+        except KeyError:
+            raise ArithmeticError(f"family not subset-closed at mask 0x{bits:x}") from None
+        for row in rows:
+            uppers.extend(row)
+            starts.append(len(uppers))
+        base += len(lower)
+    return CubeGraph(g, position, starts, uppers)
 
 
 def cover_count(g: GapGraph, cap: int = DEFAULT_CAP) -> int:

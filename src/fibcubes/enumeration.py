@@ -97,11 +97,19 @@ class VertexMask:
 
 
 def is_independent(g: GapGraph, mask: VertexMask) -> bool:
-    """Whether no two set bits of the mask index adjacent vertices of g."""
+    """Whether no two set bits of the mask index adjacent vertices of g.
+
+    Tests every pair with ``g.is_edge``, in a plain loop: ``any()`` over a
+    generator costs a frame resume per pair.
+    """
     if mask.n != g.n:
         raise ValueError(f"mask length {mask.n} does not match graph order {g.n}")
     vs = mask.vertices()
-    return not any(g.is_edge(vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
+    for a in range(len(vs)):
+        for b in range(a + 1, len(vs)):
+            if g.is_edge(vs[a], vs[b]):
+                return False
+    return True
 
 
 def gap_check(mask: VertexMask, h: int, circular: bool = False) -> bool:

@@ -1,11 +1,16 @@
 """Command-line behavior: output formats, routes, and the exit-code contract
 (0 ok, 1 verification failure, 2 usage, 3 capacity)."""
 
+import contextlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import fibcubes.cli as cli
+from fibcubes.counting import path_count_rec
 
 
 def run(argv, capsys):
@@ -270,3 +275,60 @@ def test_verify_json(capsys):
     assert all(r["status"] == "pass" for r in reports)
     assert all(r["bounds"] == {"n_max": 6, "h_max": 1, "oracle_n_max": 5}
                for r in reports)
+
+
+# --- integers past the interpreter's int-to-str digit limit -------------------
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no digit limit")
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@needs_digit_limit
+def test_count_prints_values_past_the_digit_limit(capsys):
+    with digit_limit(4300):
+        code, out, err = run(["count", "path", "21000", "1"], capsys)
+        assert sys.get_int_max_str_digits() == 4300  # restored for the caller
+    assert code == 0 and err == ""
+    with digit_limit(0):
+        expected = str(path_count_rec(21000, 1))
+    assert len(expected) > 4300
+    assert out == expected + "\n"
+
+
+@needs_digit_limit
+def test_seq_and_table_print_values_past_the_digit_limit(monkeypatch, capsys):
+    big = 7 * 10 ** 5000 + 3
+    monkeypatch.setattr(cli, "h_fibonacci", lambda h, n: big + n)
+    monkeypatch.setattr(cli, "path_count", lambda n, h: -big - n)
+    seq_argv = ["seq", "F", "--h", "1", "--n-max", "2"]
+    table_argv = ["table", "p", "--h", "0", "--n-max", "1"]
+    with digit_limit(4300):
+        seq = run(seq_argv, capsys)
+        table = run(table_argv + ["--format", "csv"], capsys)
+        seq_json = run(seq_argv + ["--format", "json"], capsys)
+        table_json = run(table_argv + ["--format", "json"], capsys)
+    with digit_limit(0):
+        assert seq == (0, f"1\t{big + 1}\n2\t{big + 2}\n", "")
+        assert table == (0, f",n=0,1\nh=0,{-big},{-big - 1}\n", "")
+        assert seq_json[0] == table_json[0] == 0
+        assert json.loads(seq_json[1])["values"] == [big + 1, big + 2]
+        assert json.loads(table_json[1])["values"] == [[-big, -big - 1]]
+
+
+def test_cli_import_leaves_array_unloaded():
+    # It loads on the first cube build, so it adds nothing to other commands' start-up.
+    code = "import sys, fibcubes.cli; print('array' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout == "False\n"

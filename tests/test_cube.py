@@ -1,6 +1,10 @@
 """Inclusion diagrams: construction, rank structure, and exports."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -120,6 +124,13 @@ def test_cover_count_raises_on_family_not_subset_closed(monkeypatch):
         cover_count(GapGraph(PATH, 2, 0))
 
 
+def test_build_cube_raises_on_family_not_subset_closed(monkeypatch):
+    # {0, 0b11} lacks 0b01 and 0b10, so deleting a bit of 0b11 leaves it.
+    monkeypatch.setattr(cube, "iter_masks", lambda g, cap: [0, 0b11])
+    with pytest.raises(ArithmeticError, match="not subset-closed at mask 0x3"):
+        build_cube(GapGraph(PATH, 2, 0))
+
+
 def test_index_of():
     c = build_cube(GapGraph(PATH, 4, 1))
     for i, v in enumerate(c.vertices):
@@ -205,3 +216,124 @@ def test_vertices_are_made_on_access(monkeypatch):
     assert len(c.vertices) == 377
     assert c.vertices[5].bits == c.masks[5]
     assert made == [c.masks[5]]
+
+
+# --- the cover rows and the covers view ---------------------------------------
+
+
+def _literal_covers(c):
+    # Every (subset, set) pair one bit deletion apart, sorted: the definition.
+    pos = {m: i for i, m in enumerate(c.masks)}
+    return sorted((pos[m ^ (1 << b)], i) for i, m in enumerate(c.masks)
+                  for b in range(c.source.n) if m >> b & 1)
+
+
+def test_cover_rows_are_ascending_and_complete():
+    for c in _cubes_up_to(9, 3):
+        starts, uppers = c._starts, c._uppers
+        assert starts.typecode == uppers.typecode == "I"
+        assert len(starts) == c.vertex_count + 1
+        assert starts[0] == 0 and starts[-1] == len(uppers) == c.cover_count
+        rows = [list(uppers[a:b]) for a, b in zip(starts, starts[1:])]
+        assert all(row == sorted(set(row)) for row in rows), c
+        assert [(lo, hi) for lo, row in enumerate(rows) for hi in row] == _literal_covers(c)
+
+
+def test_covers_view_is_the_sorted_pair_list():
+    for c in _cubes_up_to(9, 3):
+        pairs = _literal_covers(c)
+        covers = c.covers
+        assert len(covers) == len(pairs) == c.cover_count
+        assert list(covers) == pairs  # iteration is lexicographic
+        assert covers == pairs and pairs == covers and covers == tuple(pairs)
+        assert covers == covers[:]
+        for i in range(len(pairs)):
+            assert covers[i] == pairs[i]
+            assert covers[-1 - i] == pairs[-1 - i]
+        m = len(pairs)
+        for a, b, step in ((0, m // 2, 1), (m // 3, None, 1), (-3, None, 1),
+                           (None, None, 2), (None, None, -1), (m - 1, 0, -3), (5, 2, 1)):
+            assert covers[a:b:step] == pairs[a:b:step], (c, a, b, step)
+        for i in (m, -m - 1):
+            with pytest.raises(IndexError):
+                covers[i]
+
+
+def test_covers_view_inequality():
+    c = build_cube(GapGraph(PATH, 4, 1))
+    pairs = list(c.covers)
+    assert c.covers != pairs[:-1]
+    assert c.covers != [list(p) for p in pairs]
+    assert c.covers != pairs[:-1] + [(pairs[-1][0], pairs[-1][1] + 1)]
+    assert c.covers != 5 and c.covers != "covers"
+    assert c.covers == build_cube(GapGraph(PATH, 4, 1)).covers
+    with pytest.raises(TypeError):
+        hash(c.covers)
+
+
+def test_covers_view_of_the_empty_and_star_diagrams():
+    for kind in (PATH, CYCLE):
+        c = build_cube(GapGraph(kind, 0, 2))
+        assert list(c._starts) == [0, 0] and len(c._uppers) == 0
+        assert len(c.covers) == 0 and list(c.covers) == [] and c.covers == []
+        assert c.covers[:] == [] and c.covers[-5:] == []
+        with pytest.raises(IndexError):
+            c.covers[0]
+    for h in range(5):
+        for n in range(1, 2 * h + 2):
+            c = build_cube(GapGraph(CYCLE, n, h))
+            star = [(0, i) for i in range(1, n + 1)]
+            assert c.covers == star and list(c.covers) == star
+            assert c.covers[-1] == (0, n) and c.covers[1:] == star[1:]
+            assert list(c._starts) == [0] + [n] * (n + 1)
+
+
+def test_exports_do_not_depend_on_the_chunk_size(monkeypatch):
+    cubes = list(_cubes_up_to(7, 2))
+    want = [(c.to_dot(), c.to_json(), c.to_edgelist_text()) for c in cubes]
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(cube, "_ROWS_PER_CHUNK", rows)
+        assert [(c.to_dot(), c.to_json(), c.to_edgelist_text()) for c in cubes] == want
+
+
+def test_cover_count_reads_no_pairs(monkeypatch):
+    c = build_cube(GapGraph(CYCLE, 9, 1))
+
+    def boom(*args):
+        raise AssertionError("a cover pair was made")
+
+    monkeypatch.setattr(cube._Covers, "__iter__", boom)
+    monkeypatch.setattr(cube._Covers, "__getitem__", boom)
+    assert len(c.covers) == c.cover_count == cycle_edges(9, 1)
+    c.to_dot(), c.to_json(), c.to_edgelist_text()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_edgelist_export_peak_memory(tmp_path):
+    # Peak memory of the export of path 16 0 (65,536 vertices, 524,288
+    # covers) above that of path 1 0, both in this interpreter, so that its
+    # own footprint cancels: about 91 MB when covers were a list of pair
+    # tuples, about 25 MB as row arrays (Python 3.10 and 3.11).
+    code = textwrap.dedent("""
+        import sys
+        from fibcubes.cli import main
+        rc = main(["cube", "path", sys.argv[2], "0", "--format", "edgelist", "--out", sys.argv[1]])
+        with open("/proc/self/status") as fh:
+            hwm = next(line for line in fh if line.startswith("VmHWM:"))
+        print(rc, hwm.split()[1])
+    """)
+    src = os.path.dirname(os.path.dirname(cube.__file__))
+
+    def peak_kb(n):
+        out = tmp_path / f"cube{n}.txt"
+        run = subprocess.run([sys.executable, "-c", code, str(out), str(n)],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+        rc, kb = run.stdout.split()
+        assert rc == "0"
+        with open(out) as fh:
+            assert sum(1 for _ in fh) == path_edges(n, 0)
+        return int(kb)
+
+    growth = (peak_kb(16) - peak_kb(1)) / 1024
+    assert growth < 45, f"export peak {growth:.1f} MB above the baseline"

@@ -77,6 +77,18 @@ def test_is_independent_examples():
     assert is_independent(GapGraph(PATH, 4, 2), VertexMask.from_string("1001"))
 
 
+def test_is_independent_asks_is_edge_for_every_pair(monkeypatch):
+    asked = []
+    real = GapGraph.is_edge
+    monkeypatch.setattr(GapGraph, "is_edge", lambda g, i, j: asked.append((i, j)) or real(g, i, j))
+    m = VertexMask.from_string("1010101")
+    assert is_independent(GapGraph(PATH, 7, 1), m)
+    assert asked == [(1, 3), (1, 5), (1, 7), (3, 5), (3, 7), (5, 7)]
+    asked.clear()
+    assert not is_independent(GapGraph(CYCLE, 7, 1), m)  # v_7 ~ v_1 around the wrap
+    assert asked == [(1, 3), (1, 5), (1, 7)]
+
+
 def test_is_independent_rejects_length_mismatch():
     with pytest.raises(ValueError):
         is_independent(GapGraph(PATH, 4, 1), VertexMask.from_string("101"))
