@@ -16,6 +16,7 @@ error.  All numeric output is full decimal, never scientific notation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -63,6 +64,7 @@ PAPER_TABLE_LAYOUTS = {
 PAPER_H_RANGE = (0, 10)
 
 _PER_SIZE_TABLES = ("pk", "ck")
+_WRITE_SLICE = 1 << 20  # characters per write
 
 
 def _usage(msg: str) -> int:
@@ -71,11 +73,12 @@ def _usage(msg: str) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    # A slice at a time: writing one large str encodes all of it into a
+    # second, byte copy first.
+    to_stdout = out is None or out == "-"
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(out, "w", encoding="utf-8") as fh:
+        for i in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[i:i + _WRITE_SLICE])
 
 
 def _parse_h_range(text: str) -> tuple[int, int]:

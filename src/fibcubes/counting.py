@@ -25,13 +25,20 @@ Conventions used throughout:
   sequences, both also extended down to index -h, and the path and cycle
   totals (p(n) = n+1 for n <= h, c(n) = n+1 for n <= 2h+1) that give the
   recurrence route independently of the closed forms.
+* A convolution a * b of two such sequences obeys the same delayed
+  recurrence, driven by a through a short numerator taken from b's seeds,
+  so :func:`convolve` costs a few big-integer additions per index instead
+  of one big-integer product per index, and keeps only h+1 of its values.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from collections.abc import Iterator
+from itertools import chain, islice, repeat
+from operator import add, mul
 
 __all__ = [
     "binom",
@@ -279,6 +286,7 @@ class HSequence:
         self._seed_count = last(h) - self.min_index + 1
         self._seed = globals()[seed]
         self._terms: list[int] = []
+        self._numerator: tuple[tuple[int, int], ...] | None = None
 
     def __repr__(self) -> str:
         return f"HSequence({self.kind!r}, h={self.h})"
@@ -307,6 +315,25 @@ class HSequence:
         """Terms from ``min_index`` through n inclusive."""
         self.term(n)
         return self._terms[: n - self.min_index + 1]
+
+    def numerator(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero coefficients (k, beta_k) of beta = B * Q, where
+        B(x) = sum_{j>=1} t(j) x^(j-1) and Q(x) = 1 - x - x^(h+1).
+
+        Past the seeds and index h+1 the recurrence cancels every
+        coefficient, so beta is short: (1) for Fibonacci, (h+1, -h) for
+        Lucas.  Computed once per sequence from a private copy of the seeds;
+        the memo is left untouched.
+        """
+        if self._numerator is None:
+            h, lo = self.h, self.min_index
+            t = [self._seed(h, lo + i) for i in range(self._seed_count)]
+            while len(t) < h + 2 - lo:  # through t(h+1) at least
+                t.append(t[-1] + t[-h - 1])
+            c = [0] * (h + 1) + t[1 - lo:]  # h+1 zeros, then t(1), t(2), ...
+            beta = (c[i] - c[i - 1] - c[i - h - 1] for i in range(h + 1, len(c)))
+            self._numerator = tuple((k, v) for k, v in enumerate(beta) if v)
+        return self._numerator
 
 
 _SEQUENCES: dict[tuple[str, int], HSequence] = {}
@@ -358,21 +385,38 @@ def extended_lucas(h: int, n: int) -> int:
 
 
 def convolve(a: HSequence, b: HSequence, n: int) -> int:
-    """Discrete convolution sum_{i=1..n} a(i) * b(n-i+1) (n >= 1).
+    """Discrete convolution g(n) = sum_{i=1..n} a(i) * b(n-i+1) (n >= 1).
 
-    A self-convolution (``a is b``) is symmetric under i -> n+1-i, so it sums
-    the lower half of the products, doubles them, and adds the middle square
-    when n is odd.
+    Computed without a single product of two sequence terms.  b's generating
+    function is beta / Q with a short numerator beta (see
+    :meth:`HSequence.numerator`), so g obeys b's delayed recurrence, driven
+    by a:
+
+        g(j) = g(j-1) + g(j-h-1) + sum_k beta_k * a(j-k),
+
+    with g and a read as 0 at indices below 1.  Only the last h+1 values of
+    g are kept, and b's memo is never extended.
     """
     if a.h != b.h:
         raise ValueError(f"cannot convolve sequences with h={a.h} and h={b.h}")
     if n < 1:
         raise ValueError("convolution index must be >= 1")
-    if a is not b:
-        return sum(a.term(i) * b.term(n - i + 1) for i in range(1, n + 1))
-    half = sum(a.term(i) * a.term(n - i + 1) for i in range(1, n // 2 + 1))
-    middle = a.term((n + 1) // 2) ** 2 if n % 2 else 0
-    return 2 * half + middle
+    a.term(n)
+    start = 1 - a.min_index
+    drive = None
+    for k, c in b.numerator():
+        # beta_k * a(j-k) for j = 1..n
+        shifted = islice(chain(repeat(0, k), islice(a._terms, start, None)), n)
+        if c != 1:
+            shifted = map(mul, repeat(c), shifted)
+        drive = shifted if drive is None else map(add, drive, shifted)
+    if drive is None:  # beta = 0: b vanishes from index 1 on
+        return 0
+    h = b.h
+    window = deque([0] * (h + 1), maxlen=h + 1)  # g(j-h-1) .. g(j-1)
+    for d in drive:
+        window.append(window[-1] + window[0] + d)
+    return window[-1]
 
 
 def clear_caches() -> None:

@@ -8,6 +8,7 @@ cycles.  Adjacency is computed on demand; no matrix is stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 __all__ = ["PATH", "CYCLE", "GapGraph", "edgelist_text", "graph_dot"]
 
@@ -44,9 +45,21 @@ class GapGraph:
         return self.kind == CYCLE and d >= n - self.h
 
     def edges(self) -> list[tuple[int, int]]:
-        """All unordered adjacent pairs (i, j), i < j, lexicographically sorted."""
-        n = self.n
-        return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if self.is_edge(i, j)]
+        """All unordered adjacent pairs (i, j), i < j, lexicographically sorted.
+
+        Generated directly in O(edges): for each i, the window j in
+        (i, i+h], then on a cycle the wrap-around j >= i + n - h past it.
+        """
+        n, h = self.n, self.h
+        wrap = self.kind == CYCLE
+        return [
+            (i, j)
+            for i in range(1, n + 1)
+            for j in chain(
+                range(i + 1, min(i + h, n) + 1),
+                range(max(i + h + 1, i + n - h), n + 1) if wrap else (),
+            )
+        ]
 
     def edge_count(self) -> int:
         return len(self.edges())

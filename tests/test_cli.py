@@ -182,6 +182,19 @@ def test_table_out_file(tmp_path, capsys):
     assert target.read_text() == "\tn=1\t2\t3\nh=1\t1\t1\t2\n"
 
 
+def test_output_written_in_slices_is_whole(tmp_path, capsys, monkeypatch):
+    # Output is written a slice at a time; slices of 7 characters must still
+    # give the text that one write gives, to the file and to stdout.
+    argv = ["cube", "cycle", "7", "1", "--format", "json"]
+    code, whole, _ = run(argv, capsys)
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+    target = tmp_path / "c.json"
+    assert run(argv + ["--out", str(target)], capsys)[:2] == (0, "")
+    assert target.read_text() == whole
+    assert run(argv, capsys)[1] == whole
+    assert code == 0 and len(whole) > 7
+
+
 # --- cube / graph ------------------------------------------------------------
 
 
@@ -323,6 +336,14 @@ def test_seq_and_table_print_values_past_the_digit_limit(monkeypatch, capsys):
         assert seq_json[0] == table_json[0] == 0
         assert json.loads(seq_json[1])["values"] == [big + 1, big + 2]
         assert json.loads(table_json[1])["values"] == [[-big, -big - 1]]
+
+
+def test_package_runs_as_module():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-m", "fibcubes", "count", "path", "10", "2"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "60\n", "")
 
 
 def test_cli_import_leaves_array_unloaded():

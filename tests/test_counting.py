@@ -6,6 +6,7 @@ transcribed from.  Cross-route equalities (closed form vs recurrence vs
 convolution) are swept exhaustively over small ranges.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -380,16 +381,60 @@ def test_convolve_values():
     assert convolve(fibonacci_sequence(2), lucas_sequence(2), 6) == 32
 
 
-@pytest.mark.parametrize("shared", [fibonacci_sequence, lucas_sequence])
-def test_self_convolution_fold_matches_literal_sum(shared):
-    # convolve(f, f, m) folds the symmetric sum; a second, distinct sequence
-    # of the same kind takes the unfolded route.
+_KINDS = (counting.FIBONACCI, counting.LUCAS, counting.EXTENDED_FIBONACCI,
+          counting.EXTENDED_LUCAS, counting._PATH_TOTALS, counting._CYCLE_TOTALS)
+
+
+@pytest.mark.parametrize("kind_a,kind_b", list(itertools.product(_KINDS, repeat=2)))
+def test_convolve_matches_literal_sum(kind_a, kind_b):
+    # Every ordered pair of kinds: extended Lucas goes negative, and the
+    # cycle totals have the longest numerator (2h+1 coefficients).  Fresh
+    # sequences each time, so b's numerator is taken before any term.
+    extended = (counting.EXTENDED_FIBONACCI, counting.EXTENDED_LUCAS)
     for h in range(6):
-        f = shared(h)
-        g = counting.HSequence(f.kind, h)
-        for m in range(1, 32):
-            literal = sum(f.term(i) * f.term(m + 1 - i) for i in range(1, m + 1))
-            assert convolve(f, f, m) == literal == convolve(f, g, m), (f, m)
+        if h < 2 and (kind_a in extended or kind_b in extended):
+            continue
+        a, b = counting.HSequence(kind_a, h), counting.HSequence(kind_b, h)
+        for n in range(1, 41):
+            literal = sum(a.term(i) * b.term(n + 1 - i) for i in range(1, n + 1))
+            assert convolve(a, counting.HSequence(kind_b, h), n) == literal, (h, n)
+        if kind_a == kind_b:
+            for n in range(1, 41):
+                literal = sum(a.term(i) * a.term(n + 1 - i) for i in range(1, n + 1))
+                assert convolve(a, a, n) == literal, (h, n)
+
+
+@pytest.mark.parametrize("lucas_base", [
+    lambda h, n: h if n == 1 else 1,       # the verify fault injection
+    lambda h, n: 3 * n * n - h,            # no delayed-Lucas shape at all
+], ids=["short-head", "quadratic"])
+def test_cycle_edges_conv_follows_patched_lucas_seeds(monkeypatch, lucas_base):
+    # The numerator comes from the sequence's own seeds: under a broken
+    # Lucas head the convolution still equals the literal sum over the
+    # broken sequence, which a hard-coded (h+1, -h) would not.
+    with monkeypatch.context() as mp:
+        counting.clear_caches()
+        mp.setattr(counting, "_lucas_base", lucas_base)
+        for h in range(6):
+            f = counting.HSequence(counting.FIBONACCI, h)
+            lucas = counting.HSequence(counting.LUCAS, h)
+            for n in range(h + 1, 41):
+                m = n - h
+                literal = sum(f.term(i) * lucas.term(m + 1 - i) for i in range(1, m + 1))
+                assert cycle_edges_conv(n, h) == literal, (h, n)
+    counting.clear_caches()
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_cycle_edges_conv_leaves_lucas_memo_at_its_seeds(h):
+    # F * L runs the recurrence on the convolution, driven by F; the Lucas
+    # memo is never extended past its h+1 seeds.
+    counting.clear_caches()
+    try:
+        assert cycle_edges_conv(3000, h) == cycle_edges(3000, h)
+        assert len(lucas_sequence(h)._terms) <= h + 1
+    finally:
+        counting.clear_caches()
 
 
 def test_convolve_rejects_mixed_h_and_bad_index():

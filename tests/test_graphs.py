@@ -16,6 +16,18 @@ def test_small_path_power_edges():
     assert g.edge_count() == 5
 
 
+@pytest.mark.parametrize("kind", [PATH, CYCLE])
+def test_edges_match_double_loop_over_is_edge(kind):
+    # edges() generates the window and wrap pairs directly; is_edge is the
+    # literal definition.
+    for n in range(31):
+        for h in range(n + 2):
+            g = GapGraph(kind, n, h)
+            literal = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                       if g.is_edge(i, j)]
+            assert g.edges() == literal, (n, h)
+
+
 def test_zero_power_is_edgeless():
     assert GapGraph(PATH, 7, 0).edges() == []
     assert GapGraph(CYCLE, 7, 0).edges() == []
