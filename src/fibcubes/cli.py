@@ -22,15 +22,16 @@ import sys
 
 from . import counting, cube, enumeration, verify
 from .counting import (
+    EXTENDED_FIBONACCI,
+    EXTENDED_LUCAS,
+    FIBONACCI,
+    LUCAS,
+    HSequence,
     cycle_count,
     cycle_count_k,
     cycle_count_rec,
     cycle_edges,
     cycle_edges_conv,
-    extended_fib,
-    extended_lucas,
-    h_fibonacci,
-    h_lucas,
     max_subset_size,
     path_count,
     path_count_k,
@@ -95,27 +96,28 @@ def _parse_h_range(text: str) -> tuple[int, int]:
 # table
 # ---------------------------------------------------------------------------
 
-def _grid_lines(row_tag: str, rows, col_tag: str, cols, cell) -> list[list[str]]:
+def _grid_lines(row_tag: str, rows, col_tag: str, cols, row_values) -> list[list]:
+    """Header and one line per row; ``row_values(r)`` gives a row's values,
+    one int per column."""
     header = [""] + [f"{col_tag}={cols[0]}"] + [str(c) for c in cols[1:]]
     lines = [header]
     for ridx, r in enumerate(rows):
         label = f"{row_tag}={r}" if ridx == 0 else str(r)
-        lines.append([label] + [str(cell(r, c)) for c in cols])
+        lines.append([label, *row_values(r)])
     return lines
 
 
-def _render_grid(lines: list[list[str]], fmt: str, row_tag: str, rows,
+def _render_grid(lines: list[list], fmt: str, row_tag: str, rows,
                  col_tag: str, cols) -> str:
-    if fmt == "tsv":
-        return "".join("\t".join(row) + "\n" for row in lines)
-    if fmt == "csv":
-        return "".join(",".join(row) + "\n" for row in lines)
+    if fmt in ("tsv", "csv"):
+        sep = "\t" if fmt == "tsv" else ","
+        return "".join(sep.join(map(str, row)) + "\n" for row in lines)
     payload = {
         "row": row_tag,
         "rows": list(rows),
         "col": col_tag,
         "cols": list(cols),
-        "values": [[int(v) for v in row[1:]] for row in lines[1:]],
+        "values": [row[1:] for row in lines[1:]],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -163,26 +165,24 @@ def _cmd_table(args) -> int:
         return _usage(f"empty column range: n runs {n_min}..{n_max}")
     if per_size:
         rows = list(range(k_max + 1))
-        if which == "pk":
-            cell = lambda k, n: path_count_k(n, h, k)
-        else:
-            cell = lambda k, n: cycle_count_k(n, h, k)
-        lines = _grid_lines("k", rows, "n", cols, cell)
+        count_k = path_count_k if which == "pk" else cycle_count_k
+        lines = _grid_lines("k", rows, "n", cols, lambda k: [count_k(n, h, k) for n in cols])
         text = _render_grid(lines, fmt, "k", rows, "n", cols)
     else:
         rows = list(range(h_lo, h_hi + 1))
         paper = args.paper_layout
-        cells = {
-            "p": lambda hh, n: path_count(n, hh),
-            "c": lambda hh, n: cycle_count(n, hh),
-            "F": lambda hh, n: h_fibonacci(hh, n),
-            "L": lambda hh, n: h_lucas(hh, n),
-            "H": lambda hh, n: path_edges(n, hh),
+        row_values = {
+            "p": lambda hh: [path_count(n, hh) for n in cols],
+            "c": lambda hh: [cycle_count(n, hh) for n in cols],
+            # F and L columns run 1..n_max: one prefix of the sequence.
+            "F": lambda hh: HSequence(FIBONACCI, hh).prefix(n_max),
+            "L": lambda hh: HSequence(LUCAS, hh).prefix(n_max),
+            "H": lambda hh: [path_edges(n, hh) for n in cols],
             # The published edge table prints 0 in the n <= h corner it makes
             # no claim about; the library value there is cycle_edges itself.
-            "M": lambda hh, n: 0 if paper and n <= hh else cycle_edges(n, hh),
+            "M": lambda hh: [0 if paper and n <= hh else cycle_edges(n, hh) for n in cols],
         }
-        lines = _grid_lines("h", rows, "n", cols, cells[which])
+        lines = _grid_lines("h", rows, "n", cols, row_values[which])
         text = _render_grid(lines, fmt, "h", rows, "n", cols)
 
     _emit(text, args.out)
@@ -279,28 +279,22 @@ def _cmd_count(args) -> int:
 # seq
 # ---------------------------------------------------------------------------
 
+_SEQ_KINDS = {"F": FIBONACCI, "L": LUCAS, "F-ext": EXTENDED_FIBONACCI,
+              "L-ext": EXTENDED_LUCAS}
+
+
 def _cmd_seq(args) -> int:
-    h = args.h
-    kind = args.kind
     try:
-        if kind == "F":
-            start, term = 1, (lambda n: h_fibonacci(h, n))
-        elif kind == "L":
-            start, term = 1, (lambda n: h_lucas(h, n))
-        elif kind == "F-ext":
-            start, term = -h, (lambda n: extended_fib(h, n))
-        else:
-            start, term = -h, (lambda n: extended_lucas(h, n))
-        values = [(n, term(n)) for n in range(start, args.n_max + 1)]
+        seq = HSequence(_SEQ_KINDS[args.kind], args.h)
     except ValueError as exc:
         return _usage(str(exc))
-
+    start = seq.min_index
+    values = seq.prefix(args.n_max)
     if args.format == "json":
-        payload = {"kind": kind, "h": h, "start": start,
-                   "values": [v for _, v in values]}
+        payload = {"kind": args.kind, "h": args.h, "start": start, "values": values}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        _emit("".join(f"{n}\t{v}\n" for n, v in values), args.out)
+        _emit("".join(f"{n}\t{v}\n" for n, v in enumerate(values, start)), args.out)
     return EXIT_OK
 
 

@@ -24,20 +24,21 @@ Conventions used throughout:
   implementation.  Its six kinds are the delayed Fibonacci and Lucas
   sequences, both also extended down to index -h, and the path and cycle
   totals (p(n) = n+1 for n <= h, c(n) = n+1 for n <= 2h+1) that give the
-  recurrence route independently of the closed forms.
+  recurrence route independently of the closed forms.  A sequence keeps no
+  memo: every use runs the recurrence from the seeds with a window of h+1
+  terms, so memory stays flat in n.
 * A convolution a * b of two such sequences obeys the same delayed
   recurrence, driven by a through a short numerator taken from b's seeds,
   so :func:`convolve` costs a few big-integer additions per index instead
-  of one big-integer product per index, and keeps only h+1 of its values.
+  of one big-integer product per index, and keeps at most h+1 of its values.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from collections.abc import Iterator
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, tee
 from operator import add, mul
 
 __all__ = [
@@ -67,7 +68,6 @@ __all__ = [
     "cycle_edges_conv",
     "t_count",
     "max_subset_size",
-    "clear_caches",
 ]
 
 
@@ -143,7 +143,7 @@ def path_count_rec(n: int, h: int) -> int:
     """path_count via its recurrence p(n) = p(n-1) + p(n-h-1), p(n) = n+1 for
     n <= h.  Independent route from the closed form, kept for cross-checks.
     """
-    return _sequence(_PATH_TOTALS, h).term(n)
+    return HSequence(_PATH_TOTALS, h).term(n)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def cycle_count(n: int, h: int) -> int:
 
 def cycle_count_rec(n: int, h: int) -> int:
     """cycle_count via c(n) = c(n-1) + c(n-h-1), c(n) = n+1 for n <= 2h+1."""
-    return _sequence(_CYCLE_TOTALS, h).term(n)
+    return HSequence(_CYCLE_TOTALS, h).term(n)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +237,8 @@ def _total_base(h: int, n: int) -> int:
 
 # kind -> (first index, last seeded index, name of the seed function), the
 # indices as functions of h.  The seed function is looked up by name when a
-# sequence is built, so a patched module global takes effect after
-# clear_caches().
+# sequence is built, so a patched module global takes effect for every
+# sequence built after it.
 _SEEDS = {
     FIBONACCI: (lambda h: 1, lambda h: h + 1, "_fib_base"),
     LUCAS: (lambda h: 1, lambda h: h + 1, "_lucas_base"),
@@ -248,12 +248,9 @@ _SEEDS = {
     _CYCLE_TOTALS: (lambda h: 0, lambda h: 2 * h + 1, "_total_base"),
 }
 
-# Guards inserts into _SEQUENCES and the extension of every sequence.
-_LOCK = threading.Lock()
-
 
 class HSequence:
-    """A lazily extended integer sequence t(n) = t(n-1) + t(n-h-1).
+    """An integer sequence t(n) = t(n-1) + t(n-h-1), run from its seeds.
 
     Six kinds share the recurrence and differ only in their seeds:
 
@@ -266,10 +263,10 @@ class HSequence:
     * ``path-totals`` (private): t(0..h) = n+1, the path totals
     * ``cycle-totals`` (private): t(0..2h+1) = n+1, the cycle totals
 
-    Each seed is written once, and only when an index at or past it is
-    asked for, so a large h costs nothing until its terms are needed; past
-    the seeds every term is one addition.  The terms are append-only, so
-    concurrent readers always see a consistent prefix.
+    A sequence keeps no terms.  Iterating it runs the recurrence from the
+    seeds with a window of h+1 terms, so memory stays flat in the index; an
+    index inside the seed run is answered by the seed function alone, so a
+    large h costs nothing until terms past the seeds are needed.
     """
 
     def __init__(self, kind: str, h: int):
@@ -285,11 +282,23 @@ class HSequence:
         self.min_index = first(h)
         self._seed_count = last(h) - self.min_index + 1
         self._seed = globals()[seed]
-        self._terms: list[int] = []
-        self._numerator: tuple[tuple[int, int], ...] | None = None
 
     def __repr__(self) -> str:
         return f"HSequence({self.kind!r}, h={self.h})"
+
+    def __iter__(self) -> Iterator[int]:
+        """Yield t(min_index), t(min_index + 1), ... without end."""
+        h, lo, seed = self.h, self.min_index, self._seed
+        window: deque[int] = deque(maxlen=h + 1)  # t(n-h-1) .. t(n-1)
+        append = window.append
+        for n in range(lo, lo + self._seed_count):
+            t = seed(h, n)
+            append(t)
+            yield t
+        while True:
+            t = window[-1] + window[0]
+            append(t)
+            yield t
 
     def term(self, n: int) -> int:
         """The n-th term; n counts from ``min_index`` (1, 0, or -h)."""
@@ -298,74 +307,53 @@ class HSequence:
             raise ValueError(
                 f"index {n} below first index {self.min_index} of {self.kind} sequence"
             )
-        terms = self._terms
-        if pos >= len(terms):
-            h = self.h
-            with _LOCK:
-                if len(terms) < self._seed_count:
-                    lo, seeded = self.min_index, min(pos + 1, self._seed_count)
-                    terms.extend(self._seed(h, lo + i) for i in range(len(terms), seeded))
-                while len(terms) <= pos:
-                    terms.append(terms[-1] + terms[-h - 1])
-        return terms[pos]
+        if pos < self._seed_count:
+            return self._seed(self.h, n)
+        return next(islice(self, pos, None))
 
     __call__ = term
 
     def prefix(self, n: int) -> list[int]:
-        """Terms from ``min_index`` through n inclusive."""
-        self.term(n)
-        return self._terms[: n - self.min_index + 1]
+        """Terms from ``min_index`` through n inclusive (none if n is below
+        ``min_index``)."""
+        return list(islice(self, max(n - self.min_index + 1, 0)))
 
-    def numerator(self) -> tuple[tuple[int, int], ...]:
-        """The nonzero coefficients (k, beta_k) of beta = B * Q, where
-        B(x) = sum_{j>=1} t(j) x^(j-1) and Q(x) = 1 - x - x^(h+1).
+    def numerator(self, count: int) -> tuple[tuple[int, int], ...]:
+        """The nonzero coefficients (k, beta_k), k < count, of beta = B * Q,
+        where B(x) = sum_{j>=1} t(j) x^(j-1) and Q(x) = 1 - x - x^(h+1).
 
+        beta_k = t(k+1) - t(k) - t(k-h), with t read as 0 below index 1.
         Past the seeds and index h+1 the recurrence cancels every
         coefficient, so beta is short: (1) for Fibonacci, (h+1, -h) for
-        Lucas.  Computed once per sequence from a private copy of the seeds;
-        the memo is left untouched.
+        Lucas.  Runs min(count, K) terms, K the larger of the last seeded
+        index and h+1, so a short convolution costs little whatever h is.
         """
-        if self._numerator is None:
-            h, lo = self.h, self.min_index
-            t = [self._seed(h, lo + i) for i in range(self._seed_count)]
-            while len(t) < h + 2 - lo:  # through t(h+1) at least
-                t.append(t[-1] + t[-h - 1])
-            c = [0] * (h + 1) + t[1 - lo:]  # h+1 zeros, then t(1), t(2), ...
-            beta = (c[i] - c[i - 1] - c[i - h - 1] for i in range(h + 1, len(c)))
-            self._numerator = tuple((k, v) for k, v in enumerate(beta) if v)
-        return self._numerator
-
-
-_SEQUENCES: dict[tuple[str, int], HSequence] = {}
-
-
-def _sequence(kind: str, h: int) -> HSequence:
-    key = (kind, h)
-    seq = _SEQUENCES.get(key)
-    if seq is None:
-        with _LOCK:
-            seq = _SEQUENCES.setdefault(key, HSequence(kind, h))
-    return seq
+        h = self.h
+        size = min(count, max(self.min_index + self._seed_count - 1, h + 1))
+        one = 1 - self.min_index  # position of index 1
+        t = [0, *islice(self, one, one + size)]  # t(0) read as 0, t(1..size)
+        beta = (t[k + 1] - t[k] - (t[k - h] if k > h else 0) for k in range(size))
+        return tuple((k, v) for k, v in enumerate(beta) if v)
 
 
 def fibonacci_sequence(h: int) -> HSequence:
-    """The shared, memoized delayed-Fibonacci sequence for gap h."""
-    return _sequence(FIBONACCI, h)
+    """The delayed-Fibonacci sequence for gap h."""
+    return HSequence(FIBONACCI, h)
 
 
 def lucas_sequence(h: int) -> HSequence:
-    """The shared, memoized delayed-Lucas sequence for gap h."""
-    return _sequence(LUCAS, h)
+    """The delayed-Lucas sequence for gap h."""
+    return HSequence(LUCAS, h)
 
 
 def h_fibonacci(h: int, n: int) -> int:
     """n-th delayed-Fibonacci number for gap h (n >= 1)."""
-    return _sequence(FIBONACCI, h).term(n)
+    return HSequence(FIBONACCI, h).term(n)
 
 
 def h_lucas(h: int, n: int) -> int:
     """n-th delayed-Lucas number for gap h (n >= 1)."""
-    return _sequence(LUCAS, h).term(n)
+    return HSequence(LUCAS, h).term(n)
 
 
 def extended_fib(h: int, n: int) -> int:
@@ -373,7 +361,7 @@ def extended_fib(h: int, n: int) -> int:
 
     Agrees with h_fibonacci for every n >= 1.
     """
-    return _sequence(EXTENDED_FIBONACCI, h).term(n)
+    return HSequence(EXTENDED_FIBONACCI, h).term(n)
 
 
 def extended_lucas(h: int, n: int) -> int:
@@ -381,7 +369,7 @@ def extended_lucas(h: int, n: int) -> int:
 
     Agrees with h_lucas for every n >= 1.
     """
-    return _sequence(EXTENDED_LUCAS, h).term(n)
+    return HSequence(EXTENDED_LUCAS, h).term(n)
 
 
 def convolve(a: HSequence, b: HSequence, n: int) -> int:
@@ -394,38 +382,33 @@ def convolve(a: HSequence, b: HSequence, n: int) -> int:
 
         g(j) = g(j-1) + g(j-h-1) + sum_k beta_k * a(j-k),
 
-    with g and a read as 0 at indices below 1.  Only the last h+1 values of
-    g are kept, and b's memo is never extended.
+    with g and a read as 0 at indices below 1.  a(1..n) is streamed once
+    from a's own recurrence, one ``tee`` copy per coefficient, and only the
+    last min(h+1, n) values of g are kept.
     """
     if a.h != b.h:
         raise ValueError(f"cannot convolve sequences with h={a.h} and h={b.h}")
     if n < 1:
         raise ValueError("convolution index must be >= 1")
-    a.term(n)
-    start = 1 - a.min_index
+    beta = b.numerator(n)
+    if not beta:  # b vanishes on 1..n
+        return 0
+    one = 1 - a.min_index
+    copies = tee(islice(a, one, one + n), len(beta))
     drive = None
-    for k, c in b.numerator():
+    for (k, c), copy in zip(beta, copies):
         # beta_k * a(j-k) for j = 1..n
-        shifted = islice(chain(repeat(0, k), islice(a._terms, start, None)), n)
+        shifted = chain(repeat(0, k), copy)
         if c != 1:
             shifted = map(mul, repeat(c), shifted)
         drive = shifted if drive is None else map(add, drive, shifted)
-    if drive is None:  # beta = 0: b vanishes from index 1 on
-        return 0
-    h = b.h
-    window = deque([0] * (h + 1), maxlen=h + 1)  # g(j-h-1) .. g(j-1)
-    for d in drive:
+    # g(j-m) .. g(j-1).  With m = n <= h, window[0] stands for g(j-h-1),
+    # which is 0 like g(j-m) for every j <= n.
+    m = min(b.h + 1, n)
+    window = deque([0] * m, maxlen=m)
+    for d in islice(drive, n):
         window.append(window[-1] + window[0] + d)
     return window[-1]
-
-
-def clear_caches() -> None:
-    """Drop all memoized sequences.
-
-    Only needed when base-case behavior is deliberately altered (fault
-    injection in tests); normal use never requires it.
-    """
-    _SEQUENCES.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +429,7 @@ def path_edges_conv(n: int, h: int) -> int:
     convolved with itself."""
     if n == 0:
         return 0
-    f = _sequence(FIBONACCI, h)
+    f = HSequence(FIBONACCI, h)
     return convolve(f, f, n)
 
 
@@ -477,7 +460,7 @@ def cycle_edges_conv(n: int, h: int) -> int:
     also only valid for n > h."""
     if n <= h:
         raise ValueError(f"convolution form needs n > h, got n={n} h={h}")
-    return convolve(_sequence(FIBONACCI, h), _sequence(LUCAS, h), n - h)
+    return convolve(HSequence(FIBONACCI, h), HSequence(LUCAS, h), n - h)
 
 
 # ---------------------------------------------------------------------------

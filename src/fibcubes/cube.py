@@ -10,8 +10,9 @@ Vertices stay integer masks (b_1 the low bit) from enumeration to the
 exported text; :class:`VertexMask` objects are made only when a caller
 indexes or iterates ``CubeGraph.vertices``.  Covers are stored as rows, one
 per lower vertex, in two ``array('I')``: one holds the V+1 row offsets,
-the other the upper indices, row after row, so a cover costs 4 bytes.  ``CubeGraph.covers`` reads (lower, upper) pairs from them on
-access, and the exporters write one string per row.
+the other the upper indices, row after row, so a cover costs 4 bytes.
+``CubeGraph.covers`` reads (lower, upper) pairs from them on access, and
+the exporters write one string per row.
 
 For h = 0 this is the Boolean lattice (the n-cube); for h = 1 on paths and
 cycles it is the classic Fibonacci and Lucas cube.

@@ -11,8 +11,6 @@ import os
 import time
 from pathlib import Path
 
-import pytest
-
 import fibcubes.cli as cli
 from fibcubes import counting, cube, enumeration, verify
 from fibcubes.counting import (
@@ -271,26 +269,17 @@ def _verify_exit():
     ])
 
 
-@pytest.fixture
-def fresh_caches():
-    counting.clear_caches()
-    yield
-    counting.clear_caches()
-
-
-def test_mutation_sensitivity(fresh_caches, monkeypatch):
+def test_mutation_sensitivity(monkeypatch):
     started = time.perf_counter()
     assert _verify_exit() == 0  # baseline
 
     # 1. break the leading run of ones in the delayed Fibonacci base
     with monkeypatch.context() as mp:
-        counting.clear_caches()
         mp.setattr(counting, "_fib_base", lambda h, n: 2 if n == 1 else 1)
         assert _verify_exit() != 0
 
     # 2. break the delayed Lucas head term (h+1 -> h)
     with monkeypatch.context() as mp:
-        counting.clear_caches()
         mp.setattr(counting, "_lucas_base", lambda h, n: h if n == 1 else 1)
         assert _verify_exit() != 0
 
@@ -305,10 +294,8 @@ def test_mutation_sensitivity(fresh_caches, monkeypatch):
         return math.comb(m, k) if k <= m else 0
 
     with monkeypatch.context() as mp:
-        counting.clear_caches()
         mp.setattr(counting, "binom", signed_binom)
         assert _verify_exit() != 0
 
-    counting.clear_caches()
     assert _verify_exit() == 0  # and healthy again once restored
     _finish("mutation-sensitivity", started, 60.0)

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import fibcubes.cli as cli
+from fibcubes import counting
 from fibcubes.counting import path_count_rec
 
 
@@ -268,6 +269,24 @@ def test_seq_extended_needs_h_at_least_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["seq", "F", "--h", "-1", "--n-max", "0"], "h must be nonnegative"),
+    (["seq", "L", "--h", "-3", "--n-max", "-5"], "h must be nonnegative"),
+    (["seq", "F-ext", "--h", "1", "--n-max", "-3"], "only defined for h >= 2"),
+    (["seq", "L-ext", "--h", "0", "--n-max", "-1", "--format", "json"], "only defined for h >= 2"),
+])
+def test_seq_rejects_bad_h_below_the_first_index(argv, message, capsys):
+    # No term is asked for, but the sequence itself does not exist.
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
+def test_seq_below_the_first_index_prints_nothing(capsys):
+    assert run(["seq", "F", "--h", "2", "--n-max", "0"], capsys) == (0, "", "")
+    assert run(["seq", "L-ext", "--h", "2", "--n-max", "-3"], capsys) == (0, "", "")
+
+
 # --- verify --------------------------------------------------------------------
 
 
@@ -321,7 +340,7 @@ def test_count_prints_values_past_the_digit_limit(capsys):
 @needs_digit_limit
 def test_seq_and_table_print_values_past_the_digit_limit(monkeypatch, capsys):
     big = 7 * 10 ** 5000 + 3
-    monkeypatch.setattr(cli, "h_fibonacci", lambda h, n: big + n)
+    monkeypatch.setattr(counting, "_fib_base", lambda h, n: big + n)
     monkeypatch.setattr(cli, "path_count", lambda n, h: -big - n)
     seq_argv = ["seq", "F", "--h", "1", "--n-max", "2"]
     table_argv = ["table", "p", "--h", "0", "--n-max", "1"]

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -125,12 +126,10 @@ def test_recurrence_routes_do_not_share_fibonacci_seeds(monkeypatch):
     expected = [(path_count_rec(n, h), cycle_count_rec(n, h))
                 for h in range(5) for n in range(30)]
     with monkeypatch.context() as mp:
-        counting.clear_caches()
         mp.setattr(counting, "_fib_base", lambda h, n: 2 if n == 1 else 1)
         mp.setattr(counting, "_lucas_base", lambda h, n: h if n == 1 else 1)
         assert [(path_count_rec(n, h), cycle_count_rec(n, h))
                 for h in range(5) for n in range(30)] == expected
-    counting.clear_caches()
 
 
 # --- totals as walked binomial sums ---------------------------------------------
@@ -154,11 +153,8 @@ def test_totals_equal_per_size_sums():
 
 @pytest.mark.parametrize("h", [1, 10])
 def test_closed_totals_match_recurrence_at_large_n(h):
-    try:
-        assert path_count(20000, h) == path_count_rec(20000, h)
-        assert cycle_count(20000, h) == cycle_count_rec(20000, h)
-    finally:
-        counting.clear_caches()
+    assert path_count(20000, h) == path_count_rec(20000, h)
+    assert cycle_count(20000, h) == cycle_count_rec(20000, h)
 
 
 # --- path counts --------------------------------------------------------------
@@ -261,6 +257,7 @@ def test_cycle_division_always_exact():
     (1, 10, 55),
     (4, 3, 1),
     (0, 5, 16),
+    (10**8, 3, 1),  # inside the seed run: no h+1 window is built
 ])
 def test_h_fibonacci_values(h, n, expected):
     assert h_fibonacci(h, n) == expected
@@ -271,6 +268,7 @@ def test_h_fibonacci_values(h, n, expected):
     (4, 1, 5),
     (3, 12, 34),
     (0, 4, 8),
+    (10**8, 1, 10**8 + 1),
 ])
 def test_h_lucas_values(h, n, expected):
     assert h_lucas(h, n) == expected
@@ -295,12 +293,12 @@ def test_sequence_rejects_bad_parameters():
         counting.HSequence(counting.FIBONACCI, -1)
 
 
-def test_all_sequence_kinds_extend_safely_under_one_lock():
-    # Registry inserts and extension of every kind share one lock.  Threads
-    # race to write the same long seed runs (a Python call per seed, so a
-    # thread can be switched out midway); unlocked, a late thread would
-    # append its seeds again after the terms already written.  They also
-    # read a short-seeded sequence term by term while others extend it.
+def test_all_sequence_kinds_agree_across_threads():
+    # Sequences share no state, so no thread can see another's partial
+    # work.  Threads run the same long seed runs (a Python call per seed, so
+    # a thread can be switched out midway) and read a short-seeded sequence
+    # term by term while others run theirs; any state shared between
+    # sequences would show up as a wrong term.
     import threading
 
     routes = (h_fibonacci, h_lucas,
@@ -320,7 +318,6 @@ def test_all_sequence_kinds_extend_safely_under_one_lock():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            counting.clear_caches()
             seen.clear()
             start = threading.Barrier(12, timeout=30)
             threads = [threading.Thread(target=worker) for _ in range(12)]
@@ -330,10 +327,10 @@ def test_all_sequence_kinds_extend_safely_under_one_lock():
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
             assert seen == [expected_fib3] * 12
-            # read past the raced prefix too: stray late seeds land there
-            assert [route(200, n) for route in routes for n in range(1, 1500)] == expected
     finally:
         sys.setswitchinterval(interval)
+    # and past the raced indices, once every round is done
+    assert [route(200, n) for route in routes for n in range(1, 1500)] == expected
 
 
 # --- extended sequences ----------------------------------------------------------
@@ -413,7 +410,6 @@ def test_cycle_edges_conv_follows_patched_lucas_seeds(monkeypatch, lucas_base):
     # Lucas head the convolution still equals the literal sum over the
     # broken sequence, which a hard-coded (h+1, -h) would not.
     with monkeypatch.context() as mp:
-        counting.clear_caches()
         mp.setattr(counting, "_lucas_base", lucas_base)
         for h in range(6):
             f = counting.HSequence(counting.FIBONACCI, h)
@@ -422,19 +418,32 @@ def test_cycle_edges_conv_follows_patched_lucas_seeds(monkeypatch, lucas_base):
                 m = n - h
                 literal = sum(f.term(i) * lucas.term(m + 1 - i) for i in range(1, m + 1))
                 assert cycle_edges_conv(n, h) == literal, (h, n)
-    counting.clear_caches()
 
 
-@pytest.mark.parametrize("h", [1, 3])
-def test_cycle_edges_conv_leaves_lucas_memo_at_its_seeds(h):
-    # F * L runs the recurrence on the convolution, driven by F; the Lucas
-    # memo is never extended past its h+1 seeds.
-    counting.clear_caches()
+def _traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated during fn(*args)."""
+    tracemalloc.start()
     try:
-        assert cycle_edges_conv(3000, h) == cycle_edges(3000, h)
-        assert len(lucas_sequence(h)._terms) <= h + 1
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
-        counting.clear_caches()
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fn", [path_count_rec, cycle_edges_conv])
+def test_recurrence_and_conv_routes_keep_no_memo(fn):
+    # Every term of F up to n = 20000 at h = 1 takes about 17 MB; the
+    # recurrence route and F * L keep a window of h+1 terms, a few KB.
+    peak = _traced_peak(fn, 20000, 1)
+    assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("fn,n", [(path_edges_conv, 5), (cycle_edges_conv, 10**6 + 5)])
+def test_conv_cost_follows_the_index_not_h(fn, n):
+    # At h = 10^6 the convolution index is 5: the numerator and the window
+    # need five terms, not h+1 seeds (about 8 MB of list slots each).
+    peak = _traced_peak(fn, n, 10**6)
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 def test_convolve_rejects_mixed_h_and_bad_index():

@@ -1,15 +1,13 @@
 """The identity cross-check suite: registry coverage, determinism, and
 sensitivity to deliberately injected faults.
 
-The mutation tests monkeypatch one base case at a time (with the memo caches
-cleared around them) and demand that the CLI verify command flips to a
-nonzero exit; that is what certifies the suite would actually catch a broken
-convention.
+The mutation tests monkeypatch one base case at a time (sequences keep no
+memo, so a patch takes effect at once) and demand that the CLI verify
+command flips to a nonzero exit; that is what certifies the suite would
+actually catch a broken convention.
 """
 
 import os
-
-import pytest
 
 import fibcubes.cli as cli
 from fibcubes import counting, verify
@@ -47,13 +45,6 @@ EXPECTED_IDENTITIES = (
     "vertex-membership-counts",
     "vertex-split-product",
 )
-
-
-@pytest.fixture
-def fresh_caches():
-    counting.clear_caches()
-    yield
-    counting.clear_caches()
 
 
 def _suite(**kw):
@@ -100,14 +91,14 @@ def _verify_exit_code():
     ])
 
 
-def test_cli_verify_passes_unmutated(fresh_caches):
+def test_cli_verify_passes_unmutated():
     assert _verify_exit_code() == 0
 
 
 # --- fault injection ----------------------------------------------------------
 
 
-def test_broken_fibonacci_base_is_detected(fresh_caches, monkeypatch):
+def test_broken_fibonacci_base_is_detected(monkeypatch):
     monkeypatch.setattr(counting, "_fib_base", lambda h, n: 2 if n == 1 else 1)
     reports = _suite()
     failed = {r.identity for r in reports if r.failed}
@@ -116,7 +107,7 @@ def test_broken_fibonacci_base_is_detected(fresh_caches, monkeypatch):
     assert _verify_exit_code() == 1
 
 
-def test_broken_lucas_head_is_detected(fresh_caches, monkeypatch):
+def test_broken_lucas_head_is_detected(monkeypatch):
     # First Lucas term h instead of h+1.
     monkeypatch.setattr(counting, "_lucas_base", lambda h, n: h if n == 1 else 1)
     reports = _suite()
@@ -126,7 +117,7 @@ def test_broken_lucas_head_is_detected(fresh_caches, monkeypatch):
     assert _verify_exit_code() == 1
 
 
-def test_broken_binomial_convention_is_detected(fresh_caches, monkeypatch):
+def test_broken_binomial_convention_is_detected(monkeypatch):
     import math
 
     def signed_binom(m, k):
@@ -143,7 +134,7 @@ def test_broken_binomial_convention_is_detected(fresh_caches, monkeypatch):
     assert _verify_exit_code() == 1
 
 
-def test_failure_witnesses_carry_locations(fresh_caches, monkeypatch):
+def test_failure_witnesses_carry_locations(monkeypatch):
     monkeypatch.setattr(counting, "_fib_base", lambda h, n: 2 if n == 1 else 1)
     reports = _suite()
     report = next(r for r in reports if r.identity == "fib-matches-path-counts")
@@ -154,7 +145,7 @@ def test_failure_witnesses_carry_locations(fresh_caches, monkeypatch):
     assert w["expected"] != w["actual"]
 
 
-def test_witness_lists_are_truncated(fresh_caches, monkeypatch):
+def test_witness_lists_are_truncated(monkeypatch):
     monkeypatch.setattr(counting, "_fib_base", lambda h, n: 2 if n == 1 else 1)
     reports = verify.run_suite(30, 6, 6)
     for r in reports:
