@@ -303,7 +303,10 @@ def _cmd_seq(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    reports = verify.run_suite(args.n_max, args.h_max, args.oracle_n_max)
+    try:
+        reports = verify.run_suite(args.n_max, args.h_max, args.oracle_n_max)
+    except ValueError as exc:
+        return _usage(str(exc))
     if args.format == "json":
         text = verify.reports_to_json(reports)
     else:

@@ -6,6 +6,14 @@ recurrence, convolution, exhaustive enumeration) over bounded parameter
 ranges and report witness tuples for any disagreement, so a single failure
 pinpoints the broken convention immediately.
 
+An identity that equates two routes at each (n, h) is one registry row: its
+two routes sit next to its id as lambdas, and ``_agree`` sweeps them. The
+lambdas look each counting function up in this module's namespace when they
+are called, not at import, so a function rebound here (by a test's
+monkeypatch, or by the benchmark tracer's per-call spans) is the one the
+identity runs. Identities with a k or i loop, or a custom body, stay
+functions.
+
 Every identity applies its own documented sweep range, clipped by the
 suite-level bounds; enumeration-backed identities are clipped by the oracle
 bound instead of the algebraic one.
@@ -19,7 +27,6 @@ from dataclasses import dataclass, field
 
 from . import cube, enumeration
 from .counting import (
-    convolve,
     cycle_count,
     cycle_count_k,
     cycle_count_rec,
@@ -108,75 +115,29 @@ class _Sweep:
     def eq(self, expected, actual, n=None, h=None, k=None, i=None):
         self.checked += 1
         if expected != actual:
-            self.failed += 1
-            if len(self.failures) < FAILURE_WITNESS_LIMIT:
-                self.failures.append(
-                    {"n": n, "h": h, "k": k, "i": i,
-                     "expected": expected, "actual": actual}
-                )
+            self._fail(expected, actual, n, h, k, i)
 
-    def crash(self, exc: BaseException, **where):
+    def crash(self, exc: BaseException, n=None, h=None, k=None, i=None):
+        self._fail("no exception", repr(exc), n, h, k, i)
+
+    def _fail(self, expected, actual, n, h, k, i):
         self.failed += 1
-        self.failures.append(
-            {"n": where.get("n"), "h": where.get("h"),
-             "k": where.get("k"), "i": where.get("i"),
-             "expected": "no exception", "actual": repr(exc)}
-        )
+        if len(self.failures) < FAILURE_WITNESS_LIMIT:
+            self.failures.append({"n": n, "h": h, "k": k, "i": i,
+                                  "expected": expected, "actual": actual})
 
 
 # ---------------------------------------------------------------------------
 # Algebraic identities (bounded by n_max / h_max)
 # ---------------------------------------------------------------------------
 
-def _run_path_count_recurrence(b: Bounds, s: _Sweep):
-    for h in range(b.h(10) + 1):
-        for n in range(b.n(30) + 1):
-            s.eq(path_count(n, h), path_count_rec(n, h), n=n, h=h)
-
-
-def _run_cycle_count_recurrence(b: Bounds, s: _Sweep):
-    for h in range(b.h(10) + 1):
-        for n in range(b.n(30) + 1):
-            s.eq(cycle_count(n, h), cycle_count_rec(n, h), n=n, h=h)
-
-
-def _run_fib_matches_path_counts(b: Bounds, s: _Sweep):
-    # F(i) equals the path total at i-h-1, with negative indices clamped to 1.
-    for h in range(b.h(10) + 1):
-        for i in range(1, b.n(40) + 1):
-            s.eq(path_count_clamped(i - h - 1, h), h_fibonacci(h, i), n=i, h=h)
-
-
-def _run_lucas_matches_cycle_counts(b: Bounds, s: _Sweep):
-    for h in range(b.h(10) + 1):
-        for i in range(h + 2, b.n(40) + 1):
-            s.eq(cycle_count(i - 1, h), h_lucas(h, i), n=i, h=h)
-
-
-def _run_path_edges_convolution(b: Bounds, s: _Sweep):
-    for h in range(b.h(10) + 1):
-        for n in range(b.n(40) + 1):
-            s.eq(path_edges(n, h), path_edges_conv(n, h), n=n, h=h)
-
-
-def _run_cycle_edges_closed_form(b: Bounds, s: _Sweep):
-    for h in range(b.h(10) + 1):
-        for n in range(h + 1, b.n(40) + 1):
-            s.eq(cycle_edges(n, h), cycle_edges_closed(n, h), n=n, h=h)
-
-
-def _run_cycle_edges_convolution(b: Bounds, s: _Sweep):
-    for h in range(b.h(10) + 1):
-        for n in range(h + 1, b.n(40) + 1):
-            s.eq(cycle_edges(n, h), cycle_edges_conv(n, h), n=n, h=h)
-
-
-def _run_lucas_from_fibonacci(b: Bounds, s: _Sweep):
-    # L(n+1) = F(n) + (h+1) F(n-h) for n > h.
-    for h in range(b.h(10) + 1):
-        for n in range(h + 1, b.n(40) + 1):
-            s.eq(h_fibonacci(h, n) + (h + 1) * h_fibonacci(h, n - h),
-                 h_lucas(h, n + 1), n=n, h=h)
+def _agree(lhs, rhs, n_cap=40, h_lo=0, n_lo=lambda h: 0):
+    """Runner checking lhs(n, h) == rhs(n, h) over h_lo..10, n_lo(h)..n_cap."""
+    def run(b: Bounds, s: _Sweep):
+        for h in range(h_lo, b.h(10) + 1):
+            for n in range(n_lo(h), b.n(n_cap) + 1):
+                s.eq(lhs(n, h), rhs(n, h), n=n, h=h)
+    return run
 
 
 def _run_path_cycle_count_bridge(b: Bounds, s: _Sweep):
@@ -214,18 +175,6 @@ def _run_vertex_split_product(b: Bounds, s: _Sweep):
                 s.eq(split, through, n=n, h=h, i=i)
 
 
-def _run_extended_fibonacci_agreement(b: Bounds, s: _Sweep):
-    for h in range(2, b.h(10) + 1):
-        for n in range(1, b.n(40) + 1):
-            s.eq(h_fibonacci(h, n), extended_fib(h, n), n=n, h=h)
-
-
-def _run_extended_lucas_agreement(b: Bounds, s: _Sweep):
-    for h in range(2, b.h(10) + 1):
-        for n in range(1, b.n(40) + 1):
-            s.eq(h_lucas(h, n), extended_lucas(h, n), n=n, h=h)
-
-
 def _run_path_count_shift_symmetry(b: Bounds, s: _Sweep):
     # Dropping the gap by one while shrinking n by k-1 preserves the count.
     for h in range(1, b.h(10) + 1):
@@ -255,25 +204,13 @@ def _run_exact_arithmetic_sanity(b: Bounds, s: _Sweep):
 # Enumeration-backed identities (bounded by oracle_n_max)
 # ---------------------------------------------------------------------------
 
-def _size_histogram(g: GapGraph) -> dict[int, int]:
-    return enumeration.count_by_size(g)
-
-
 def _run_oracle_counts(kind: str, count_k, count_total, b: Bounds, s: _Sweep):
     for h in range(b.h(6) + 1):
         for n in range(b.oracle(20) + 1):
-            hist = _size_histogram(GapGraph(kind, n, h))
+            hist = enumeration.count_by_size(GapGraph(kind, n, h))
             s.eq(count_total(n, h), sum(hist.values()), n=n, h=h)
             for k in range(max_subset_size(n, h) + 2):
                 s.eq(count_k(n, h, k), hist.get(k, 0), n=n, h=h, k=k)
-
-
-def _run_oracle_path_counts(b: Bounds, s: _Sweep):
-    _run_oracle_counts(PATH, path_count_k, path_count, b, s)
-
-
-def _run_oracle_cycle_counts(b: Bounds, s: _Sweep):
-    _run_oracle_counts(CYCLE, cycle_count_k, cycle_count, b, s)
 
 
 def _run_independence_characterizations(b: Bounds, s: _Sweep):
@@ -356,14 +293,6 @@ def _run_cube_counts(kind: str, b: Bounds, s: _Sweep):
                     s.eq(cycle_edges(n, h), covers, n=n, h=h)
 
 
-def _run_cube_path_counts(b: Bounds, s: _Sweep):
-    _run_cube_counts(PATH, b, s)
-
-
-def _run_cube_cycle_counts(b: Bounds, s: _Sweep):
-    _run_cube_counts(CYCLE, b, s)
-
-
 def _run_hamming_distance_covers(b: Bounds, s: _Sweep):
     for kind in (PATH, CYCLE):
         for h in range(b.h(6) + 1):
@@ -433,28 +362,36 @@ def _run_classical_lucas_bridge(b: Bounds, s: _Sweep):
 _REGISTRY = (
     ("path-count-recurrence",
      "path totals: closed-form sum equals delayed recurrence",
-     _run_path_count_recurrence),
+     _agree(lambda n, h: path_count(n, h), lambda n, h: path_count_rec(n, h), n_cap=30)),
     ("cycle-count-recurrence",
      "cycle totals: closed-form sum equals delayed recurrence",
-     _run_cycle_count_recurrence),
+     _agree(lambda n, h: cycle_count(n, h), lambda n, h: cycle_count_rec(n, h), n_cap=30)),
+    # F(i) equals the path total at i-h-1, with negative indices clamped to 1.
     ("fib-matches-path-counts",
      "delayed Fibonacci terms are shifted path totals",
-     _run_fib_matches_path_counts),
+     _agree(lambda i, h: path_count_clamped(i - h - 1, h), lambda i, h: h_fibonacci(h, i),
+            n_lo=lambda h: 1)),
+    # L(i) equals the cycle total at i-1 once i >= h+2.
     ("lucas-matches-cycle-counts",
      "delayed Lucas terms are shifted cycle totals",
-     _run_lucas_matches_cycle_counts),
+     _agree(lambda i, h: cycle_count(i - 1, h), lambda i, h: h_lucas(h, i),
+            n_lo=lambda h: h + 2)),
     ("path-edges-convolution",
      "path diagram edges equal Fibonacci self-convolution",
-     _run_path_edges_convolution),
+     _agree(lambda n, h: path_edges(n, h), lambda n, h: path_edges_conv(n, h))),
     ("cycle-edges-closed-form",
      "cycle diagram edges equal n times a Fibonacci term",
-     _run_cycle_edges_closed_form),
+     _agree(lambda n, h: cycle_edges(n, h), lambda n, h: cycle_edges_closed(n, h),
+            n_lo=lambda h: h + 1)),
     ("cycle-edges-convolution",
      "cycle diagram edges equal Fibonacci-Lucas convolution",
-     _run_cycle_edges_convolution),
+     _agree(lambda n, h: cycle_edges(n, h), lambda n, h: cycle_edges_conv(n, h),
+            n_lo=lambda h: h + 1)),
+    # L(n+1) = F(n) + (h+1) F(n-h) for n > h.
     ("lucas-from-fibonacci",
      "Lucas terms decompose into two Fibonacci terms",
-     _run_lucas_from_fibonacci),
+     _agree(lambda n, h: h_fibonacci(h, n) + (h + 1) * h_fibonacci(h, n - h),
+            lambda n, h: h_lucas(h, n + 1), n_lo=lambda h: h + 1)),
     ("path-cycle-count-bridge",
      "cycle per-size counts from path counts via vertex/pair splitting",
      _run_path_cycle_count_bridge),
@@ -466,10 +403,12 @@ _REGISTRY = (
      _run_vertex_split_product),
     ("extended-fibonacci-agreement",
      "negatively-indexed Fibonacci extension matches the plain sequence",
-     _run_extended_fibonacci_agreement),
+     _agree(lambda n, h: h_fibonacci(h, n), lambda n, h: extended_fib(h, n),
+            h_lo=2, n_lo=lambda h: 1)),
     ("extended-lucas-agreement",
      "negatively-indexed Lucas extension matches the plain sequence",
-     _run_extended_lucas_agreement),
+     _agree(lambda n, h: h_lucas(h, n), lambda n, h: extended_lucas(h, n),
+            h_lo=2, n_lo=lambda h: 1)),
     ("path-count-shift-symmetry",
      "per-size path counts shift between neighboring gaps",
      _run_path_count_shift_symmetry),
@@ -478,10 +417,10 @@ _REGISTRY = (
      _run_exact_arithmetic_sanity),
     ("oracle-path-counts",
      "exhaustive path enumeration matches closed forms (per size and total)",
-     _run_oracle_path_counts),
+     lambda b, s: _run_oracle_counts(PATH, path_count_k, path_count, b, s)),
     ("oracle-cycle-counts",
      "exhaustive cycle enumeration matches closed forms (per size and total)",
-     _run_oracle_cycle_counts),
+     lambda b, s: _run_oracle_counts(CYCLE, cycle_count_k, cycle_count, b, s)),
     ("independence-characterizations",
      "gap condition == graph independence == substring avoidance",
      _run_independence_characterizations),
@@ -493,10 +432,10 @@ _REGISTRY = (
      _run_vertex_membership_counts),
     ("cube-path-counts",
      "path diagram vertex/cover counts match closed forms",
-     _run_cube_path_counts),
+     lambda b, s: _run_cube_counts(PATH, b, s)),
     ("cube-cycle-counts",
      "cycle diagram vertex/cover counts match closed forms",
-     _run_cube_cycle_counts),
+     lambda b, s: _run_cube_counts(CYCLE, b, s)),
     ("hamming-distance-covers",
      "cover pairs coincide with Hamming-distance-1 pairs",
      _run_hamming_distance_covers),
@@ -524,8 +463,12 @@ def run_suite(n_max: int = 40, h_max: int = 10, oracle_n_max: int = 16) -> list[
     """Run every registered identity and return one report per identity.
 
     Failures are data, not exceptions: a crashing identity is reported as
-    failed with the exception as its witness.
+    failed with the exception as its witness. A negative bound, which would
+    sweep nothing and pass vacuously, raises ValueError.
     """
+    if min(n_max, h_max, oracle_n_max) < 0:
+        raise ValueError(f"verify bounds must be nonnegative, got n_max={n_max}, "
+                         f"h_max={h_max}, oracle_n_max={oracle_n_max}")
     bounds = Bounds(n_max, h_max, oracle_n_max)
     reports = []
     for identity, description, runner in _REGISTRY:

@@ -309,6 +309,16 @@ def test_verify_json(capsys):
                for r in reports)
 
 
+@pytest.mark.parametrize("flag", ["--n-max", "--h-max", "--oracle-n-max"])
+def test_verify_negative_bound_is_usage_error(flag, capsys):
+    argv = ["verify", "--n-max", "3", "--h-max", "1", "--oracle-n-max", "3"]
+    argv[argv.index(flag) + 1] = "-1"
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: verify bounds must be nonnegative")
+    assert "Traceback" not in err
+
+
 # --- integers past the interpreter's int-to-str digit limit -------------------
 
 needs_digit_limit = pytest.mark.skipif(

@@ -1,18 +1,23 @@
-"""The identity cross-check suite: registry coverage, determinism, and
-sensitivity to deliberately injected faults.
+"""The identity cross-check suite: registry coverage, determinism, a golden
+report, and sensitivity to deliberately injected faults.
 
 The mutation tests monkeypatch one base case at a time (sequences keep no
 memo, so a patch takes effect at once) and demand that the CLI verify
 command flips to a nonzero exit; that is what certifies the suite would
-actually catch a broken convention.
+actually catch a broken convention. The per-route tests shift one route of
+each two-route identity and demand that every check of that identity fails.
 """
 
 import os
+from pathlib import Path
+
+import pytest
 
 import fibcubes.cli as cli
 from fibcubes import counting, verify
 
 SMALL = dict(n_max=12, h_max=4, oracle_n_max=8)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Every identity the suite must implement; adding one here without an
 # implementation (or vice versa) is a test failure by design.
@@ -67,6 +72,19 @@ def test_suite_passes_on_small_bounds():
 
 def test_suite_vacuous_bounds_still_pass():
     assert all(r.status == "pass" for r in verify.run_suite(0, 0, 0))
+
+
+@pytest.mark.parametrize("bounds", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_suite_rejects_negative_bounds(bounds):
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify.run_suite(*bounds)
+
+
+def test_report_matches_golden_json():
+    # At these bounds every algebraic identity runs to its own n and h caps,
+    # so a wrong cap or lower bound in any identity changes a checked count.
+    text = verify.reports_to_json(verify.run_suite(40, 10, 8))
+    assert text.encode("utf-8") == (GOLDEN / "verify_n40_h10_o8.json").read_bytes()
 
 
 def test_reports_are_deterministic():
@@ -152,3 +170,35 @@ def test_witness_lists_are_truncated(monkeypatch):
         assert len(r.failures) <= verify.FAILURE_WITNESS_LIMIT
         if r.failed:
             assert r.failures
+
+
+def test_crash_witnesses_are_truncated(monkeypatch):
+    def broken(n, h, k):
+        raise ArithmeticError("inexact cycle division")
+
+    monkeypatch.setattr(verify, "cycle_count_k", broken)
+    report = next(r for r in _suite() if r.identity == "exact-arithmetic-sanity")
+    assert report.failed == 390
+    assert len(report.failures) == verify.FAILURE_WITNESS_LIMIT
+
+
+# One route per two-route identity: shifting it by one must fail every check
+# of that identity, which a tautological identity, or one that bound its
+# routes at import, would not.
+@pytest.mark.parametrize("identity,route", [
+    ("path-count-recurrence", "path_count_rec"),
+    ("cycle-count-recurrence", "cycle_count_rec"),
+    ("fib-matches-path-counts", "h_fibonacci"),
+    ("lucas-matches-cycle-counts", "h_lucas"),
+    ("path-edges-convolution", "path_edges_conv"),
+    ("cycle-edges-closed-form", "cycle_edges_closed"),
+    ("cycle-edges-convolution", "cycle_edges_conv"),
+    ("lucas-from-fibonacci", "h_lucas"),
+    ("extended-fibonacci-agreement", "extended_fib"),
+    ("extended-lucas-agreement", "extended_lucas"),
+])
+def test_each_route_fault_fails_its_identity(monkeypatch, identity, route):
+    original = getattr(verify, route)
+    monkeypatch.setattr(verify, route, lambda *args: original(*args) + 1)
+    report = next(r for r in _suite() if r.identity == identity)
+    assert report.failed == report.checked > 0
