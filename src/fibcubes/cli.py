@@ -165,6 +165,8 @@ def _cmd_table(args) -> int:
         return _usage(f"empty column range: n runs {n_min}..{n_max}")
     if per_size:
         rows = list(range(k_max + 1))
+        if not rows:
+            return _usage(f"empty row range: k runs 0..{k_max}")
         count_k = path_count_k if which == "pk" else cycle_count_k
         lines = _grid_lines("k", rows, "n", cols, lambda k: [count_k(n, h, k) for n in cols])
         text = _render_grid(lines, fmt, "k", rows, "n", cols)

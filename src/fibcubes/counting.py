@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterator
-from itertools import chain, islice, repeat, tee
+from itertools import chain, count, islice, repeat, tee
 from operator import add, mul
 
 __all__ = [
@@ -467,11 +467,6 @@ def cycle_edges_conv(n: int, h: int) -> int:
 # Per-vertex subset counts
 # ---------------------------------------------------------------------------
 
-def _path_count_k_clamped(n: int, h: int, k: int) -> int:
-    """path_count_k with negative n clamped to the n=0 row (1 at k=0, else 0)."""
-    return path_count_k(max(n, 0), h, k)
-
-
 def path_count_clamped(n: int, h: int) -> int:
     """path_count with negative n clamped to the empty graph (value 1)."""
     return path_count(max(n, 0), h)
@@ -481,14 +476,27 @@ def t_count(n: int, h: int, k: int, i: int) -> int:
     """Independent k-subsets of the h-power of the n-path that contain
     vertex i (1-based).
 
-    Splits at vertex i: anything else in the subset lies in the segment left
-    of i-h or right of i+h, and the two sides are counted independently.
+    Splits at vertex i: anything else in the subset lies in the segment of
+    L = max(i-h-1, 0) vertices left of it or R = max(n-i-h, 0) right of it,
+    and the two sides are counted independently:
+    sum over r of path_count_k(L, h, r) * path_count_k(R, h, k-1-r).
+
+    Only r within both segments' size bounds contribute, so the sum runs
+    over that support alone, where every term is a plain C(L-h*r+h, r) *
+    C(R-h*s+h, s) with s = k-1-r; an empty support gives 0.
     """
     if not 1 <= i <= n:
         raise ValueError(f"vertex index {i} out of range 1..{n}")
     if k < 1:
         raise ValueError("subset size k must be >= 1")
-    return sum(
-        _path_count_k_clamped(i - h - 1, h, r) * _path_count_k_clamped(n - i - h, h, k - 1 - r)
-        for r in range(k)
-    )
+    left, right = max(i - h - 1, 0), max(n - i - h, 0)
+    lo = max(0, k - 1 - max_subset_size(right, h))
+    hi = min(k - 1, max_subset_size(left, h))
+    if lo > hi:
+        return 0
+    # The binomial tops step by -h (left) and +h (right) as r grows.
+    rs = range(lo, hi + 1)
+    ss = range(k - 1 - lo, k - 2 - hi, -1)
+    return sum(map(mul,
+                   map(math.comb, count(left + h - h * lo, -h), rs),
+                   map(math.comb, count(right + h - h * ss[0], h), ss)))

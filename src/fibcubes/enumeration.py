@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 from .graphs import CYCLE, GapGraph
 
@@ -45,7 +47,12 @@ def _bit_string(n: int, bits: int) -> str:
 
 @dataclass(frozen=True)
 class VertexMask:
-    """A length-n bit string encoding a vertex subset (bit i-1 <-> v_i)."""
+    """A length-n bit string encoding a vertex subset (bit i-1 <-> v_i).
+
+    ``vertices()`` and ``to_string()`` are derived once per instance and
+    cached on private names; the cache is not a field, so ``==``, ``hash``
+    and ``repr`` see only ``n`` and ``bits``.
+    """
 
     n: int
     bits: int
@@ -77,13 +84,12 @@ class VertexMask:
             bits |= 1 << (v - 1)
         return cls(n, bits)
 
-    def to_string(self) -> str:
+    @cached_property
+    def _string(self) -> str:
         return _bit_string(self.n, self.bits)
 
-    __str__ = to_string
-
-    def vertices(self) -> tuple[int, ...]:
-        """Set vertices as ascending 1-based indices."""
+    @cached_property
+    def _vertices(self) -> tuple[int, ...]:
         out = []
         rest = self.bits
         while rest:
@@ -92,6 +98,15 @@ class VertexMask:
             rest ^= low
         return tuple(out)
 
+    def to_string(self) -> str:
+        return self._string
+
+    __str__ = to_string
+
+    def vertices(self) -> tuple[int, ...]:
+        """Set vertices as ascending 1-based indices."""
+        return self._vertices
+
     def size(self) -> int:
         return self.bits.bit_count()
 
@@ -99,16 +114,14 @@ class VertexMask:
 def is_independent(g: GapGraph, mask: VertexMask) -> bool:
     """Whether no two set bits of the mask index adjacent vertices of g.
 
-    Tests every pair with ``g.is_edge``, in a plain loop: ``any()`` over a
-    generator costs a frame resume per pair.
+    Tests every pair with ``g.is_edge``, in order, in a plain loop: ``any()``
+    over a generator costs a frame resume per pair.
     """
     if mask.n != g.n:
         raise ValueError(f"mask length {mask.n} does not match graph order {g.n}")
-    vs = mask.vertices()
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if g.is_edge(vs[a], vs[b]):
-                return False
+    for a, b in combinations(mask.vertices(), 2):
+        if g.is_edge(a, b):
+            return False
     return True
 
 
@@ -213,11 +226,14 @@ def avoids_substrings(mask: VertexMask, h: int, circular: bool = False) -> bool:
         raise ValueError("substring characterization needs h >= 1")
     s = mask.to_string()
     n = mask.n
+    # Around the wrap: the windows that start in s and run past its end. One
+    # string serves every gap; its windows that lie wholly in the appended
+    # prefix are windows of s, already tested.
+    wrapped = s + s[:h] if circular else s
     for gap in range(1, h + 1):
         pat = "1" + "0" * (gap - 1) + "1"
         if pat in s:
             return False
-        # Around the wrap: the windows that start in s and run past its end.
-        if circular and len(pat) <= n and pat in s + s[: len(pat) - 1]:
+        if circular and gap < n and pat in wrapped:
             return False
     return True

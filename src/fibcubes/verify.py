@@ -215,19 +215,21 @@ def _run_oracle_counts(kind: str, count_k, count_total, b: Bounds, s: _Sweep):
 
 def _run_independence_characterizations(b: Bounds, s: _Sweep):
     # gap condition == graph independence == substring avoidance (h >= 1),
-    # over every bit string, linear and circular.
-    for h in range(b.h(5) + 1):
-        for n in range(b.oracle(14) + 1):
-            graphs = {False: GapGraph(PATH, n, h), True: GapGraph(CYCLE, n, h)}
-            for bits in range(1 << n):
-                mask = VertexMask(n, bits)
-                for circular in (False, True):
-                    by_gap = gap_check(mask, h, circular)
-                    s.eq(by_gap, is_independent(graphs[circular], mask),
+    # over every bit string, linear and circular. The sweep runs n, then
+    # bits, then h: one mask per bit string serves every h, and its vertex
+    # tuple and string are decoded once. Witnesses come in (n, bits, h) order.
+    hs = range(b.h(5) + 1)
+    for n in range(b.oracle(14) + 1):
+        graphs = [(h, circular, GapGraph(CYCLE if circular else PATH, n, h))
+                  for h in hs for circular in (False, True)]
+        for bits in range(1 << n):
+            mask = VertexMask(n, bits)
+            for h, circular, g in graphs:
+                by_gap = gap_check(mask, h, circular)
+                s.eq(by_gap, is_independent(g, mask), n=n, h=h, i=bits)
+                if h >= 1:
+                    s.eq(by_gap, avoids_substrings(mask, h, circular),
                          n=n, h=h, i=bits)
-                    if h >= 1:
-                        s.eq(by_gap, avoids_substrings(mask, h, circular),
-                             n=n, h=h, i=bits)
 
 
 def _run_subset_shift_bijection(b: Bounds, s: _Sweep):

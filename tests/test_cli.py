@@ -169,6 +169,15 @@ def test_table_usage_errors(argv, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("which", ["pk", "ck"])
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_table_empty_k_range_is_usage_error(which, fmt, capsys):
+    code, out, err = run(["table", which, "--h", "2", "--k-max", "-1", "--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: empty row range: k runs 0..-1\n"
+
+
 def test_table_unknown_kind_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "X"])

@@ -542,6 +542,24 @@ def test_t_count_matches_direct_filter():
     assert t_count(9, 2, 2, 5) == 4
 
 
+def _literal_t_count(n, h, k, i):
+    # The split at vertex i, summed over every r: segments of i-h-1 and
+    # n-i-h vertices, negative lengths clamped to the empty segment.
+    left, right = max(i - h - 1, 0), max(n - i - h, 0)
+    return sum(path_count_k(left, h, r) * path_count_k(right, h, k - 1 - r)
+               for r in range(k))
+
+
+def test_t_count_matches_its_literal_definition():
+    # Covers h = 0, sizes past the structural bound and vertices whose
+    # segments leave no room for the other k-1 members.
+    for n in range(1, 31):
+        for h in range(8):
+            for k in range(1, max_subset_size(n, h) + 3):
+                for i in range(1, n + 1):
+                    assert t_count(n, h, k, i) == _literal_t_count(n, h, k, i), (n, h, k, i)
+
+
 def test_t_count_rejects_bad_vertex_or_size():
     with pytest.raises(ValueError):
         t_count(5, 1, 2, 0)

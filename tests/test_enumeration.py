@@ -6,7 +6,9 @@ values; the wide cross-sweeps live in the verification suite and acceptance
 tests.
 """
 
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 
@@ -51,6 +53,29 @@ def test_mask_validation():
     with pytest.raises(ValueError):
         VertexMask.from_string("10x")
     assert VertexMask(0, 0).to_string() == ""
+
+
+def test_mask_caching_keeps_value_semantics():
+    m = VertexMask(6, 0b101001)
+    vs, s = m.vertices(), m.to_string()
+    assert (vs, s) == ((1, 4, 6), "100101")
+    assert m.vertices() == vs and m.vertices() is vs
+    assert m.to_string() == s and m.to_string() is s
+    fresh = VertexMask(6, 0b101001)  # nothing cached yet
+    assert m == fresh and hash(m) == hash(fresh)
+    assert m != VertexMask(6, 0b101000) and m != VertexMask(7, 0b101001)
+    assert repr(m) == "VertexMask(n=6, bits=41)"
+    assert [f.name for f in dataclasses.fields(VertexMask)] == ["n", "bits"]
+    moved = dataclasses.replace(m, bits=0b000011)
+    assert moved.vertices() == (1, 2) and moved.to_string() == "110000"
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and back.vertices() == vs and back.to_string() == s
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.bits = 0
+    with pytest.raises(ValueError):
+        dataclasses.replace(m, bits=1 << 6)
+    with pytest.raises(ValueError):
+        VertexMask(-1, 0)
 
 
 def _literal_vertices(n, bits):

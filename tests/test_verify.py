@@ -15,6 +15,7 @@ import pytest
 
 import fibcubes.cli as cli
 from fibcubes import counting, verify
+from fibcubes.graphs import CYCLE, PATH
 
 SMALL = dict(n_max=12, h_max=4, oracle_n_max=8)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -85,6 +86,12 @@ def test_report_matches_golden_json():
     # so a wrong cap or lower bound in any identity changes a checked count.
     text = verify.reports_to_json(verify.run_suite(40, 10, 8))
     assert text.encode("utf-8") == (GOLDEN / "verify_n40_h10_o8.json").read_bytes()
+
+
+def test_default_report_matches_golden_json():
+    # Only the default oracle bound reaches the n <= 14 independence sweep.
+    text = verify.reports_to_json(verify.run_suite())
+    assert text.encode("utf-8") == (GOLDEN / "verify_default.json").read_bytes()
 
 
 def test_reports_are_deterministic():
@@ -180,6 +187,36 @@ def test_crash_witnesses_are_truncated(monkeypatch):
     report = next(r for r in _suite() if r.identity == "exact-arithmetic-sanity")
     assert report.failed == 390
     assert len(report.failures) == verify.FAILURE_WITNESS_LIMIT
+
+
+def _recorded_independence(monkeypatch, wrong=None):
+    asked = []
+    real = verify.is_independent
+
+    def recorder(g, mask):
+        key = (g.kind, g.n, g.h, mask.bits)
+        asked.append(key)
+        return (not real(g, mask)) if key == wrong else real(g, mask)
+
+    monkeypatch.setattr(verify, "is_independent", recorder)
+    report = next(r for r in _suite() if r.identity == "independence-characterizations")
+    return asked, report
+
+
+def test_independence_sweep_asks_every_case_once(monkeypatch):
+    asked, report = _recorded_independence(monkeypatch)
+    expected = {(kind, n, h, bits) for kind in (PATH, CYCLE)
+                for n in range(9) for h in range(5) for bits in range(1 << n)}
+    assert len(asked) == len(expected) and set(asked) == expected
+    assert report.status == "pass"
+
+
+def test_independence_sweep_reports_a_single_wrong_answer(monkeypatch):
+    bits = 0b001001  # {v1, v4}: independent in the square of P_6
+    _, report = _recorded_independence(monkeypatch, wrong=(PATH, 6, 2, bits))
+    assert report.failed == 1
+    assert report.failures == [{"n": 6, "h": 2, "k": None, "i": bits,
+                                "expected": True, "actual": False}]
 
 
 # One route per two-route identity: shifting it by one must fail every check
