@@ -9,8 +9,13 @@ Subcommands:
 * ``seq``    -- dump a delayed Fibonacci/Lucas sequence
 * ``verify`` -- run the identity cross-check suite
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 capacity
+Exit codes: 0 success, 1 verification failure, 2 usage error (a bad
+argument, a negative n, h or k, or output that cannot be written), 3 capacity
 error.  All numeric output is full decimal, never scientific notation.
+
+Commands raise on bad input; ``_run`` alone turns an exception into an
+``error: ...`` line on stderr and an exit code.  Any other exception, such as
+an ``ArithmeticError`` from a broken internal invariant, propagates.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import counting, cube, enumeration, verify
@@ -68,18 +74,27 @@ _PER_SIZE_TABLES = ("pk", "ck")
 _WRITE_SLICE = 1 << 20  # characters per write
 
 
-def _usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _emit(text: str, out: str | None) -> None:
     # A slice at a time: writing one large str encodes all of it into a
-    # second, byte copy first.
+    # second, byte copy first.  --out opens only now, after the command's
+    # work, so a command that fails leaves an existing file untouched.
     to_stdout = out is None or out == "-"
-    with contextlib.nullcontext(sys.stdout) if to_stdout else open(out, "w", encoding="utf-8") as fh:
-        for i in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[i:i + _WRITE_SLICE])
+    if to_stdout and sys.stdout is None:  # the interpreter started with fd 1 closed
+        raise ValueError("cannot write stdout: it is closed")
+    try:
+        with contextlib.nullcontext(sys.stdout) if to_stdout else open(out, "w", encoding="utf-8") as fh:
+            for i in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[i:i + _WRITE_SLICE])
+            fh.flush()
+    except OSError as exc:
+        if to_stdout:
+            # Send what stdout still buffers nowhere, so the interpreter's
+            # own flush at exit has nothing left to fail on.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise ValueError(f"cannot write {'stdout' if to_stdout else out}: "
+                         f"{exc.strerror or exc}") from None
 
 
 def _parse_h_range(text: str) -> tuple[int, int]:
@@ -96,49 +111,33 @@ def _parse_h_range(text: str) -> tuple[int, int]:
 # table
 # ---------------------------------------------------------------------------
 
-def _grid_lines(row_tag: str, rows, col_tag: str, cols, row_values) -> list[list]:
-    """Header and one line per row; ``row_values(r)`` gives a row's values,
-    one int per column."""
-    header = [""] + [f"{col_tag}={cols[0]}"] + [str(c) for c in cols[1:]]
-    lines = [header]
-    for ridx, r in enumerate(rows):
-        label = f"{row_tag}={r}" if ridx == 0 else str(r)
-        lines.append([label, *row_values(r)])
-    return lines
-
-
-def _render_grid(lines: list[list], fmt: str, row_tag: str, rows,
-                 col_tag: str, cols) -> str:
-    if fmt in ("tsv", "csv"):
-        sep = "\t" if fmt == "tsv" else ","
-        return "".join(sep.join(map(str, row)) + "\n" for row in lines)
-    payload = {
-        "row": row_tag,
-        "rows": list(rows),
-        "col": col_tag,
-        "cols": list(cols),
-        "values": [row[1:] for row in lines[1:]],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+def _render_grid(fmt: str, row_tag: str, rows: list, cols: list, row_values) -> str:
+    """One line per row against the n columns ``cols``; ``row_values(r)``
+    gives row ``r``'s values, one int per column."""
+    values = [row_values(r) for r in rows]
+    if fmt == "json":
+        payload = {"row": row_tag, "rows": rows, "col": "n", "cols": cols, "values": values}
+        return json.dumps(payload, indent=2) + "\n"
+    sep = "\t" if fmt == "tsv" else ","
+    labels = [f"{row_tag}={rows[0]}", *map(str, rows[1:])]
+    header = sep.join(["", f"n={cols[0]}", *map(str, cols[1:])]) + "\n"
+    return header + "".join(sep.join([label, *map(str, row)]) + "\n"
+                            for label, row in zip(labels, values))
 
 
 def _cmd_table(args) -> int:
     which = args.which
-    fmt = args.format
     per_size = which in _PER_SIZE_TABLES
     if args.paper_layout:
         if args.n_max is not None or args.k_max is not None:
-            return _usage("--paper-layout fixes the extents; drop --n-max/--k-max")
+            raise ValueError("--paper-layout fixes the extents; drop --n-max/--k-max")
         if not per_size and args.h is not None:
-            return _usage("--paper-layout fixes the h range; drop --h")
+            raise ValueError("--paper-layout fixes the h range; drop --h")
     elif not per_size and args.k_max is not None:
-        return _usage(f"table {which} has no k axis")
+        raise ValueError(f"table {which} has no k axis")
     if per_size and args.h is None:
-        return _usage(f"table {which} needs --h")
-    try:
-        h_lo, h_hi = PAPER_H_RANGE if args.h is None else _parse_h_range(args.h)
-    except ValueError as exc:
-        return _usage(str(exc))
+        raise ValueError(f"table {which} needs --h")
+    h_lo, h_hi = PAPER_H_RANGE if args.h is None else _parse_h_range(args.h)
 
     if per_size:
         h = h_lo
@@ -146,12 +145,12 @@ def _cmd_table(args) -> int:
         if args.paper_layout:
             layouts = PAPER_TABLE_LAYOUTS[which]
             if h_lo != h_hi or h not in layouts:
-                return _usage(
+                raise ValueError(
                     f"--paper-layout for {which} exists only for --h in {sorted(layouts)}")
             n_max, k_max = layouts[h]
         else:
             if h_lo != h_hi:
-                return _usage(f"table {which} needs a single --h, not a range")
+                raise ValueError(f"table {which} needs a single --h, not a range")
             n_max = args.n_max if args.n_max is not None else 15
             k_max = args.k_max if args.k_max is not None else max_subset_size(n_max, h)
     elif args.paper_layout:
@@ -162,16 +161,15 @@ def _cmd_table(args) -> int:
 
     cols = list(range(n_min, n_max + 1))
     if not cols:
-        return _usage(f"empty column range: n runs {n_min}..{n_max}")
+        raise ValueError(f"empty column range: n runs {n_min}..{n_max}")
     if per_size:
         rows = list(range(k_max + 1))
         if not rows:
-            return _usage(f"empty row range: k runs 0..{k_max}")
+            raise ValueError(f"empty row range: k runs 0..{k_max}")
         count_k = path_count_k if which == "pk" else cycle_count_k
-        lines = _grid_lines("k", rows, "n", cols, lambda k: [count_k(n, h, k) for n in cols])
-        text = _render_grid(lines, fmt, "k", rows, "n", cols)
+        text = _render_grid(args.format, "k", rows, cols,
+                            lambda k: [count_k(n, h, k) for n in cols])
     else:
-        rows = list(range(h_lo, h_hi + 1))
         paper = args.paper_layout
         row_values = {
             "p": lambda hh: [path_count(n, hh) for n in cols],
@@ -184,8 +182,8 @@ def _cmd_table(args) -> int:
             # no claim about; the library value there is cycle_edges itself.
             "M": lambda hh: [0 if paper and n <= hh else cycle_edges(n, hh) for n in cols],
         }
-        lines = _grid_lines("h", rows, "n", cols, row_values[which])
-        text = _render_grid(lines, fmt, "h", rows, "n", cols)
+        text = _render_grid(args.format, "h", list(range(h_lo, h_hi + 1)), cols,
+                            row_values[which])
 
     _emit(text, args.out)
     return EXIT_OK
@@ -196,14 +194,7 @@ def _cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_cube(args) -> int:
-    if args.n < 0 or args.h < 0:
-        return _usage("n and h must be nonnegative")
-    g = GapGraph(args.kind, args.n, args.h)
-    try:
-        c = cube.build_cube(g, cap=args.cap)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    c = cube.build_cube(GapGraph(args.kind, args.n, args.h), cap=args.cap)
     if args.format == "dot":
         text = c.to_dot()
     elif args.format == "json":
@@ -216,8 +207,6 @@ def _cmd_cube(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    if args.n < 0 or args.h < 0:
-        return _usage("n and h must be nonnegative")
     g = GapGraph(args.kind, args.n, args.h)
     text = edgelist_text(g) if args.format == "edgelist" else graph_dot(g)
     _emit(text, args.out)
@@ -259,21 +248,17 @@ _COUNT_ROUTES = {
 
 
 def _cmd_count(args) -> int:
-    if args.n < 0 or args.h < 0:
-        return _usage("n and h must be nonnegative")
+    # Checked here, not left to the routes: the per-size forms follow the
+    # binomial convention, so path_count_k(-1, 2, 0) is 1 and a negative k
+    # counts 0 sets.
+    if min(args.n, args.h, 0 if args.k is None else args.k) < 0:
+        raise ValueError("n, h and k must be nonnegative")
     quantity = args.quantity if args.k is None else f"{args.quantity}-k"
     fn = _COUNT_ROUTES.get((quantity, args.route))
     if fn is None:
         sized = "" if args.k is None else " of one subset size"
-        return _usage(f"the {args.route} route does not count {args.quantity}{sized}")
-    try:
-        value = fn(args)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ValueError as exc:
-        return _usage(str(exc))
-    _emit(f"{value}\n", args.out)
+        raise ValueError(f"the {args.route} route does not count {args.quantity}{sized}")
+    _emit(f"{fn(args)}\n", args.out)
     return EXIT_OK
 
 
@@ -286,10 +271,7 @@ _SEQ_KINDS = {"F": FIBONACCI, "L": LUCAS, "F-ext": EXTENDED_FIBONACCI,
 
 
 def _cmd_seq(args) -> int:
-    try:
-        seq = HSequence(_SEQ_KINDS[args.kind], args.h)
-    except ValueError as exc:
-        return _usage(str(exc))
+    seq = HSequence(_SEQ_KINDS[args.kind], args.h)
     start = seq.min_index
     values = seq.prefix(args.n_max)
     if args.format == "json":
@@ -305,10 +287,7 @@ def _cmd_seq(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    try:
-        reports = verify.run_suite(args.n_max, args.h_max, args.oracle_n_max)
-    except ValueError as exc:
-        return _usage(str(exc))
+    reports = verify.run_suite(args.n_max, args.h_max, args.oracle_n_max)
     if args.format == "json":
         text = verify.reports_to_json(reports)
     else:
@@ -392,16 +371,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run one command; the only place that turns errors into exit codes."""
+    try:
+        return args.func(args)
+    except (CapacityError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_USAGE
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter with no digit limit
-        return args.func(args)
+        return _run(args)
     # Counts outgrow the default 4,300-digit int-to-str limit; lift it for the
     # command, in every output format, and restore it for in-process callers.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        return _run(args)
     finally:
         sys.set_int_max_str_digits(limit)
 

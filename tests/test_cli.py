@@ -63,11 +63,24 @@ def test_count_routes_agree_where_defined(capsys):
     ["count", "path", "10", "2", "3", "--route", "recurrence"],
     ["count", "cycle-edges", "2", "2", "--route", "conv"],  # conv needs n > h
     ["count", "path", "-1", "2"],
+    # No set has a negative size; a printed 0 would be a silent wrong answer.
+    ["count", "path", "5", "1", "-1"],
+    ["count", "cycle", "5", "1", "-3"],
+    ["count", "path", "5", "1", "-1", "--route", "oracle"],
+    ["count", "cycle", "5", "1", "-3", "--route", "oracle"],
 ])
 def test_count_usage_errors(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_failed_command_leaves_out_file_alone(tmp_path, capsys):
+    target = tmp_path / "kept.txt"
+    target.write_text("kept\n")
+    code, _, err = run(["count", "path", "5", "1", "-1", "--out", str(target)], capsys)
+    assert (code, err) == (2, "error: n, h and k must be nonnegative\n")
+    assert target.read_text() == "kept\n"
 
 
 def test_count_oracle_respects_cap(capsys):
@@ -326,6 +339,60 @@ def test_verify_negative_bound_is_usage_error(flag, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: verify bounds must be nonnegative")
     assert "Traceback" not in err
+
+
+# --- output that cannot be written ------------------------------------------------
+
+CHEAP_COMMANDS = {
+    "table": ["table", "F", "--h", "1", "--n-max", "3"],
+    "cube": ["cube", "path", "3", "1"],
+    "graph": ["graph", "path", "3", "1"],
+    "count": ["count", "path", "10", "1"],
+    "seq": ["seq", "F", "--h", "1", "--n-max", "3"],
+    "verify": ["verify", "--n-max", "3", "--h-max", "1", "--oracle-n-max", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHEAP_COMMANDS))
+@pytest.mark.parametrize("where", ["missing-dir", "dir"])
+def test_unwritable_out_is_usage_error(command, where, tmp_path, capsys):
+    # Exit 2, not 1: for verify, 1 would read as a failed identity.
+    target = tmp_path / "missing" / "x" if where == "missing-dir" else tmp_path
+    code, out, err = run(CHEAP_COMMANDS[command] + ["--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+def _python_m_fibcubes(*argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as on a plain host
+    return [sys.executable, "-m", "fibcubes", *argv], env
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["cube", "path", "16", "0", "--format", "edgelist"], 10),
+    (["seq", "F", "--h", "1", "--n-max", "20000"], 10),
+    # Closed before the child writes anything: the whole output stays in
+    # stdout's buffer, which the interpreter flushes once more at exit.
+    (["count", "path", "10", "2"], 0),
+])
+def test_closed_stdout_pipe_is_usage_error(argv, read):
+    cmd, env = _python_m_fibcubes(*argv)
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_stdout_closed_at_start_is_usage_error():
+    cmd, env = _python_m_fibcubes("count", "path", "10", "2")
+    out = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *cmd], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert (out.returncode, out.stderr) == (2, "error: cannot write stdout: it is closed\n")
 
 
 # --- integers past the interpreter's int-to-str digit limit -------------------
