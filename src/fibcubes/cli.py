@@ -88,13 +88,28 @@ def _emit(text: str, out: str | None) -> None:
             fh.flush()
     except OSError as exc:
         if to_stdout:
-            # Send what stdout still buffers nowhere, so the interpreter's
-            # own flush at exit has nothing left to fail on.
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
+            _discard(sys.stdout)
         raise ValueError(f"cannot write {'stdout' if to_stdout else out}: "
                          f"{exc.strerror or exc}") from None
+
+
+def _note(line: str) -> None:
+    # Diagnostics never change the exit code: a stderr that is closed or
+    # cannot be written (a full device) is skipped.
+    if sys.stderr is None:  # the interpreter started with fd 2 closed
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _discard(sys.stderr)
+
+
+def _discard(stream) -> None:
+    # Send what a failed standard stream still buffers nowhere, so the
+    # interpreter's own flush at exit has nothing left to fail on.
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
 
 
 def _parse_h_range(text: str) -> tuple[int, int]:
@@ -202,7 +217,7 @@ def _cmd_cube(args) -> int:
     else:
         text = c.to_edgelist_text()
     _emit(text, args.out)
-    print(f"{c.vertex_count} vertices, {c.cover_count} edges", file=sys.stderr)
+    _note(f"{c.vertex_count} vertices, {c.cover_count} edges")
     return EXIT_OK
 
 
@@ -376,7 +391,7 @@ def _run(args) -> int:
     try:
         return args.func(args)
     except (CapacityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_USAGE
 
 

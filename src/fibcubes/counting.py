@@ -89,6 +89,8 @@ def binom(m: int, k: int) -> int:
 def max_subset_size(n: int, h: int) -> int:
     """Largest k for which a power-of-path/cycle on n vertices can have an
     independent k-subset: ceil(n / (h+1))."""
+    if h < 0:
+        raise ValueError(f"h must be nonnegative, got h={h}")
     return -(-n // (h + 1))
 
 
@@ -117,8 +119,11 @@ def path_count_k(n: int, h: int, k: int) -> int:
     """Number of independent k-subsets of the h-power of the n-path.
 
     Closed form C(n - h*k + h, k): placing k chosen vertices with gaps > h is
-    the same as choosing k items from n - h*(k-1) slots.
+    the same as choosing k items from n - h*(k-1) slots.  A negative n is
+    allowed and follows the binomial convention (the empty set only).
     """
+    if h < 0:
+        raise ValueError(f"h must be nonnegative, got h={h}")
     return binom(n - h * k + h, k)
 
 
@@ -156,6 +161,7 @@ def cycle_count_k(n: int, h: int, k: int) -> int:
     For k >= 2 this is (n/k) * C(n - h*k - 1, k - 1); the division is exact
     because the formula counts each subset once per element before dividing.
     """
+    _require_nonnegative(n, h)
     if k < 0:
         return 0
     if k == 0:
@@ -310,8 +316,6 @@ class HSequence:
         if pos < self._seed_count:
             return self._seed(self.h, n)
         return next(islice(self, pos, None))
-
-    __call__ = term
 
     def prefix(self, n: int) -> list[int]:
         """Terms from ``min_index`` through n inclusive (none if n is below
@@ -489,6 +493,7 @@ def t_count(n: int, h: int, k: int, i: int) -> int:
         raise ValueError(f"vertex index {i} out of range 1..{n}")
     if k < 1:
         raise ValueError("subset size k must be >= 1")
+    # max_subset_size rejects a negative h.
     left, right = max(i - h - 1, 0), max(n - i - h, 0)
     lo = max(0, k - 1 - max_subset_size(right, h))
     hi = min(k - 1, max_subset_size(left, h))

@@ -1,22 +1,20 @@
 """Cross-checking suite for every counting identity the library implements.
 
-Each identity is registered with an id, a description, and a sweep runner.
-Runners compare two or more independent computation routes (closed form,
+Identities compare two or more independent computation routes (closed form,
 recurrence, convolution, exhaustive enumeration) over bounded parameter
 ranges and report witness tuples for any disagreement, so a single failure
 pinpoints the broken convention immediately.
 
-An identity that equates two routes at each (n, h) is one registry row: its
-two routes sit next to its id as lambdas, and ``_agree`` sweeps them. The
-lambdas look each counting function up in this module's namespace when they
-are called, not at import, so a function rebound here (by a test's
-monkeypatch, or by the benchmark tracer's per-call spans) is the one the
-identity runs. Identities with a k or i loop, or a custom body, stay
-functions.
-
-Every identity applies its own documented sweep range, clipped by the
-suite-level bounds; enumeration-backed identities are clipped by the oracle
-bound instead of the algebraic one.
+Each identity is one registry row: an id, a description, its sweep ranges,
+and either two routes, which ``_agree`` compares at each (n, h) or
+(n, h, k), or a body ``check(n, h, s)``. One driver, ``_sweep``, runs every
+(h, n) loop and clips the ranges by the suite bounds: h by h_max, n by n_max,
+or by oracle_n_max for enumeration-backed identities. Routes and bodies look
+their functions up in this module's namespace when called, not at import, so
+a function rebound here (by a test's monkeypatch, or by the benchmark
+tracer's per-call spans) is the one the identity runs. Three runners keep
+their own loops: the independence sweep, whose n-bits-h order lets one mask
+serve every h, and the two classical bridges, which fix h = 1 at any h_max.
 """
 
 from __future__ import annotations
@@ -104,7 +102,7 @@ class IdentityReport:
         }
 
 
-class _Sweep:
+class _Tally:
     """Collects equality checks and keeps the first few counterexamples."""
 
     def __init__(self):
@@ -128,92 +126,83 @@ class _Sweep:
 
 
 # ---------------------------------------------------------------------------
-# Algebraic identities (bounded by n_max / h_max)
+# The sweep driver
 # ---------------------------------------------------------------------------
 
-def _agree(lhs, rhs, n_cap=40, h_lo=0, n_lo=lambda h: 0):
-    """Runner checking lhs(n, h) == rhs(n, h) over h_lo..10, n_lo(h)..n_cap."""
-    def run(b: Bounds, s: _Sweep):
-        for h in range(h_lo, b.h(10) + 1):
-            for n in range(n_lo(h), b.n(n_cap) + 1):
-                s.eq(lhs(n, h), rhs(n, h), n=n, h=h)
+def _sweep(check, h_cap=10, n_cap=40, h_lo=0, n_lo=lambda h: 0, oracle=False):
+    """Runner calling check(n, h, s) for h in h_lo..h_cap and, for each h, n in
+    n_lo(h)..n_cap. The suite bounds clip h_cap by h_max, and n_cap by n_max,
+    or by oracle_n_max for an enumeration-backed (oracle) identity."""
+    def run(b: Bounds, s: _Tally):
+        n_hi = (b.oracle if oracle else b.n)(n_cap)
+        for h in range(h_lo, b.h(h_cap) + 1):
+            for n in range(n_lo(h), n_hi + 1):
+                check(n, h, s)
     return run
 
 
-def _run_path_cycle_count_bridge(b: Bounds, s: _Sweep):
-    # Splitting a cycle at a vertex or at a wrap pair leaves path segments:
-    # p(n-2h-1, k-1) + h*p(n-3h-2, k-2) = c(n-h-1, k-1) once n > 3h+2.
-    for h in range(b.h(10) + 1):
-        for n in range(3 * h + 3, b.n(40) + 1):
-            for k in range(1, max_subset_size(n - h - 1, h) + 2):
-                lhs = (path_count_k(n - 2 * h - 1, h, k - 1)
-                       + h * path_count_k(n - 3 * h - 2, h, k - 2))
-                s.eq(cycle_count_k(n - h - 1, h, k - 1), lhs, n=n, h=h, k=k)
+def _agree(lhs, rhs, ks=None, **ranges):
+    """Sweep checking lhs(n, h) == rhs(n, h) over ``ranges`` (see _sweep), or,
+    given ks, lhs(n, h, k) == rhs(n, h, k) for each k in ks(n, h)."""
+    if ks is None:
+        return _sweep(lambda n, h, s: s.eq(lhs(n, h), rhs(n, h), n=n, h=h), **ranges)
+
+    def check(n, h, s):
+        for k in ks(n, h):
+            s.eq(lhs(n, h, k), rhs(n, h, k), n=n, h=h, k=k)
+    return _sweep(check, **ranges)
 
 
-def _run_edge_count_by_vertex_sums(b: Bounds, s: _Sweep):
+# ---------------------------------------------------------------------------
+# Algebraic identities (bounded by n_max / h_max)
+# ---------------------------------------------------------------------------
+
+def _edge_count_by_vertex_sums(n, h, s):
     # Summing per-vertex membership counts hits each k-subset k times.
-    for h in range(b.h(5) + 1):
-        for n in range(1, b.n(25) + 1):
-            total = sum(
-                t_count(n, h, k, i)
-                for k in range(1, max_subset_size(n, h) + 1)
-                for i in range(1, n + 1)
-            )
-            s.eq(path_edges(n, h), total, n=n, h=h)
+    total = sum(
+        t_count(n, h, k, i)
+        for k in range(1, max_subset_size(n, h) + 1)
+        for i in range(1, n + 1)
+    )
+    s.eq(path_edges(n, h), total, n=n, h=h)
 
 
-def _run_vertex_split_product(b: Bounds, s: _Sweep):
+def _vertex_split_product(n, h, s):
     # All subsets through vertex i = (left-segment total) * (right-segment total).
-    for h in range(b.h(5) + 1):
-        for n in range(1, b.n(25) + 1):
-            kmax = max_subset_size(n, h)
-            for i in range(1, n + 1):
-                through = sum(t_count(n, h, k, i) for k in range(1, kmax + 1))
-                split = (path_count_clamped(i - h - 1, h)
-                         * path_count_clamped(n - h - i, h))
-                s.eq(split, through, n=n, h=h, i=i)
+    kmax = max_subset_size(n, h)
+    for i in range(1, n + 1):
+        through = sum(t_count(n, h, k, i) for k in range(1, kmax + 1))
+        split = path_count_clamped(i - h - 1, h) * path_count_clamped(n - h - i, h)
+        s.eq(split, through, n=n, h=h, i=i)
 
 
-def _run_path_count_shift_symmetry(b: Bounds, s: _Sweep):
-    # Dropping the gap by one while shrinking n by k-1 preserves the count.
-    for h in range(1, b.h(10) + 1):
-        for n in range(b.n(40) + 1):
-            for k in range(0, min(n + 1, max_subset_size(n, h) + 1) + 1):
-                if n - k + 1 < 0:
-                    continue
-                s.eq(path_count_k(n, h, k),
-                     path_count_k(n - k + 1, h - 1, k), n=n, h=h, k=k)
-
-
-def _run_exact_arithmetic_sanity(b: Bounds, s: _Sweep):
+def _exact_arithmetic_sanity(n, h, s):
     # Counts are never negative and the cycle division is always exact.
-    for h in range(b.h(10) + 1):
-        for n in range(b.n(40) + 1):
-            for k in range(max_subset_size(n, h) + 3):
-                try:
-                    pk = path_count_k(n, h, k)
-                    ck = cycle_count_k(n, h, k)
-                except ArithmeticError as exc:
-                    s.crash(exc, n=n, h=h, k=k)
-                    continue
-                s.eq(True, pk >= 0 and ck >= 0, n=n, h=h, k=k)
+    for k in range(max_subset_size(n, h) + 3):
+        try:
+            pk = path_count_k(n, h, k)
+            ck = cycle_count_k(n, h, k)
+        except ArithmeticError as exc:
+            s.crash(exc, n=n, h=h, k=k)
+            continue
+        s.eq(True, pk >= 0 and ck >= 0, n=n, h=h, k=k)
 
 
 # ---------------------------------------------------------------------------
 # Enumeration-backed identities (bounded by oracle_n_max)
 # ---------------------------------------------------------------------------
 
-def _run_oracle_counts(kind: str, count_k, count_total, b: Bounds, s: _Sweep):
-    for h in range(b.h(6) + 1):
-        for n in range(b.oracle(20) + 1):
-            hist = enumeration.count_by_size(GapGraph(kind, n, h))
-            s.eq(count_total(n, h), sum(hist.values()), n=n, h=h)
-            for k in range(max_subset_size(n, h) + 2):
-                s.eq(count_k(n, h, k), hist.get(k, 0), n=n, h=h, k=k)
+def _oracle_counts(kind, count_k, count_total):
+    # Exhaustive size histogram against the per-size and total closed forms.
+    def check(n, h, s):
+        hist = enumeration.count_by_size(GapGraph(kind, n, h))
+        s.eq(count_total(n, h), sum(hist.values()), n=n, h=h)
+        for k in range(max_subset_size(n, h) + 2):
+            s.eq(count_k(n, h, k), hist.get(k, 0), n=n, h=h, k=k)
+    return check
 
 
-def _run_independence_characterizations(b: Bounds, s: _Sweep):
+def _run_independence_characterizations(b: Bounds, s: _Tally):
     # gap condition == graph independence == substring avoidance (h >= 1),
     # over every bit string, linear and circular. The sweep runs n, then
     # bits, then h: one mask per bit string serves every h, and its vertex
@@ -232,84 +221,73 @@ def _run_independence_characterizations(b: Bounds, s: _Sweep):
                          n=n, h=h, i=bits)
 
 
-def _run_subset_shift_bijection(b: Bounds, s: _Sweep):
+def _subset_shift_bijection(n, h, s):
     # The index-spreading map is injective, lands on gap-valid masks, inverts
     # cleanly, and its image is exactly as large as the closed form says.
-    for h in range(b.h(4) + 1):
-        for n in range(b.oracle(14) + 1):
-            for k in range(max_subset_size(n, h) + 1):
-                top = n - h * k + h
-                if top < 0:
-                    continue
-                images = set()
-                ok = True
-                for combo in itertools.combinations(range(1, top + 1), k):
-                    mask = enumeration.bijection_f(combo, n, h)
-                    if not gap_check(mask, h):
-                        s.eq("gap-valid image", str(mask), n=n, h=h, k=k)
-                        ok = False
-                        break
-                    if enumeration.bijection_f_inv(mask, h) != list(combo):
-                        s.eq(list(combo), enumeration.bijection_f_inv(mask, h),
-                             n=n, h=h, k=k)
-                        ok = False
-                        break
-                    images.add(mask.bits)
-                if ok:
-                    s.eq(path_count_k(n, h, k), len(images), n=n, h=h, k=k)
+    for k in range(max_subset_size(n, h) + 1):
+        top = n - h * k + h
+        if top < 0:
+            continue
+        images = set()
+        ok = True
+        for combo in itertools.combinations(range(1, top + 1), k):
+            mask = enumeration.bijection_f(combo, n, h)
+            if not gap_check(mask, h):
+                s.eq("gap-valid image", str(mask), n=n, h=h, k=k)
+                ok = False
+                break
+            if enumeration.bijection_f_inv(mask, h) != list(combo):
+                s.eq(list(combo), enumeration.bijection_f_inv(mask, h), n=n, h=h, k=k)
+                ok = False
+                break
+            images.add(mask.bits)
+        if ok:
+            s.eq(path_count_k(n, h, k), len(images), n=n, h=h, k=k)
 
 
-def _run_vertex_membership_counts(b: Bounds, s: _Sweep):
+def _vertex_membership_counts(n, h, s):
     # t_count against exhaustive (size, member) tallies.
-    for h in range(b.h(4) + 1):
-        for n in range(1, b.oracle(16) + 1):
-            tally: dict[tuple[int, int], int] = {}
-            for bits in enumeration.iter_masks(GapGraph(PATH, n, h)):
-                k = bits.bit_count()
-                rest = bits
-                while rest:
-                    low = rest & -rest
-                    pos = low.bit_length()  # 1-based vertex index
-                    tally[(k, pos)] = tally.get((k, pos), 0) + 1
-                    rest ^= low
-            for k in range(1, max_subset_size(n, h) + 1):
-                for i in range(1, n + 1):
-                    s.eq(tally.get((k, i), 0), t_count(n, h, k, i), n=n, h=h, k=k, i=i)
+    tally: dict[tuple[int, int], int] = {}
+    for bits in enumeration.iter_masks(GapGraph(PATH, n, h)):
+        k = bits.bit_count()
+        rest = bits
+        while rest:
+            low = rest & -rest
+            pos = low.bit_length()  # 1-based vertex index
+            tally[(k, pos)] = tally.get((k, pos), 0) + 1
+            rest ^= low
+    for k in range(1, max_subset_size(n, h) + 1):
+        for i in range(1, n + 1):
+            s.eq(tally.get((k, i), 0), t_count(n, h, k, i), n=n, h=h, k=k, i=i)
 
 
-def _run_cube_counts(kind: str, b: Bounds, s: _Sweep):
-    for h in range(b.h(6) + 1):
-        for n in range(b.oracle(20) + 1):
-            g = GapGraph(kind, n, h)
-            masks = enumeration.iter_masks(g)
-            rank_weight = sum(m.bit_count() for m in masks)
-            covers = cube.cover_count(g)
-            # Structural sanity for every n: one cover per element of each set.
-            s.eq(rank_weight, covers, n=n, h=h)
-            if kind == PATH:
-                s.eq(path_count(n, h), len(masks), n=n, h=h)
-                s.eq(path_edges(n, h), covers, n=n, h=h)
-            else:
-                s.eq(cycle_count(n, h), len(masks), n=n, h=h)
-                if n > h:
-                    s.eq(cycle_edges(n, h), covers, n=n, h=h)
+def _cube_counts(kind, count, edges):
+    # Diagram vertex and cover counts against the closed forms.
+    def check(n, h, s):
+        g = GapGraph(kind, n, h)
+        masks = enumeration.iter_masks(g)
+        rank_weight = sum(m.bit_count() for m in masks)
+        covers = cube.cover_count(g)
+        # Structural sanity for every n: one cover per element of each set.
+        s.eq(rank_weight, covers, n=n, h=h)
+        s.eq(count(n, h), len(masks), n=n, h=h)
+        if kind == PATH or n > h:  # the cycle edge count is claimed for n > h
+            s.eq(edges(n, h), covers, n=n, h=h)
+    return check
 
 
-def _run_hamming_distance_covers(b: Bounds, s: _Sweep):
+def _hamming_distance_covers(n, h, s):
     for kind in (PATH, CYCLE):
-        for h in range(b.h(6) + 1):
-            for n in range(b.oracle(12) + 1):
-                c = cube.build_cube(GapGraph(kind, n, h))
-                s.eq(len(c.covers), c.hamming_pairs(), n=n, h=h)
+        c = cube.build_cube(GapGraph(kind, n, h))
+        s.eq(len(c.covers), c.hamming_pairs(), n=n, h=h)
 
 
-def _run_small_cycle_star_poset(b: Bounds, s: _Sweep):
+def _small_cycle_star_poset(n, h, s):
     # A cycle power with n <= 2h+1 is complete, so its diagram is a star.
-    for h in range(b.h(10) + 1):
-        for n in range(min(2 * h + 1, b.oracle(16)) + 1):
-            c = cube.build_cube(GapGraph(CYCLE, n, h))
-            s.eq(n + 1, c.vertex_count, n=n, h=h)
-            s.eq(n, c.cover_count, n=n, h=h)
+    if n <= 2 * h + 1:
+        c = cube.build_cube(GapGraph(CYCLE, n, h))
+        s.eq(n + 1, c.vertex_count, n=n, h=h)
+        s.eq(n, c.cover_count, n=n, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +314,23 @@ def _classical_lucas(n: int) -> int:
     return bb
 
 
-def _run_hypercube_specialization(b: Bounds, s: _Sweep):
-    for n in range(b.n(40) + 1):
-        s.eq(2 ** n, path_count(n, 0), n=n, h=0)
-        s.eq(n * 2 ** (n - 1) if n else 0, path_edges(n, 0), n=n, h=0)
-        s.eq(2 ** n, cycle_count(n, 0), n=n, h=0)
-        s.eq(n * 2 ** (n - 1) if n else 0, cycle_edges(n, 0), n=n, h=0)
+def _hypercube_specialization(n, h, s):
+    # Boolean-lattice counts hold at h = 0 only, so the row sets h_cap=0.
+    edges = n * 2 ** (n - 1) if n else 0
+    s.eq(2 ** n, path_count(n, h), n=n, h=h)
+    s.eq(edges, path_edges(n, h), n=n, h=h)
+    s.eq(2 ** n, cycle_count(n, h), n=n, h=h)
+    s.eq(edges, cycle_edges(n, h), n=n, h=h)
 
 
-def _run_classical_fibonacci_bridge(b: Bounds, s: _Sweep):
+def _run_classical_fibonacci_bridge(b: Bounds, s: _Tally):
     for n in range(b.n(40) + 1):
         s.eq(_classical_fib(n + 2), path_count(n, 1), n=n, h=1)
         conv = sum(_classical_fib(i) * _classical_fib(n - i + 1) for i in range(1, n + 1))
         s.eq(conv, path_edges(n, 1), n=n, h=1)
 
 
-def _run_classical_lucas_bridge(b: Bounds, s: _Sweep):
+def _run_classical_lucas_bridge(b: Bounds, s: _Tally):
     for n in range(2, b.n(40) + 1):
         s.eq(_classical_lucas(n), cycle_count(n, 1), n=n, h=1)
         s.eq(n * _classical_fib(n - 1), cycle_edges(n, 1), n=n, h=1)
@@ -394,15 +373,21 @@ _REGISTRY = (
      "Lucas terms decompose into two Fibonacci terms",
      _agree(lambda n, h: h_fibonacci(h, n) + (h + 1) * h_fibonacci(h, n - h),
             lambda n, h: h_lucas(h, n + 1), n_lo=lambda h: h + 1)),
+    # Splitting a cycle at a vertex or at a wrap pair leaves path segments:
+    # c(n-h-1, k-1) = p(n-2h-1, k-1) + h*p(n-3h-2, k-2) once n > 3h+2.
     ("path-cycle-count-bridge",
      "cycle per-size counts from path counts via vertex/pair splitting",
-     _run_path_cycle_count_bridge),
+     _agree(lambda n, h, k: cycle_count_k(n - h - 1, h, k - 1),
+            lambda n, h, k: (path_count_k(n - 2 * h - 1, h, k - 1)
+                             + h * path_count_k(n - 3 * h - 2, h, k - 2)),
+            ks=lambda n, h: range(1, max_subset_size(n - h - 1, h) + 2),
+            n_lo=lambda h: 3 * h + 3)),
     ("edge-count-by-vertex-sums",
      "per-vertex membership counts sum to the edge count",
-     _run_edge_count_by_vertex_sums),
+     _sweep(_edge_count_by_vertex_sums, h_cap=5, n_cap=25, n_lo=lambda h: 1)),
     ("vertex-split-product",
      "membership counts through a vertex factor into segment totals",
-     _run_vertex_split_product),
+     _sweep(_vertex_split_product, h_cap=5, n_cap=25, n_lo=lambda h: 1)),
     ("extended-fibonacci-agreement",
      "negatively-indexed Fibonacci extension matches the plain sequence",
      _agree(lambda n, h: h_fibonacci(h, n), lambda n, h: extended_fib(h, n),
@@ -411,42 +396,53 @@ _REGISTRY = (
      "negatively-indexed Lucas extension matches the plain sequence",
      _agree(lambda n, h: h_lucas(h, n), lambda n, h: extended_lucas(h, n),
             h_lo=2, n_lo=lambda h: 1)),
+    # Dropping the gap by one while shrinking n by k-1 preserves the count;
+    # k <= n+1 keeps the shrunk n nonnegative.
     ("path-count-shift-symmetry",
      "per-size path counts shift between neighboring gaps",
-     _run_path_count_shift_symmetry),
+     _agree(lambda n, h, k: path_count_k(n, h, k),
+            lambda n, h, k: path_count_k(n - k + 1, h - 1, k),
+            ks=lambda n, h: range(min(n, max_subset_size(n, h)) + 2), h_lo=1)),
     ("exact-arithmetic-sanity",
      "counts are nonnegative and cycle divisions are exact",
-     _run_exact_arithmetic_sanity),
+     _sweep(_exact_arithmetic_sanity)),
     ("oracle-path-counts",
      "exhaustive path enumeration matches closed forms (per size and total)",
-     lambda b, s: _run_oracle_counts(PATH, path_count_k, path_count, b, s)),
+     _sweep(_oracle_counts(PATH, lambda n, h, k: path_count_k(n, h, k),
+                           lambda n, h: path_count(n, h)),
+            h_cap=6, n_cap=20, oracle=True)),
     ("oracle-cycle-counts",
      "exhaustive cycle enumeration matches closed forms (per size and total)",
-     lambda b, s: _run_oracle_counts(CYCLE, cycle_count_k, cycle_count, b, s)),
+     _sweep(_oracle_counts(CYCLE, lambda n, h, k: cycle_count_k(n, h, k),
+                           lambda n, h: cycle_count(n, h)),
+            h_cap=6, n_cap=20, oracle=True)),
     ("independence-characterizations",
      "gap condition == graph independence == substring avoidance",
      _run_independence_characterizations),
     ("subset-shift-bijection",
      "index-spreading bijection is injective, valid, and invertible",
-     _run_subset_shift_bijection),
+     _sweep(_subset_shift_bijection, h_cap=4, n_cap=14, oracle=True)),
     ("vertex-membership-counts",
      "per-vertex membership formula matches exhaustive tallies",
-     _run_vertex_membership_counts),
+     _sweep(_vertex_membership_counts, h_cap=4, n_cap=16, n_lo=lambda h: 1, oracle=True)),
     ("cube-path-counts",
      "path diagram vertex/cover counts match closed forms",
-     lambda b, s: _run_cube_counts(PATH, b, s)),
+     _sweep(_cube_counts(PATH, lambda n, h: path_count(n, h), lambda n, h: path_edges(n, h)),
+            h_cap=6, n_cap=20, oracle=True)),
     ("cube-cycle-counts",
      "cycle diagram vertex/cover counts match closed forms",
-     lambda b, s: _run_cube_counts(CYCLE, b, s)),
+     _sweep(_cube_counts(CYCLE, lambda n, h: cycle_count(n, h),
+                         lambda n, h: cycle_edges(n, h)),
+            h_cap=6, n_cap=20, oracle=True)),
     ("hamming-distance-covers",
      "cover pairs coincide with Hamming-distance-1 pairs",
-     _run_hamming_distance_covers),
+     _sweep(_hamming_distance_covers, h_cap=6, n_cap=12, oracle=True)),
     ("small-cycle-star-poset",
      "complete cycle powers give star-shaped diagrams",
-     _run_small_cycle_star_poset),
+     _sweep(_small_cycle_star_poset, n_cap=16, oracle=True)),
     ("hypercube-specialization",
      "gap 0 reproduces Boolean-lattice counts 2^n and n*2^(n-1)",
-     _run_hypercube_specialization),
+     _sweep(_hypercube_specialization, h_cap=0)),
     ("classical-fibonacci-bridge",
      "gap 1 path counts/edges reproduce classical Fibonacci identities",
      _run_classical_fibonacci_bridge),
@@ -474,18 +470,18 @@ def run_suite(n_max: int = 40, h_max: int = 10, oracle_n_max: int = 16) -> list[
     bounds = Bounds(n_max, h_max, oracle_n_max)
     reports = []
     for identity, description, runner in _REGISTRY:
-        sweep = _Sweep()
+        tally = _Tally()
         try:
-            runner(bounds, sweep)
+            runner(bounds, tally)
         except Exception as exc:  # record, never abort the suite
-            sweep.crash(exc)
+            tally.crash(exc)
         reports.append(IdentityReport(
             identity=identity,
             description=description,
             bounds={"n_max": n_max, "h_max": h_max, "oracle_n_max": oracle_n_max},
-            checked=sweep.checked,
-            failed=sweep.failed,
-            failures=sweep.failures,
+            checked=tally.checked,
+            failed=tally.failed,
+            failures=tally.failures,
         ))
     reports.sort(key=lambda r: r.identity)
     return reports

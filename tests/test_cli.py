@@ -380,11 +380,11 @@ def _python_m_fibcubes(*argv):
 ])
 def test_closed_stdout_pipe_is_usage_error(argv, read):
     cmd, env = _python_m_fibcubes(*argv)
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.read(read)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 2
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
     assert err == "error: cannot write stdout: Broken pipe\n"
 
 
@@ -393,6 +393,34 @@ def test_stdout_closed_at_start_is_usage_error():
     out = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *cmd], capture_output=True,
                          text=True, env=env, timeout=60)
     assert (out.returncode, out.stderr) == (2, "error: cannot write stdout: it is closed\n")
+
+
+# A stderr that cannot be written changes neither the exit code nor stdout.
+UNWRITABLE_STDERR_CASES = [
+    (["count", "path", "-1", "2"], 2, ""),
+    (["cube", "path", "3", "0", "--format", "edgelist"], 0,
+     "0 1\n0 2\n0 3\n1 4\n1 5\n2 4\n2 6\n3 5\n3 6\n4 7\n5 7\n6 7\n"),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv,code,stdout", UNWRITABLE_STDERR_CASES,
+                         ids=["count-usage-error", "cube-edgelist"])
+def test_full_stderr_keeps_exit_code(argv, code, stdout):
+    cmd, env = _python_m_fibcubes(*argv)
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=full, text=True,
+                             env=env, timeout=60)
+    assert (out.returncode, out.stdout) == (code, stdout)
+
+
+@pytest.mark.parametrize("argv,code,stdout", UNWRITABLE_STDERR_CASES,
+                         ids=["count-usage-error", "cube-edgelist"])
+def test_stderr_closed_at_start_keeps_exit_code(argv, code, stdout):
+    cmd, env = _python_m_fibcubes(*argv)
+    out = subprocess.run(["sh", "-c", '"$@" 2>&-', "sh", *cmd], stdout=subprocess.PIPE,
+                         text=True, env=env, timeout=60)
+    assert (out.returncode, out.stdout) == (code, stdout)
 
 
 # --- integers past the interpreter's int-to-str digit limit -------------------

@@ -111,6 +111,20 @@ def test_totals_reject_negative_arguments(fn, n, h):
         fn(n, h)
 
 
+# A negative h is meaningless in every per-size form, and so is a negative n
+# for cycles; path_count_k keeps the binomial convention for a negative n.
+@pytest.mark.parametrize("fn,args", [
+    (path_count_k, (5, -2, 2)),
+    (cycle_count_k, (6, -2, 2)),
+    (cycle_count_k, (-3, 1, 1)),
+    (max_subset_size, (5, -1)),
+    (t_count, (5, -1, 1, 1)),
+])
+def test_per_size_forms_reject_negative_arguments(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 def test_recurrence_routes_reject_negative_n_after_warming():
     path_count_rec(30, 1)
     cycle_count_rec(30, 1)
