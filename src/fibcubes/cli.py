@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a bad
 argument, a negative n, h or k, or output that cannot be written), 3 capacity
-error.  All numeric output is full decimal, never scientific notation.
+error (beyond the enumeration cap, or out of memory).  All numeric output is
+full decimal, never scientific notation.
 
 Commands raise on bad input; ``_run`` alone turns an exception into an
 ``error: ...`` line on stderr and an exit code.  Any other exception, such as
@@ -393,6 +394,9 @@ def _run(args) -> int:
     except (CapacityError, ValueError) as exc:
         _note(f"error: {exc}")
         return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_USAGE
+    except MemoryError:
+        _note("error: out of memory")
+        return EXIT_CAPACITY
 
 
 def main(argv=None) -> int:

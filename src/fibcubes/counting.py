@@ -16,9 +16,12 @@ Conventions used throughout:
 * The closed-form totals and edge sums walk consecutive binomials along a
   diagonal, C(m, k) -> C(m-h, k+1), each from the one before by one
   multiply and one exact divide, so a total costs one big-integer step per
-  subset size rather than a fresh ``math.comb``.  The per-size functions
-  ``path_count_k`` and ``cycle_count_k`` still go through :func:`binom`, and
-  each total checks its first size past the bound with them.
+  subset size rather than a fresh ``math.comb``.  The step from size k
+  multiplies and divides falling factorials of min(k, h) + 1 factors, so
+  a huge h with few sizes (``path_count(1, 10**9)``) stays cheap.  The
+  per-size functions ``path_count_k`` and ``cycle_count_k`` still go
+  through :func:`binom`, and each total checks its first size past the
+  bound with them.
 * Every sequence here obeys one delayed recurrence t(n) = t(n-1) + t(n-h-1)
   and differs only in its seeds; :class:`HSequence` is its one
   implementation.  Its six kinds are the delayed Fibonacci and Lucas
@@ -98,15 +101,22 @@ def _diagonal_binomials(m: int, h: int, last: int) -> Iterator[int]:
     """Yield C(m - h*k, k) for k = 0..last.
 
     Each term comes from the one before by one multiply and one exact
-    divide, C(m-h, k+1) = C(m, k) * (m-k)(m-k-1)...(m-k-h) / ((k+1) *
-    m(m-1)...(m-h+1)).  Callers keep ``last`` within the support, where
-    m - h*k - k > h before every step, so both falling factorials are
-    nonzero.
+    divide by a ratio of falling factorials with min(k, h) + 1 factors:
+
+        C(m-h, k+1) / C(m, k) = (m-k)...(m-k-h) / ((k+1) * m...(m-h+1))
+                              = (m-h)...(m-h-k) / ((k+1) * m...(m-k+1)),
+
+    the second form while k < h, so a large h with few subset sizes costs
+    little.  Callers keep ``last`` within the support, where m - h*k - k > h
+    before every step, so every factor is positive.
     """
     b = 1
     yield b
     for k in range(last):
-        b = b * math.perm(m - k, h + 1) // ((k + 1) * math.perm(m, h))
+        if k < h:
+            b = b * math.perm(m - h, k + 1) // ((k + 1) * math.perm(m, k))
+        else:
+            b = b * math.perm(m - k, h + 1) // ((k + 1) * math.perm(m, h))
         m -= h
         yield b
 

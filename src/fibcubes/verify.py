@@ -9,12 +9,12 @@ Each identity is one registry row: an id, a description, its sweep ranges,
 and either two routes, which ``_agree`` compares at each (n, h) or
 (n, h, k), or a body ``check(n, h, s)``. One driver, ``_sweep``, runs every
 (h, n) loop and clips the ranges by the suite bounds: h by h_max, n by n_max,
-or by oracle_n_max for enumeration-backed identities. Routes and bodies look
-their functions up in this module's namespace when called, not at import, so
-a function rebound here (by a test's monkeypatch, or by the benchmark
-tracer's per-call spans) is the one the identity runs. Three runners keep
-their own loops: the independence sweep, whose n-bits-h order lets one mask
-serve every h, and the two classical bridges, which fix h = 1 at any h_max.
+or by oracle_n_max for enumeration-backed identities. ``_registry`` builds
+the rows on every run, so a row names its routes directly and gets the
+functions bound in this module at that moment: a function rebound here (by
+a test's monkeypatch, or by the benchmark tracer's per-call spans) is the
+one the identity runs. Only the independence sweep keeps its own loop, whose
+n-bits-h order lets one mask serve every h.
 """
 
 from __future__ import annotations
@@ -323,135 +323,129 @@ def _hypercube_specialization(n, h, s):
     s.eq(edges, cycle_edges(n, h), n=n, h=h)
 
 
-def _run_classical_fibonacci_bridge(b: Bounds, s: _Tally):
-    for n in range(b.n(40) + 1):
-        s.eq(_classical_fib(n + 2), path_count(n, 1), n=n, h=1)
-        conv = sum(_classical_fib(i) * _classical_fib(n - i + 1) for i in range(1, n + 1))
-        s.eq(conv, path_edges(n, 1), n=n, h=1)
+def _classical_fibonacci_bridge(n, h, s):
+    # Classical Fibonacci numbers hold at h = 1 only, so the row fixes h.
+    s.eq(_classical_fib(n + 2), path_count(n, h), n=n, h=h)
+    conv = sum(_classical_fib(i) * _classical_fib(n - i + 1) for i in range(1, n + 1))
+    s.eq(conv, path_edges(n, h), n=n, h=h)
 
 
-def _run_classical_lucas_bridge(b: Bounds, s: _Tally):
-    for n in range(2, b.n(40) + 1):
-        s.eq(_classical_lucas(n), cycle_count(n, 1), n=n, h=1)
-        s.eq(n * _classical_fib(n - 1), cycle_edges(n, 1), n=n, h=1)
+def _classical_lucas_bridge(n, h, s):
+    s.eq(_classical_lucas(n), cycle_count(n, h), n=n, h=h)
+    s.eq(n * _classical_fib(n - 1), cycle_edges(n, h), n=n, h=h)
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY = (
-    ("path-count-recurrence",
-     "path totals: closed-form sum equals delayed recurrence",
-     _agree(lambda n, h: path_count(n, h), lambda n, h: path_count_rec(n, h), n_cap=30)),
-    ("cycle-count-recurrence",
-     "cycle totals: closed-form sum equals delayed recurrence",
-     _agree(lambda n, h: cycle_count(n, h), lambda n, h: cycle_count_rec(n, h), n_cap=30)),
-    # F(i) equals the path total at i-h-1, with negative indices clamped to 1.
-    ("fib-matches-path-counts",
-     "delayed Fibonacci terms are shifted path totals",
-     _agree(lambda i, h: path_count_clamped(i - h - 1, h), lambda i, h: h_fibonacci(h, i),
-            n_lo=lambda h: 1)),
-    # L(i) equals the cycle total at i-1 once i >= h+2.
-    ("lucas-matches-cycle-counts",
-     "delayed Lucas terms are shifted cycle totals",
-     _agree(lambda i, h: cycle_count(i - 1, h), lambda i, h: h_lucas(h, i),
-            n_lo=lambda h: h + 2)),
-    ("path-edges-convolution",
-     "path diagram edges equal Fibonacci self-convolution",
-     _agree(lambda n, h: path_edges(n, h), lambda n, h: path_edges_conv(n, h))),
-    ("cycle-edges-closed-form",
-     "cycle diagram edges equal n times a Fibonacci term",
-     _agree(lambda n, h: cycle_edges(n, h), lambda n, h: cycle_edges_closed(n, h),
-            n_lo=lambda h: h + 1)),
-    ("cycle-edges-convolution",
-     "cycle diagram edges equal Fibonacci-Lucas convolution",
-     _agree(lambda n, h: cycle_edges(n, h), lambda n, h: cycle_edges_conv(n, h),
-            n_lo=lambda h: h + 1)),
-    # L(n+1) = F(n) + (h+1) F(n-h) for n > h.
-    ("lucas-from-fibonacci",
-     "Lucas terms decompose into two Fibonacci terms",
-     _agree(lambda n, h: h_fibonacci(h, n) + (h + 1) * h_fibonacci(h, n - h),
-            lambda n, h: h_lucas(h, n + 1), n_lo=lambda h: h + 1)),
-    # Splitting a cycle at a vertex or at a wrap pair leaves path segments:
-    # c(n-h-1, k-1) = p(n-2h-1, k-1) + h*p(n-3h-2, k-2) once n > 3h+2.
-    ("path-cycle-count-bridge",
-     "cycle per-size counts from path counts via vertex/pair splitting",
-     _agree(lambda n, h, k: cycle_count_k(n - h - 1, h, k - 1),
-            lambda n, h, k: (path_count_k(n - 2 * h - 1, h, k - 1)
-                             + h * path_count_k(n - 3 * h - 2, h, k - 2)),
-            ks=lambda n, h: range(1, max_subset_size(n - h - 1, h) + 2),
-            n_lo=lambda h: 3 * h + 3)),
-    ("edge-count-by-vertex-sums",
-     "per-vertex membership counts sum to the edge count",
-     _sweep(_edge_count_by_vertex_sums, h_cap=5, n_cap=25, n_lo=lambda h: 1)),
-    ("vertex-split-product",
-     "membership counts through a vertex factor into segment totals",
-     _sweep(_vertex_split_product, h_cap=5, n_cap=25, n_lo=lambda h: 1)),
-    ("extended-fibonacci-agreement",
-     "negatively-indexed Fibonacci extension matches the plain sequence",
-     _agree(lambda n, h: h_fibonacci(h, n), lambda n, h: extended_fib(h, n),
-            h_lo=2, n_lo=lambda h: 1)),
-    ("extended-lucas-agreement",
-     "negatively-indexed Lucas extension matches the plain sequence",
-     _agree(lambda n, h: h_lucas(h, n), lambda n, h: extended_lucas(h, n),
-            h_lo=2, n_lo=lambda h: 1)),
-    # Dropping the gap by one while shrinking n by k-1 preserves the count;
-    # k <= n+1 keeps the shrunk n nonnegative.
-    ("path-count-shift-symmetry",
-     "per-size path counts shift between neighboring gaps",
-     _agree(lambda n, h, k: path_count_k(n, h, k),
-            lambda n, h, k: path_count_k(n - k + 1, h - 1, k),
-            ks=lambda n, h: range(min(n, max_subset_size(n, h)) + 2), h_lo=1)),
-    ("exact-arithmetic-sanity",
-     "counts are nonnegative and cycle divisions are exact",
-     _sweep(_exact_arithmetic_sanity)),
-    ("oracle-path-counts",
-     "exhaustive path enumeration matches closed forms (per size and total)",
-     _sweep(_oracle_counts(PATH, lambda n, h, k: path_count_k(n, h, k),
-                           lambda n, h: path_count(n, h)),
-            h_cap=6, n_cap=20, oracle=True)),
-    ("oracle-cycle-counts",
-     "exhaustive cycle enumeration matches closed forms (per size and total)",
-     _sweep(_oracle_counts(CYCLE, lambda n, h, k: cycle_count_k(n, h, k),
-                           lambda n, h: cycle_count(n, h)),
-            h_cap=6, n_cap=20, oracle=True)),
-    ("independence-characterizations",
-     "gap condition == graph independence == substring avoidance",
-     _run_independence_characterizations),
-    ("subset-shift-bijection",
-     "index-spreading bijection is injective, valid, and invertible",
-     _sweep(_subset_shift_bijection, h_cap=4, n_cap=14, oracle=True)),
-    ("vertex-membership-counts",
-     "per-vertex membership formula matches exhaustive tallies",
-     _sweep(_vertex_membership_counts, h_cap=4, n_cap=16, n_lo=lambda h: 1, oracle=True)),
-    ("cube-path-counts",
-     "path diagram vertex/cover counts match closed forms",
-     _sweep(_cube_counts(PATH, lambda n, h: path_count(n, h), lambda n, h: path_edges(n, h)),
-            h_cap=6, n_cap=20, oracle=True)),
-    ("cube-cycle-counts",
-     "cycle diagram vertex/cover counts match closed forms",
-     _sweep(_cube_counts(CYCLE, lambda n, h: cycle_count(n, h),
-                         lambda n, h: cycle_edges(n, h)),
-            h_cap=6, n_cap=20, oracle=True)),
-    ("hamming-distance-covers",
-     "cover pairs coincide with Hamming-distance-1 pairs",
-     _sweep(_hamming_distance_covers, h_cap=6, n_cap=12, oracle=True)),
-    ("small-cycle-star-poset",
-     "complete cycle powers give star-shaped diagrams",
-     _sweep(_small_cycle_star_poset, n_cap=16, oracle=True)),
-    ("hypercube-specialization",
-     "gap 0 reproduces Boolean-lattice counts 2^n and n*2^(n-1)",
-     _sweep(_hypercube_specialization, h_cap=0)),
-    ("classical-fibonacci-bridge",
-     "gap 1 path counts/edges reproduce classical Fibonacci identities",
-     _run_classical_fibonacci_bridge),
-    ("classical-lucas-bridge",
-     "gap 1 cycle counts/edges reproduce classical Lucas identities",
-     _run_classical_lucas_bridge),
-)
+def _registry():
+    """The identity rows (id, description, runner), built anew on every call
+    so that each row's routes are the ones bound in this module right now."""
+    return (
+        ("path-count-recurrence",
+         "path totals: closed-form sum equals delayed recurrence",
+         _agree(path_count, path_count_rec, n_cap=30)),
+        ("cycle-count-recurrence",
+         "cycle totals: closed-form sum equals delayed recurrence",
+         _agree(cycle_count, cycle_count_rec, n_cap=30)),
+        # F(i) equals the path total at i-h-1, with negative indices clamped to 1.
+        ("fib-matches-path-counts",
+         "delayed Fibonacci terms are shifted path totals",
+         _agree(lambda i, h: path_count_clamped(i - h - 1, h), lambda i, h: h_fibonacci(h, i),
+                n_lo=lambda h: 1)),
+        # L(i) equals the cycle total at i-1 once i >= h+2.
+        ("lucas-matches-cycle-counts",
+         "delayed Lucas terms are shifted cycle totals",
+         _agree(lambda i, h: cycle_count(i - 1, h), lambda i, h: h_lucas(h, i),
+                n_lo=lambda h: h + 2)),
+        ("path-edges-convolution",
+         "path diagram edges equal Fibonacci self-convolution",
+         _agree(path_edges, path_edges_conv)),
+        ("cycle-edges-closed-form",
+         "cycle diagram edges equal n times a Fibonacci term",
+         _agree(cycle_edges, cycle_edges_closed, n_lo=lambda h: h + 1)),
+        ("cycle-edges-convolution",
+         "cycle diagram edges equal Fibonacci-Lucas convolution",
+         _agree(cycle_edges, cycle_edges_conv, n_lo=lambda h: h + 1)),
+        # L(n+1) = F(n) + (h+1) F(n-h) for n > h.
+        ("lucas-from-fibonacci",
+         "Lucas terms decompose into two Fibonacci terms",
+         _agree(lambda n, h: h_fibonacci(h, n) + (h + 1) * h_fibonacci(h, n - h),
+                lambda n, h: h_lucas(h, n + 1), n_lo=lambda h: h + 1)),
+        # Splitting a cycle at a vertex or at a wrap pair leaves path segments:
+        # c(n-h-1, k-1) = p(n-2h-1, k-1) + h*p(n-3h-2, k-2) once n > 3h+2.
+        ("path-cycle-count-bridge",
+         "cycle per-size counts from path counts via vertex/pair splitting",
+         _agree(lambda n, h, k: cycle_count_k(n - h - 1, h, k - 1),
+                lambda n, h, k: (path_count_k(n - 2 * h - 1, h, k - 1)
+                                 + h * path_count_k(n - 3 * h - 2, h, k - 2)),
+                ks=lambda n, h: range(1, max_subset_size(n - h - 1, h) + 2),
+                n_lo=lambda h: 3 * h + 3)),
+        ("edge-count-by-vertex-sums",
+         "per-vertex membership counts sum to the edge count",
+         _sweep(_edge_count_by_vertex_sums, h_cap=5, n_cap=25, n_lo=lambda h: 1)),
+        ("vertex-split-product",
+         "membership counts through a vertex factor into segment totals",
+         _sweep(_vertex_split_product, h_cap=5, n_cap=25, n_lo=lambda h: 1)),
+        ("extended-fibonacci-agreement",
+         "negatively-indexed Fibonacci extension matches the plain sequence",
+         _agree(lambda n, h: h_fibonacci(h, n), lambda n, h: extended_fib(h, n),
+                h_lo=2, n_lo=lambda h: 1)),
+        ("extended-lucas-agreement",
+         "negatively-indexed Lucas extension matches the plain sequence",
+         _agree(lambda n, h: h_lucas(h, n), lambda n, h: extended_lucas(h, n),
+                h_lo=2, n_lo=lambda h: 1)),
+        # Dropping the gap by one while shrinking n by k-1 preserves the count;
+        # k <= n+1 keeps the shrunk n nonnegative.
+        ("path-count-shift-symmetry",
+         "per-size path counts shift between neighboring gaps",
+         _agree(path_count_k, lambda n, h, k: path_count_k(n - k + 1, h - 1, k),
+                ks=lambda n, h: range(min(n, max_subset_size(n, h)) + 2), h_lo=1)),
+        ("exact-arithmetic-sanity",
+         "counts are nonnegative and cycle divisions are exact",
+         _sweep(_exact_arithmetic_sanity)),
+        ("oracle-path-counts",
+         "exhaustive path enumeration matches closed forms (per size and total)",
+         _sweep(_oracle_counts(PATH, path_count_k, path_count), h_cap=6, n_cap=20, oracle=True)),
+        ("oracle-cycle-counts",
+         "exhaustive cycle enumeration matches closed forms (per size and total)",
+         _sweep(_oracle_counts(CYCLE, cycle_count_k, cycle_count), h_cap=6, n_cap=20,
+                oracle=True)),
+        ("independence-characterizations",
+         "gap condition == graph independence == substring avoidance",
+         _run_independence_characterizations),
+        ("subset-shift-bijection",
+         "index-spreading bijection is injective, valid, and invertible",
+         _sweep(_subset_shift_bijection, h_cap=4, n_cap=14, oracle=True)),
+        ("vertex-membership-counts",
+         "per-vertex membership formula matches exhaustive tallies",
+         _sweep(_vertex_membership_counts, h_cap=4, n_cap=16, n_lo=lambda h: 1, oracle=True)),
+        ("cube-path-counts",
+         "path diagram vertex/cover counts match closed forms",
+         _sweep(_cube_counts(PATH, path_count, path_edges), h_cap=6, n_cap=20, oracle=True)),
+        ("cube-cycle-counts",
+         "cycle diagram vertex/cover counts match closed forms",
+         _sweep(_cube_counts(CYCLE, cycle_count, cycle_edges), h_cap=6, n_cap=20, oracle=True)),
+        ("hamming-distance-covers",
+         "cover pairs coincide with Hamming-distance-1 pairs",
+         _sweep(_hamming_distance_covers, h_cap=6, n_cap=12, oracle=True)),
+        ("small-cycle-star-poset",
+         "complete cycle powers give star-shaped diagrams",
+         _sweep(_small_cycle_star_poset, n_cap=16, oracle=True)),
+        ("hypercube-specialization",
+         "gap 0 reproduces Boolean-lattice counts 2^n and n*2^(n-1)",
+         _sweep(_hypercube_specialization, h_cap=0)),
+        ("classical-fibonacci-bridge",
+         "gap 1 path counts/edges reproduce classical Fibonacci identities",
+         _sweep(_classical_fibonacci_bridge, h_lo=1, h_cap=1)),
+        ("classical-lucas-bridge",
+         "gap 1 cycle counts/edges reproduce classical Lucas identities",
+         _sweep(_classical_lucas_bridge, h_lo=1, h_cap=1, n_lo=lambda h: 2)),
+    )
 
-ALL_IDENTITY_IDS = tuple(entry[0] for entry in _REGISTRY)
+
+ALL_IDENTITY_IDS = tuple(row[0] for row in _registry())
 
 if len(set(ALL_IDENTITY_IDS)) != len(ALL_IDENTITY_IDS):
     raise RuntimeError("duplicate identity id")
@@ -469,7 +463,7 @@ def run_suite(n_max: int = 40, h_max: int = 10, oracle_n_max: int = 16) -> list[
                          f"h_max={h_max}, oracle_n_max={oracle_n_max}")
     bounds = Bounds(n_max, h_max, oracle_n_max)
     reports = []
-    for identity, description, runner in _REGISTRY:
+    for identity, description, runner in _registry():
         tally = _Tally()
         try:
             runner(bounds, tally)

@@ -9,6 +9,11 @@ import sys
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import fibcubes.cli as cli
 from fibcubes import counting
 from fibcubes.counting import path_count_rec
@@ -421,6 +426,34 @@ def test_stderr_closed_at_start_keeps_exit_code(argv, code, stdout):
     out = subprocess.run(["sh", "-c", '"$@" 2>&-', "sh", *cmd], stdout=subprocess.PIPE,
                          text=True, env=env, timeout=60)
     assert (out.returncode, out.stdout) == (code, stdout)
+
+
+def test_count_at_huge_h_is_quick():
+    # The closed route takes one diagonal step here, of one factor; a step of
+    # h+1 factors would multiply numbers of billions of digits.
+    cmd, env = _python_m_fibcubes("count", "path", "1", "1000000000")
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=30)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "2\n", "")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+
+@pytest.mark.skipif(resource is None or not hasattr(resource, "RLIMIT_AS"),
+                    reason="no RLIMIT_AS")
+@pytest.mark.parametrize("argv", [
+    ["count", "path", "1000000005", "1000000000", "--route", "recurrence"],
+    ["count", "path-edges", "1000000005", "1000000000", "--route", "conv"],
+    ["count", "path", "40", "0", "--route", "oracle", "--cap", "40"],
+    ["cube", "path", "30", "0", "--cap", "30"],
+], ids=["recurrence", "conv", "oracle", "cube"])
+def test_out_of_memory_is_capacity_error(argv):
+    # Each command outgrows a 300 MB address space within seconds.
+    cmd, env = _python_m_fibcubes(*argv)
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120,
+                         preexec_fn=_limit_address_space)
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", "error: out of memory\n")
 
 
 # --- integers past the interpreter's int-to-str digit limit -------------------

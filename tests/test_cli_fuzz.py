@@ -4,6 +4,9 @@ its documented exit codes, never with an exception or a traceback.
 Each case runs ``cli.main`` in process with stdout and stderr redirected to
 ``StringIO``; the extents stay small enough for the whole run to take a few
 seconds (n <= 14 where a command enumerates, verify bounds <= (8, 3, 7)).
+``count`` and ``table`` also draw h from 10^5..10^9, where a step that costs
+O(h) would show; ``seq F-ext``/``L-ext`` do not, since their output starts
+at -h.
 """
 
 import contextlib
@@ -17,6 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import fibcubes.cli as cli  # noqa: E402
 
 SIGNED = st.integers(-3, 8)
+LARGE_H = st.integers(10**5, 10**9)
 CAP = st.one_of(st.none(), st.integers(-2, 24))
 H_TEXT = st.one_of(
     st.builds(str, st.integers(-2, 12)),
@@ -38,7 +42,7 @@ def cap_opt():
 @st.composite
 def table_argv(draw):
     return (["table", draw(st.sampled_from(["pk", "ck", "p", "c", "F", "L", "H", "M"]))]
-            + draw(opt("--h", H_TEXT))
+            + draw(opt("--h", st.one_of(H_TEXT, st.builds(str, LARGE_H))))
             + draw(opt("--n-max", st.integers(-2, 14)))
             + draw(opt("--k-max", st.integers(-2, 10)))
             + draw(st.sampled_from([[], ["--paper-layout"]]))
@@ -68,7 +72,7 @@ def count_argv(draw):
              else st.one_of(st.integers(-2, 40), st.integers(21_000, 25_000)))
     k = draw(st.one_of(st.none(), st.integers(-4, 12)))
     return (["count", draw(st.sampled_from(["path", "cycle", "path-edges", "cycle-edges"])),
-             str(n), str(draw(SIGNED))]
+             str(n), str(draw(st.one_of(SIGNED, LARGE_H)))]
             + ([] if k is None else [str(k)])
             + ["--route", route]
             + draw(cap_opt()))

@@ -460,6 +460,27 @@ def test_conv_cost_follows_the_index_not_h(fn, n):
     assert peak < 1 << 20, f"peak {peak} bytes"
 
 
+H_LARGE = 10**5
+
+
+@pytest.mark.parametrize("fn,n,expected", [
+    (path_count, 1, 2),
+    (path_edges, 1, 1),
+    (cycle_count, 2 * H_LARGE + 2, 3 * H_LARGE + 4),
+    (cycle_edges, 2 * H_LARGE + 2, 4 * H_LARGE + 4),
+])
+def test_closed_step_cost_follows_the_size_not_h(fn, n, expected):
+    # A diagonal step from size k multiplies and divides min(k, h) + 1
+    # factors; h+1 factors would build products near (h+1)! here.
+    tracemalloc.start()
+    try:
+        assert fn(n, H_LARGE) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, f"peak {peak} bytes"
+
+
 def test_convolve_rejects_mixed_h_and_bad_index():
     with pytest.raises(ValueError):
         convolve(fibonacci_sequence(1), fibonacci_sequence(2), 4)

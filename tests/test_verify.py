@@ -75,6 +75,19 @@ def test_suite_vacuous_bounds_still_pass():
     assert all(r.status == "pass" for r in verify.run_suite(0, 0, 0))
 
 
+def test_h_max_bounds_every_identity():
+    # Exactly the identities whose rows start at h >= 1 sweep nothing at
+    # --h-max 0; every other one still runs its h = 0 row.
+    reports = verify.run_suite(40, 0, 16)
+    assert {r.identity for r in reports if r.checked == 0} == {
+        "classical-fibonacci-bridge",
+        "classical-lucas-bridge",
+        "extended-fibonacci-agreement",
+        "extended-lucas-agreement",
+        "path-count-shift-symmetry",
+    }
+
+
 @pytest.mark.parametrize("bounds", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
 def test_suite_rejects_negative_bounds(bounds):
     with pytest.raises(ValueError, match="nonnegative"):
