@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 
 from . import counting, cube, enumeration, verify
@@ -36,15 +37,21 @@ from .counting import (
     HSequence,
     cycle_count,
     cycle_count_k,
+    cycle_count_k_row,
     cycle_count_rec,
+    cycle_count_row,
     cycle_edges,
     cycle_edges_conv,
+    cycle_edges_row,
     max_subset_size,
     path_count,
     path_count_k,
+    path_count_k_row,
     path_count_rec,
+    path_count_row,
     path_edges,
     path_edges_conv,
+    path_edges_row,
 )
 from .enumeration import DEFAULT_CAP, CapacityError
 from .graphs import CYCLE, PATH, GapGraph, edgelist_text, graph_dot
@@ -115,12 +122,13 @@ def _discard(stream) -> None:
 
 def _parse_h_range(text: str) -> tuple[int, int]:
     """Parse "2" or "0:10" into an inclusive (lo, hi) range."""
-    lo, _, hi = text.partition(":")
-    a = int(lo)
-    b = int(hi) if hi else a
-    if a < 0 or b < a:
+    match = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", text)
+    if match is None:
         raise ValueError(f"bad h range {text!r}")
-    return a, b
+    lo, hi = (int(v) for v in match.groups(match[1]))  # "2" means 2:2
+    if hi < lo:
+        raise ValueError(f"bad h range {text!r}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +190,22 @@ def _cmd_table(args) -> int:
         rows = list(range(k_max + 1))
         if not rows:
             raise ValueError(f"empty row range: k runs 0..{k_max}")
-        count_k = path_count_k if which == "pk" else cycle_count_k
-        text = _render_grid(args.format, "k", rows, cols,
-                            lambda k: [count_k(n, h, k) for n in cols])
+        row_k = path_count_k_row if which == "pk" else cycle_count_k_row
+        text = _render_grid(args.format, "k", rows, cols, lambda k: row_k(n_max, h, k))
     else:
+        # Every row is one linear pass over its columns: 0..n_max, except
+        # the F and L columns, which run 1..n_max.
         paper = args.paper_layout
         row_values = {
-            "p": lambda hh: [path_count(n, hh) for n in cols],
-            "c": lambda hh: [cycle_count(n, hh) for n in cols],
-            # F and L columns run 1..n_max: one prefix of the sequence.
+            "p": lambda hh: path_count_row(n_max, hh),
+            "c": lambda hh: cycle_count_row(n_max, hh),
             "F": lambda hh: HSequence(FIBONACCI, hh).prefix(n_max),
             "L": lambda hh: HSequence(LUCAS, hh).prefix(n_max),
-            "H": lambda hh: [path_edges(n, hh) for n in cols],
+            "H": lambda hh: path_edges_row(n_max, hh),
             # The published edge table prints 0 in the n <= h corner it makes
             # no claim about; the library value there is cycle_edges itself.
-            "M": lambda hh: [0 if paper and n <= hh else cycle_edges(n, hh) for n in cols],
+            "M": lambda hh: [0 if paper and n <= hh else e
+                             for n, e in enumerate(cycle_edges_row(n_max, hh))],
         }
         text = _render_grid(args.format, "h", list(range(h_lo, h_hi + 1)), cols,
                             row_values[which])

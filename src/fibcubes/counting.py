@@ -34,6 +34,17 @@ Conventions used throughout:
   recurrence, driven by a through a short numerator taken from b's seeds,
   so :func:`convolve` costs a few big-integer additions per index instead
   of one big-integer product per index, and keeps at most h+1 of its values.
+  One private generator streams g(1), g(2), ...; :func:`convolve` keeps
+  its last value.
+* The row functions (``path_count_row``, ``cycle_count_row``,
+  ``path_edges_row``, ``cycle_edges_row``, ``path_count_k_row``,
+  ``cycle_count_k_row``) give one quantity for n = 0..n_max in one linear
+  pass, which is what a table row needs: the totals are prefixes of the
+  path- and cycle-total sequences, path edges the prefix of the streamed
+  F * F convolution, cycle edges n * F(n-h) read off one prefix of F, and
+  the per-size counts binomials stepped along n by
+  C(m+1, k) = C(m, k) * (m+1) / (m+1-k).  The per-cell functions stay the
+  closed forms that the rows are checked against.
 """
 
 from __future__ import annotations
@@ -69,6 +80,12 @@ __all__ = [
     "cycle_edges",
     "cycle_edges_closed",
     "cycle_edges_conv",
+    "path_count_row",
+    "cycle_count_row",
+    "path_edges_row",
+    "cycle_edges_row",
+    "path_count_k_row",
+    "cycle_count_k_row",
     "t_count",
     "max_subset_size",
 ]
@@ -89,11 +106,15 @@ def binom(m: int, k: int) -> int:
     return math.comb(m, k)
 
 
+def _require_gap(h: int) -> None:
+    if h < 0:
+        raise ValueError(f"h must be nonnegative, got h={h}")
+
+
 def max_subset_size(n: int, h: int) -> int:
     """Largest k for which a power-of-path/cycle on n vertices can have an
     independent k-subset: ceil(n / (h+1))."""
-    if h < 0:
-        raise ValueError(f"h must be nonnegative, got h={h}")
+    _require_gap(h)
     return -(-n // (h + 1))
 
 
@@ -132,8 +153,7 @@ def path_count_k(n: int, h: int, k: int) -> int:
     the same as choosing k items from n - h*(k-1) slots.  A negative n is
     allowed and follows the binomial convention (the empty set only).
     """
-    if h < 0:
-        raise ValueError(f"h must be nonnegative, got h={h}")
+    _require_gap(h)
     return binom(n - h * k + h, k)
 
 
@@ -404,9 +424,15 @@ def convolve(a: HSequence, b: HSequence, n: int) -> int:
         raise ValueError(f"cannot convolve sequences with h={a.h} and h={b.h}")
     if n < 1:
         raise ValueError("convolution index must be >= 1")
+    return deque(_convolution(a, b, n), maxlen=1).pop()
+
+
+def _convolution(a: HSequence, b: HSequence, n: int) -> Iterator[int]:
+    """Yield g(1), ..., g(n) of :func:`convolve`'s recurrence (n >= 0)."""
     beta = b.numerator(n)
     if not beta:  # b vanishes on 1..n
-        return 0
+        yield from repeat(0, n)
+        return
     one = 1 - a.min_index
     copies = tee(islice(a, one, one + n), len(beta))
     drive = None
@@ -416,13 +442,16 @@ def convolve(a: HSequence, b: HSequence, n: int) -> int:
         if c != 1:
             shifted = map(mul, repeat(c), shifted)
         drive = shifted if drive is None else map(add, drive, shifted)
-    # g(j-m) .. g(j-1).  With m = n <= h, window[0] stands for g(j-h-1),
-    # which is 0 like g(j-m) for every j <= n.
+    # g(j-m) .. g(j-1), g(j-1) also held as g.  With m = n <= h, window[0]
+    # stands for g(j-h-1), which is 0 like g(j-m) for every j <= n.
     m = min(b.h + 1, n)
     window = deque([0] * m, maxlen=m)
+    append = window.append
+    g = 0
     for d in islice(drive, n):
-        window.append(window[-1] + window[0] + d)
-    return window[-1]
+        g += window[0] + d
+        append(g)
+        yield g
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +504,74 @@ def cycle_edges_conv(n: int, h: int) -> int:
     if n <= h:
         raise ValueError(f"convolution form needs n > h, got n={n} h={h}")
     return convolve(HSequence(FIBONACCI, h), HSequence(LUCAS, h), n - h)
+
+
+# ---------------------------------------------------------------------------
+# Table rows: one quantity for n = 0..n_max in one linear pass
+# ---------------------------------------------------------------------------
+
+def path_count_row(n_max: int, h: int) -> list[int]:
+    """path_count(n, h) for n = 0..n_max: a prefix of the path totals."""
+    return HSequence(_PATH_TOTALS, h).prefix(n_max)
+
+
+def cycle_count_row(n_max: int, h: int) -> list[int]:
+    """cycle_count(n, h) for n = 0..n_max: a prefix of the cycle totals."""
+    return HSequence(_CYCLE_TOTALS, h).prefix(n_max)
+
+
+def path_edges_row(n_max: int, h: int) -> list[int]:
+    """path_edges(n, h) for n = 0..n_max: 0, then the self-convolution of
+    the delayed-Fibonacci sequence at 1..n_max."""
+    f = HSequence(FIBONACCI, h)
+    return [0, *_convolution(f, f, n_max)] if n_max >= 0 else []
+
+
+def cycle_edges_row(n_max: int, h: int) -> list[int]:
+    """cycle_edges(n, h) for n = 0..n_max: 0 at n = 0, the n singleton
+    edges for 0 < n <= h, and n * F(n-h) beyond, all from one prefix of F."""
+    fib = HSequence(FIBONACCI, h).prefix(n_max - h)  # F(1..n_max-h)
+    star = range(min(h, n_max) + 1)
+    return [*star, *map(mul, range(h + 1, n_max + 1), fib)]
+
+
+def _binomial_row(m: int, k: int, count: int) -> list[int]:
+    """C(m, k), C(m+1, k), ..., ``count`` terms by the subset convention
+    of :func:`binom`, each from the one before by
+    C(m+1, k) = C(m, k) * (m+1) / (m+1-k)."""
+    if k <= 0:
+        return [int(k == 0)] * count
+    lead = min(max(k - m, 0), count)  # C(top, k) = 0 while top < k
+    row = [0] * lead
+    top = max(m, k)
+    b = math.comb(top, k)
+    for _ in range(count - lead):
+        row.append(b)
+        top += 1
+        b = b * top // (top - k)
+    return row
+
+
+def path_count_k_row(n_max: int, h: int, k: int) -> list[int]:
+    """path_count_k(n, h, k) for n = 0..n_max: C(n - h*k + h, k) stepped
+    along n."""
+    _require_gap(h)
+    return _binomial_row(h - h * k, k, n_max + 1)
+
+
+def cycle_count_k_row(n_max: int, h: int, k: int) -> list[int]:
+    """cycle_count_k(n, h, k) for n = 0..n_max: n * C(n - h*k - 1, k - 1) / k
+    with C stepped along n, each division checked exact."""
+    _require_gap(h)
+    if k <= 0:
+        return [int(k == 0)] * (n_max + 1)
+    row = []
+    for n, b in enumerate(_binomial_row(-h * k - 1, k - 1, n_max + 1)):
+        c, rest = divmod(n * b, k)
+        if rest:
+            raise ArithmeticError(f"inexact division for cycle count n={n} h={h} k={k}")
+        row.append(c)
+    return row
 
 
 # ---------------------------------------------------------------------------

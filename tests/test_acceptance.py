@@ -71,6 +71,41 @@ def test_reference_table_reproduction(tmp_path):
     _finish("table-reproduction", started, 5.0)
 
 
+# (row r, column n, the run's --h) -> the per-cell closed form of that table.
+# `table` renders rows in one pass, so this keeps the published cells pinned
+# to the closed forms themselves.
+CELL_FORMS = {
+    "pk": lambda k, n, h: path_count_k(n, h, k),
+    "ck": lambda k, n, h: cycle_count_k(n, h, k),
+    "p": lambda h, n, _: path_count(n, h),
+    "c": lambda h, n, _: cycle_count(n, h),
+    "F": lambda h, n, _: h_fibonacci(h, n),
+    "L": lambda h, n, _: h_lucas(h, n),
+    "H": lambda h, n, _: path_edges(n, h),
+    # The published edge table prints 0 in its n <= h corner.
+    "M": lambda h, n, _: 0 if n <= h else cycle_edges(n, h),
+}
+
+
+def test_reference_tables_match_closed_forms():
+    started = time.perf_counter()
+    cells = 0
+    for golden_name, argv in TABLE_RUNS:
+        form = CELL_FORMS[argv[1]]
+        run_h = int(argv[3]) if argv[2] == "--h" else None
+        header, *lines = (GOLDEN / golden_name).read_text().splitlines()
+        cols = [int(c.rpartition("=")[2]) for c in header.split("\t")[1:]]
+        for line in lines:
+            label, *values = line.split("\t")
+            r = int(label.rpartition("=")[2])
+            assert len(values) == len(cols), (golden_name, label)
+            for n, v in zip(cols, values):
+                assert int(v) == form(r, n, run_h), (golden_name, r, n)
+                cells += 1
+    assert cells == 1728
+    _finish("table-closed-forms", started, 1.0)
+
+
 # -- 2. path-edge convolution identity -------------------------------------------
 
 

@@ -187,6 +187,13 @@ def test_table_usage_errors(argv, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", ["1:", ":3", "0x1"])
+def test_table_rejects_malformed_h_range(text, capsys):
+    # Only INT or INT:INT; "1:" used to read as --h 1.
+    assert run(["table", "p", "--h", text, "--n-max", "3"], capsys) == (
+        2, "", f"error: bad h range '{text}'\n")
+
+
 @pytest.mark.parametrize("which", ["pk", "ck"])
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
 def test_table_empty_k_range_is_usage_error(which, fmt, capsys):
@@ -488,7 +495,8 @@ def test_count_prints_values_past_the_digit_limit(capsys):
 def test_seq_and_table_print_values_past_the_digit_limit(monkeypatch, capsys):
     big = 7 * 10 ** 5000 + 3
     monkeypatch.setattr(counting, "_fib_base", lambda h, n: big + n)
-    monkeypatch.setattr(cli, "path_count", lambda n, h: -big - n)
+    monkeypatch.setattr(cli, "path_count_row",
+                        lambda n_max, h: [-big - n for n in range(n_max + 1)])
     seq_argv = ["seq", "F", "--h", "1", "--n-max", "2"]
     table_argv = ["table", "p", "--h", "0", "--n-max", "1"]
     with digit_limit(4300):

@@ -22,3 +22,22 @@ def test_routes_agree_at_random_sizes(n, h):
     if n > h:
         edges = counting.cycle_edges(n, h)
         assert edges == counting.cycle_edges_closed(n, h) == counting.cycle_edges_conv(n, h)
+
+
+# Each table row against its per-cell route; a few cells per row, since the
+# per-cell closed forms are quadratic in n.
+ROWS = [("path_count_row", "path_count"), ("cycle_count_row", "cycle_count"),
+        ("path_edges_row", "path_edges"), ("cycle_edges_row", "cycle_edges")]
+SIZE_ROWS = [("path_count_k_row", "path_count_k"), ("cycle_count_k_row", "cycle_count_k")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_max=st.integers(0, 2000), h=st.integers(0, 40), data=st.data())
+def test_rows_match_cells_at_random_sizes(n_max, h, data):
+    ns = data.draw(st.lists(st.integers(0, n_max), max_size=3)) + [n_max]
+    k = data.draw(st.integers(0, counting.max_subset_size(n_max, h) + 2))
+    for row, cell, args in [(r, c, ()) for r, c in ROWS] + [(r, c, (k,)) for r, c in SIZE_ROWS]:
+        values = getattr(counting, row)(n_max, h, *args)
+        assert len(values) == n_max + 1, row
+        cells = [getattr(counting, cell)(n, h, *args) for n in ns]
+        assert [values[n] for n in ns] == cells, row
