@@ -1,32 +1,28 @@
-"""Command-line interface.
+"""Command-line interface: ``table``, ``cube``, ``graph``, ``count``, ``seq``
+and ``verify``.
 
-Subcommands:
+``_COMMANDS`` declares each command once: its handler, its one-line help and
+its arguments.  ``_parse`` reads argv against it and ``--help`` renders it.
 
-* ``table``  -- render count/sequence tables (tsv, csv, json)
-* ``cube``   -- export an inclusion diagram (dot, json, edgelist)
-* ``graph``  -- export a path/cycle power (edgelist, dot)
-* ``count``  -- print one exact count, selectable computation route
-* ``seq``    -- dump a delayed Fibonacci/Lucas sequence
-* ``verify`` -- run the identity cross-check suite
-
-Exit codes: 0 success, 1 verification failure, 2 usage error (a bad
-argument, a negative n, h or k, or output that cannot be written), 3 capacity
+Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
+argv, a negative n, h, k or cap, or output that cannot be written), 3 capacity
 error (beyond the enumeration cap, or out of memory).  All numeric output is
 full decimal, never scientific notation.
 
-Commands raise on bad input; ``_run`` alone turns an exception into an
-``error: ...`` line on stderr and an exit code.  Any other exception, such as
-an ``ArithmeticError`` from a broken internal invariant, propagates.
+Parsing and the commands raise on bad input; ``_run``, which does both, alone
+turns an exception into an ``error: ...`` line on stderr and an exit code.
+Any other exception, such as an ``ArithmeticError`` from a broken internal
+invariant, propagates.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from . import counting, cube, enumeration, verify
 from .counting import (
@@ -323,82 +319,144 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fibcubes",
-        description="Exact counts, diagrams, and identity checks for "
-                    "independent sets of path and cycle powers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Arg:
+    """A positional ``name`` or an option ``--name``: ``kind`` is ``int``,
+    ``str`` or ``None``, a bare flag that stores True when given."""
 
-    t = sub.add_parser("table", help="render a count/sequence table")
-    t.add_argument("which", choices=["pk", "ck", "p", "c", "F", "L", "H", "M"])
-    t.add_argument("--h", help="gap parameter, single value or lo:hi range")
-    t.add_argument("--n-max", type=int, default=None)
-    t.add_argument("--k-max", type=int, default=None)
-    t.add_argument("--paper-layout", action="store_true",
-                   help="reproduce the published table extents cell-for-cell")
-    t.add_argument("--format", default="tsv", choices=["tsv", "csv", "json"])
-    t.add_argument("--out", default=None)
-    t.set_defaults(func=_cmd_table)
+    def __init__(self, name, kind=str, choices=(), default=None, required=False, help="",
+                 nonnegative=False):
+        self.name, self.kind, self.choices, self.default = name, kind, choices, default
+        self.required, self.help, self.nonnegative = required, help, nonnegative
+        self.dest = name.lstrip("-").replace("-", "_")
 
-    c = sub.add_parser("cube", help="export an inclusion diagram")
-    c.add_argument("kind", choices=[PATH, CYCLE])
-    c.add_argument("n", type=int)
-    c.add_argument("h", type=int)
-    c.add_argument("--format", default="dot", choices=["dot", "json", "edgelist"])
-    c.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help=f"enumeration size cap (default {DEFAULT_CAP})")
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=_cmd_cube)
-
-    g = sub.add_parser("graph", help="export a path/cycle power")
-    g.add_argument("kind", choices=[PATH, CYCLE])
-    g.add_argument("n", type=int)
-    g.add_argument("h", type=int)
-    g.add_argument("--format", default="edgelist", choices=["edgelist", "dot"])
-    g.add_argument("--out", default=None)
-    g.set_defaults(func=_cmd_graph)
-
-    k = sub.add_parser("count", help="print one exact count")
-    k.add_argument("quantity",
-                   choices=["path", "cycle", "path-edges", "cycle-edges"],
-                   help="independent-set totals, or inclusion-diagram edges")
-    k.add_argument("n", type=int)
-    k.add_argument("h", type=int)
-    k.add_argument("k", type=int, nargs="?", default=None,
-                   help="subset size (set counts only)")
-    k.add_argument("--route", default="closed",
-                   choices=["closed", "recurrence", "conv", "oracle"])
-    k.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    k.add_argument("--out", default=None)
-    k.set_defaults(func=_cmd_count)
-
-    s = sub.add_parser("seq", help="dump a delayed Fibonacci/Lucas sequence")
-    s.add_argument("kind", choices=["F", "L", "F-ext", "L-ext"])
-    s.add_argument("--h", type=int, required=True)
-    s.add_argument("--n-max", type=int, default=15)
-    s.add_argument("--format", default="tsv", choices=["tsv", "json"])
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=_cmd_seq)
-
-    v = sub.add_parser("verify", help="run the identity cross-check suite")
-    v.add_argument("--n-max", type=int, default=40)
-    v.add_argument("--h-max", type=int, default=10)
-    v.add_argument("--oracle-n-max", type=int, default=16)
-    v.add_argument("--format", default="summary", choices=["summary", "json"])
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=_cmd_verify)
-
-    return parser
+    def convert(self, text: str):
+        if self.kind is None:  # "--flag" alone, never "--flag=text"
+            if text:
+                raise ValueError(f"argument {self.name}: ignored explicit argument {text!r}")
+            return True
+        try:
+            value = self.kind(text)
+        except ValueError:
+            raise ValueError(f"argument {self.name}: invalid int value: {text!r}") from None
+        if self.choices and value not in self.choices:
+            raise ValueError(f"argument {self.name}: invalid choice: {text!r} "
+                             f"(choose from {', '.join(map(repr, self.choices))})")
+        if self.nonnegative and value < 0:
+            raise ValueError(f"argument {self.name}: must be nonnegative, got {value}")
+        return value
 
 
-def _run(args) -> int:
-    """Run one command; the only place that turns errors into exit codes."""
+_GRAPH_KIND = _Arg("kind", choices=(PATH, CYCLE), required=True)
+_N, _H = _Arg("n", int, required=True), _Arg("h", int, required=True)
+_CAP = _Arg("--cap", int, default=DEFAULT_CAP, nonnegative=True,
+            help=f"enumeration size cap (default {DEFAULT_CAP})")
+_OUT = _Arg("--out")
+
+# command -> (handler, help, arguments): the one declaration argv is read against.
+_COMMANDS = {
+    "table": (_cmd_table, "render a count/sequence table", (
+        _Arg("which", choices=("pk", "ck", "p", "c", "F", "L", "H", "M"), required=True),
+        _Arg("--h", help="gap parameter, single value or lo:hi range"),
+        _Arg("--n-max", int), _Arg("--k-max", int),
+        _Arg("--paper-layout", None, default=False,
+             help="reproduce the published table extents cell-for-cell"),
+        _Arg("--format", choices=("tsv", "csv", "json"), default="tsv"), _OUT)),
+    "cube": (_cmd_cube, "export an inclusion diagram", (
+        _GRAPH_KIND, _N, _H, _Arg("--format", choices=("dot", "json", "edgelist"), default="dot"),
+        _CAP, _OUT)),
+    "graph": (_cmd_graph, "export a path/cycle power", (
+        _GRAPH_KIND, _N, _H, _Arg("--format", choices=("edgelist", "dot"), default="edgelist"),
+        _OUT)),
+    "count": (_cmd_count, "print one exact count", (
+        _Arg("quantity", choices=("path", "cycle", "path-edges", "cycle-edges"), required=True,
+             help="independent-set totals, or inclusion-diagram edges"),
+        _N, _H, _Arg("k", int, help="subset size (set counts only)"),
+        _Arg("--route", choices=("closed", "recurrence", "conv", "oracle"), default="closed"),
+        _CAP, _OUT)),
+    "seq": (_cmd_seq, "dump a delayed Fibonacci/Lucas sequence", (
+        _Arg("kind", choices=tuple(_SEQ_KINDS), required=True),
+        _Arg("--h", int, required=True), _Arg("--n-max", int, default=15),
+        _Arg("--format", choices=("tsv", "json"), default="tsv"), _OUT)),
+    "verify": (_cmd_verify, "run the identity cross-check suite", (
+        _Arg("--n-max", int, default=40), _Arg("--h-max", int, default=10),
+        _Arg("--oracle-n-max", int, default=16),
+        _Arg("--format", choices=("summary", "json"), default="summary"), _OUT)),
+}
+_COMMAND = _Arg("command", choices=tuple(_COMMANDS))
+_HELP = ("-h", "--help")
+_DESCRIPTION = ("fibcubes: exact counts, diagrams, and identity checks for independent sets "
+                "of path and cycle powers.  fibcubes <command> --help describes one command.")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _is_option(token: str) -> bool:
+    # A negative number or a lone "-" is a value, not an option.
+    return token[:1] == "-" and token != "-" and not _NEGATIVE_NUMBER.fullmatch(token)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Read argv against ``_COMMANDS`` into the namespace its handler takes;
+    a malformed argv raises ValueError, and ``-h``/``--help`` selects help.
+    Options go anywhere, as ``--flag value`` or ``--flag=value``; the last wins."""
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    if argv[0] in _HELP:
+        return SimpleNamespace(func=_cmd_help, command=None)
+    command = _COMMAND.convert(argv[0])
+    func, _, spec = _COMMANDS[command]
+    args = SimpleNamespace(func=func, command=command, **{a.dest: a.default for a in spec})
+    positionals = iter([a for a in spec if a.name[0] != "-"])
+    options = {a.name: a for a in spec if a.name[0] == "-"}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            return SimpleNamespace(func=_cmd_help, command=command)
+        if _is_option(token):
+            flag, eq, text = token.partition("=")
+            arg = options.get(flag)
+            if arg is not None and arg.kind is not None and not eq:
+                text = next(tokens, None)
+                if text is None or _is_option(text):
+                    raise ValueError(f"argument {flag}: expected one argument")
+        else:
+            arg, text = next(positionals, None), token
+        if arg is None:
+            raise ValueError(f"unrecognized arguments: {token}")
+        setattr(args, arg.dest, arg.convert(text))
+    missing = [a.name for a in spec if a.required and getattr(args, a.dest) is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return args
+
+
+def _usage(command: str) -> str:
+    words = ["fibcubes", command]
+    for a in _COMMANDS[command][2]:
+        meta = "{" + ",".join(a.choices) + "}" if a.choices else a.dest.upper()
+        word = meta if a.name[0] != "-" else a.name if a.kind is None else f"{a.name} {meta}"
+        words.append(word if a.required else f"[{word}]")
+    return " ".join(words)
+
+
+def _cmd_help(args) -> int:
+    # Every command's usage line, or one command's and a line per argument.
+    lines = [] if args.command else [_DESCRIPTION, ""]
+    for name in [args.command] if args.command else _COMMANDS:
+        _, summary, spec = _COMMANDS[name]
+        lines += [f"usage: {_usage(name)}", f"    {summary}"]
+        if args.command:
+            lines += ["", *(f"  {a.name:<16}{a.help}".rstrip() for a in spec)]
+    _emit("\n".join(lines) + "\n", None)
+    return EXIT_OK
+
+
+def _run(argv: list[str]) -> int:
+    """Parse and run one command; the only place that turns errors into exit codes."""
     try:
+        args = _parse(argv)
         return args.func(args)
     except (CapacityError, ValueError) as exc:
         _note(f"error: {exc}")
@@ -409,15 +467,15 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter with no digit limit
-        return _run(args)
+        return _run(argv)
     # Counts outgrow the default 4,300-digit int-to-str limit; lift it for the
     # command, in every output format, and restore it for in-process callers.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _run(args)
+        return _run(argv)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -128,6 +128,8 @@ def is_independent(g: GapGraph, mask: VertexMask) -> bool:
 def gap_check(mask: VertexMask, h: int, circular: bool = False) -> bool:
     """Whether all 1-bits are more than h apart (also around the wrap when
     circular).  Equivalent to independence in the matching gap graph."""
+    if h < 0:
+        raise ValueError(f"h must be nonnegative, got h={h}")
     bits, n = mask.bits, mask.n
     # Two set bits d apart meet under a shift by d.  On a cycle, bits n - d
     # apart are d apart the other way round.
@@ -193,6 +195,8 @@ def count_by_size(g: GapGraph, cap: int = DEFAULT_CAP) -> dict[int, int]:
 def bijection_f(subset, n: int, h: int) -> VertexMask:
     """Spread a k-subset of {1..n-hk+h} into an independent set of the path
     power: the j-th smallest index is shifted up by (j-1)*h."""
+    if h < 0:
+        raise ValueError(f"h must be nonnegative, got h={h}")
     idx = list(subset)
     k = len(idx)
     top = n - h * k + h

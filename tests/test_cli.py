@@ -99,9 +99,114 @@ def test_count_oracle_respects_cap(capsys):
 
 
 def test_unknown_quantity_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["count", "triangle", "5", "1"])
-    assert exc.value.code == 2
+    assert run(["count", "triangle", "5", "1"], capsys) == (
+        2, "", "error: argument quantity: invalid choice: 'triangle' "
+               "(choose from 'path', 'cycle', 'path-edges', 'cycle-edges')\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "path", "5", "1", "--route", "oracle", "--cap", "-2"],
+    ["count", "path", "5", "1", "--cap", "-2"],  # the closed route never reads it
+    ["cube", "path", "3", "1", "--cap", "-1"],
+    ["cube", "path", "3", "1", "--cap=-1"],
+])
+def test_negative_cap_is_usage_error(argv, capsys):
+    # Exit 2, not the capacity error 3: no size fits under a negative cap.
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument --cap: must be nonnegative, got -")
+    assert err.count("\n") == 1
+
+
+# --- argument parsing --------------------------------------------------------
+
+MALFORMED_ARGV = {
+    "no-command": ([], "the following arguments are required: command"),
+    "unknown-command": (["triangle", "5"], "argument command: invalid choice: 'triangle'"),
+    "unknown-flag": (["count", "path", "5", "1", "--bogus"], "unrecognized arguments: --bogus"),
+    "value-missing-at-end": (["count", "path", "5", "1", "--route"],
+                             "argument --route: expected one argument"),
+    "value-missing-before-flag": (["table", "p", "--n-max", "--format", "csv"],
+                                  "argument --n-max: expected one argument"),
+    "bad-int": (["count", "path", "x", "1"], "argument n: invalid int value: 'x'"),
+    "bad-int-option": (["verify", "--n-max=1.5"], "argument --n-max: invalid int value: '1.5'"),
+    "bad-choice": (["table", "p", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    "missing-positional": (["cube", "path", "3"], "the following arguments are required: h"),
+    "extra-positional": (["graph", "path", "3", "1", "7"], "unrecognized arguments: 7"),
+    "seq-without-h": (["seq", "F"], "the following arguments are required: --h"),
+    "abbreviated-flag": (["count", "path", "5", "1", "--rou", "oracle"],
+                         "unrecognized arguments: --rou"),
+    "value-on-bare-flag": (["table", "p", "--paper-layout=yes"],
+                           "argument --paper-layout: ignored explicit argument 'yes'"),
+}
+
+
+@pytest.mark.parametrize("argv,message", MALFORMED_ARGV.values(), ids=MALFORMED_ARGV)
+def test_malformed_argv_is_one_error_line(argv, message, capsys):
+    # Returned, not raised as SystemExit: parsing runs inside the one boundary.
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "path", "10", "2", "--route", "recurrence", "--out", "-"],
+    ["seq", "L-ext", "--h", "2", "--n-max", "6", "--format", "json"],
+    ["table", "pk", "--h", "2", "--k-max", "-1"],
+    ["verify", "--n-max", "3", "--h-max", "1", "--oracle-n-max", "3"],
+])
+def test_flag_equals_value_matches_flag_then_value(argv, capsys):
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        joined.append(f"{token}={next(tokens)}" if token.startswith("--") else token)
+    assert run(joined, capsys) == run(argv, capsys)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["count", "--route", "oracle", "path", "8", "3"], "19\n"),   # options first
+    (["count", "path", "8", "--route", "oracle", "3"], "19\n"),   # between positionals
+    (["count", "path", "8", "2", "--route", "oracle", "3"], "4\n"),  # trailing k
+    (["count", "path", "10", "2", "--route", "oracle", "--route", "closed"], "60\n"),
+    (["seq", "F", "--h", "5", "--h", "1", "--n-max", "2"], "1\t1\n2\t1\n"),
+])
+def test_options_in_any_position_last_one_wins(argv, expected, capsys):
+    assert run(argv, capsys) == (0, expected, "")
+
+
+def _flags(command):
+    return [a.name for a in cli._COMMANDS[command][2] if a.name.startswith("--")]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+def test_help_lists_every_command_and_flag(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    for command, (_, summary, _) in cli._COMMANDS.items():
+        assert f"fibcubes {command} " in out and summary in out
+        assert all(flag in out for flag in _flags(command)), command
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_command_help_lists_every_argument(command, capsys):
+    code, out, err = run([command, "--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: fibcubes {command} ")
+    for arg in cli._COMMANDS[command][2]:
+        assert arg.name in out and arg.help in out, arg.name
+    # -h after a whole, valid argv: help, and the command does not run.
+    assert run(CHEAP_COMMANDS[command] + ["-h"], capsys) == (0, out, "")
+
+
+def test_cli_leaves_argparse_gettext_and_locale_unloaded():
+    # Parsing costs no import: argparse alone, with gettext and locale behind
+    # it, took about 4.7 ms of every command.
+    code = ("import sys, fibcubes.cli; fibcubes.cli.main(['count', 'path', '10', '2']); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout == "60\n[]\n"
 
 
 # --- table -----------------------------------------------------------------
@@ -203,10 +308,11 @@ def test_table_empty_k_range_is_usage_error(which, fmt, capsys):
     assert err == "error: empty row range: k runs 0..-1\n"
 
 
-def test_table_unknown_kind_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["table", "X"])
-    assert exc.value.code == 2
+def test_table_unknown_kind_exits_2(capsys):
+    code, out, err = run(["table", "X"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument which: invalid choice: 'X' (choose from 'pk',")
+    assert err.count("\n") == 1
 
 
 def test_table_out_file(tmp_path, capsys):

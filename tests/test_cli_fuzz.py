@@ -1,5 +1,7 @@
 """Argv fuzz of the CLI: whatever the arguments, a command ends with one of
-its documented exit codes, never with an exception or a traceback.
+its documented exit codes, never with an exception or a traceback.  A
+malformed argv (a junk int, an unknown flag, a missing value, extra
+positionals) ends in exit 2 and one ``error:`` line, like any usage error.
 
 Each case runs ``cli.main`` in process with stdout and stderr redirected to
 ``StringIO``; the extents stay small enough for the whole run to take a few
@@ -95,18 +97,43 @@ def verify_argv(draw):
             + draw(opt("--format", st.sampled_from(["summary", "json"]))))
 
 
-ARGV = st.one_of(table_argv(), cube_argv(), graph_argv(), count_argv(), seq_argv(),
-                 verify_argv())
+WELL_FORMED = st.one_of(table_argv(), cube_argv(), graph_argv(), count_argv(), seq_argv(),
+                        verify_argv())
+JUNK_INTS = st.sampled_from(["x", "", "1.5", "0x1", "1e3", "--", "-x", "1 2"])
+UNKNOWN_FLAGS = st.sampled_from(["--bogus", "--rou", "--n", "--format-x", "-x", "--H"])
+
+
+@st.composite
+def malformed_argv(draw):
+    """A well-formed argv broken one way: a junk int, an unknown or abbreviated
+    flag, a flag with no value, or two extra positionals (count's optional k
+    takes at most one of them).  An argv with no int gets an unknown flag."""
+    argv = draw(WELL_FORMED)
+    how = draw(st.sampled_from(["junk-int", "unknown-flag", "missing-value", "extra-positionals"]))
+    ints = [i for i, token in enumerate(argv) if token.lstrip("-").isdigit()]
+    if how == "junk-int" and ints:
+        argv[draw(st.sampled_from(ints))] = draw(JUNK_INTS)
+    elif how == "extra-positionals":
+        argv += ["7", "7"]
+    elif how == "missing-value":
+        argv.append(draw(st.sampled_from(["--out", "--format"])))
+    else:
+        argv.insert(draw(st.integers(1, len(argv))), draw(UNKNOWN_FLAGS))
+    return argv
+
+
+ARGV = st.one_of(WELL_FORMED, malformed_argv())
 
 
 def negative_argument(argv) -> bool:
-    """Whether a positional n, h or k, or seq's --h, is a negative integer."""
+    """Whether a positional n, h or k, seq's --h or a --cap is a negative integer."""
     if argv[0] in ("count", "cube", "graph"):
         values = argv[2:5] if argv[0] == "count" else argv[2:4]
     elif argv[0] == "seq":
         values = argv[3:4]
     else:
-        return False
+        values = []
+    values += [argv[i + 1] for i, token in enumerate(argv[:-1]) if token == "--cap"]
     return any(v.lstrip("-").isdigit() and int(v) < 0 for v in values)
 
 
@@ -117,25 +144,34 @@ def out_paths(tmp_path_factory):
             "missing-dir": str(root / "missing" / "x"), "file": str(root / "file.txt")}
 
 
+def run_checked(argv) -> int:
+    """Run argv in process, check what every argv must meet, return the code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    allowed = {0, 1, 2, 3} if argv[:1] == ["verify"] else {0, 2, 3}
+    assert code in allowed, (argv, code, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
+    if code in (2, 3):
+        assert stderr.getvalue().startswith("error:"), (argv, stderr.getvalue())
+        assert stderr.getvalue().count("\n") == 1, (argv, stderr.getvalue())
+        assert stdout.getvalue() == "", argv
+    return code
+
+
 @settings(max_examples=300, deadline=None)
 @given(argv=ARGV, out_kind=st.sampled_from(OUT_KINDS))
 def test_every_argv_ends_in_a_documented_exit_code(out_paths, argv, out_kind):
     out = out_paths[out_kind]
     full = argv + ([] if out is None else ["--out", out])
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = cli.main(full)
-        except SystemExit as exc:  # argparse rejects the argv
-            assert exc.code == 2, full
-            return
-    allowed = {0, 1, 2, 3} if argv[0] == "verify" else {0, 2, 3}
-    assert code in allowed, (full, code, stderr.getvalue())
-    assert "Traceback" not in stderr.getvalue()
-    if code in (2, 3):
-        assert stderr.getvalue().startswith("error:"), (full, stderr.getvalue())
-        assert stdout.getvalue() == "", full
+    code = run_checked(full)
     if negative_argument(argv):
-        assert code == 2, (full, code, stdout.getvalue())
+        assert code == 2, (full, code)
     if out_kind in ("dir", "missing-dir"):
         assert code in (2, 3), (full, code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=malformed_argv())
+def test_malformed_argv_is_a_usage_error(argv):
+    assert run_checked(argv) == 2, argv

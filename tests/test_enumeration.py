@@ -128,6 +128,13 @@ def test_gap_check_examples():
     assert gap_check(VertexMask.from_string("00000"), 9, circular=True)
 
 
+@pytest.mark.parametrize("circular", [False, True])
+def test_gap_check_rejects_negative_gap(circular):
+    # No h-power has a negative h; True here would be a silent wrong answer.
+    with pytest.raises(ValueError, match="h must be nonnegative"):
+        gap_check(VertexMask(4, 0b0011), -2, circular)
+
+
 def test_gap_check_matches_independence_exhaustively():
     for h in range(4):
         for n in range(11):
@@ -229,6 +236,15 @@ def test_bijection_rejects_out_of_range_and_unsorted():
 def test_bijection_inverse_rejects_gap_violations():
     with pytest.raises(ValueError):
         bijection_f_inv(VertexMask.from_string("1100"), 1)
+
+
+def test_bijection_rejects_negative_gap():
+    # A shift down by a negative h spreads indices apart: (1, 2) went to the
+    # one-element mask 10000, and 1001 on four vertices to [1, 5].
+    with pytest.raises(ValueError, match="h must be nonnegative"):
+        bijection_f((1, 2), 5, -1)
+    with pytest.raises(ValueError, match="h must be nonnegative"):
+        bijection_f_inv(VertexMask(4, 0b1001), -1)
 
 
 def test_bijection_roundtrip_is_exhaustive_on_small_paths():
