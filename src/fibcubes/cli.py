@@ -13,6 +13,15 @@ Parsing and the commands raise on bad input; ``_run``, which does both, alone
 turns an exception into an ``error: ...`` line on stderr and an exit code.
 Any other exception, such as an ``ArithmeticError`` from a broken internal
 invariant, propagates.
+
+Output is streamed: ``table`` computes and writes one row at a time, ``seq``
+and ``graph`` a chunk of lines at a time, and ``_emit`` writes each chunk as
+it arrives, so memory stays flat in the size of the output (``cube`` and
+``verify`` build their text first and write it the same way).  Every usage
+check runs before the first byte is written.  ``--out`` to a regular file
+writes beside it and renames over it once the output is whole, so a command
+that fails midway leaves an existing file untouched.  JSON is the
+``json.dumps(..., indent=2)`` layout, written directly.
 """
 
 from __future__ import annotations
@@ -21,7 +30,9 @@ import contextlib
 import json
 import os
 import re
+import stat
 import sys
+from itertools import chain, count, islice
 from types import SimpleNamespace
 
 from . import counting, cube, enumeration, verify
@@ -49,8 +60,9 @@ from .counting import (
     path_edges_conv,
     path_edges_row,
 )
+from .cube import _chunks, _json_array
 from .enumeration import DEFAULT_CAP, CapacityError
-from .graphs import CYCLE, PATH, GapGraph, edgelist_text, graph_dot
+from .graphs import CYCLE, PATH, GapGraph, dot_lines, edgelist_lines
 
 __all__ = ["main", "script", "PAPER_TABLE_LAYOUTS"]
 
@@ -78,23 +90,56 @@ _PER_SIZE_TABLES = ("pk", "ck")
 _WRITE_SLICE = 1 << 20  # characters per write
 
 
-def _emit(text: str, out: str | None) -> None:
-    # A slice at a time: writing one large str encodes all of it into a
-    # second, byte copy first.  --out opens only now, after the command's
-    # work, so a command that fails leaves an existing file untouched.
+def _emit(chunks, out: str | None) -> None:
+    """Write the text ``chunks`` (a plain str is one chunk) to stdout, or to
+    the file ``out`` names, each as it arrives and a slice at a time:
+    writing one large str encodes all of it into a second, byte copy first.
+    """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     to_stdout = out is None or out == "-"
     if to_stdout and sys.stdout is None:  # the interpreter started with fd 1 closed
         raise ValueError("cannot write stdout: it is closed")
     try:
-        with contextlib.nullcontext(sys.stdout) if to_stdout else open(out, "w", encoding="utf-8") as fh:
-            for i in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[i:i + _WRITE_SLICE])
+        with contextlib.nullcontext(sys.stdout) if to_stdout else _out_file(out) as fh:
+            for chunk in chunks:
+                for i in range(0, len(chunk), _WRITE_SLICE):
+                    fh.write(chunk[i:i + _WRITE_SLICE])
             fh.flush()
     except OSError as exc:
         if to_stdout:
             _discard(sys.stdout)
         raise ValueError(f"cannot write {'stdout' if to_stdout else out}: "
                          f"{exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def _out_file(path: str):
+    # A regular file, new or existing, is written beside itself and renamed
+    # over the target only once whole, so a command that fails midway leaves
+    # an existing file untouched.  Any other target, such as /dev/null or a
+    # pipe, is written in place and never replaced.
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    folder, name = os.path.split(target)
+    tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w", encoding="utf-8")
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _note(line: str) -> None:
@@ -131,18 +176,23 @@ def _parse_h_range(text: str) -> tuple[int, int]:
 # table
 # ---------------------------------------------------------------------------
 
-def _render_grid(fmt: str, row_tag: str, rows: list, cols: list, row_values) -> str:
-    """One line per row against the n columns ``cols``; ``row_values(r)``
-    gives row ``r``'s values, one int per column."""
-    values = [row_values(r) for r in rows]
-    if fmt == "json":
-        payload = {"row": row_tag, "rows": rows, "col": "n", "cols": cols, "values": values}
-        return json.dumps(payload, indent=2) + "\n"
+def _render_grid(fmt: str, row_tag: str, rows: list, cols: list, row_values):
+    """Yield the grid of one line per row against the n columns ``cols``, a
+    row at a time; ``row_values(r)`` gives row ``r``'s values, one int per
+    column, and is called only when that row's chunk is wanted."""
+    if fmt == "json":  # json.dumps(payload, indent=2) + "\n", written directly
+        yield (f'{{\n  "row": {json.dumps(row_tag)},\n'
+               f'  "rows": {"".join(_json_array(map(str, rows), 1))},\n'
+               f'  "col": "n",\n  "cols": {"".join(_json_array(map(str, cols), 1))},\n'
+               f'  "values": ')
+        yield from _json_array(("".join(_json_array(map(str, row_values(r)), 2))
+                                for r in rows), 1)
+        yield "\n}\n"
+        return
     sep = "\t" if fmt == "tsv" else ","
-    labels = [f"{row_tag}={rows[0]}", *map(str, rows[1:])]
-    header = sep.join(["", f"n={cols[0]}", *map(str, cols[1:])]) + "\n"
-    return header + "".join(sep.join([label, *map(str, row)]) + "\n"
-                            for label, row in zip(labels, values))
+    yield sep.join(["", f"n={cols[0]}", *map(str, cols[1:])]) + "\n"
+    for label, r in zip([f"{row_tag}={rows[0]}", *map(str, rows[1:])], rows):
+        yield sep.join([label, *map(str, row_values(r))]) + "\n"
 
 
 def _cmd_table(args) -> int:
@@ -187,7 +237,7 @@ def _cmd_table(args) -> int:
         if not rows:
             raise ValueError(f"empty row range: k runs 0..{k_max}")
         row_k = path_count_k_row if which == "pk" else cycle_count_k_row
-        text = _render_grid(args.format, "k", rows, cols, lambda k: row_k(n_max, h, k))
+        grid = _render_grid(args.format, "k", rows, cols, lambda k: row_k(n_max, h, k))
     else:
         # Every row is one linear pass over its columns: 0..n_max, except
         # the F and L columns, which run 1..n_max.
@@ -203,10 +253,10 @@ def _cmd_table(args) -> int:
             "M": lambda hh: [0 if paper and n <= hh else e
                              for n, e in enumerate(cycle_edges_row(n_max, hh))],
         }
-        text = _render_grid(args.format, "h", list(range(h_lo, h_hi + 1)), cols,
+        grid = _render_grid(args.format, "h", list(range(h_lo, h_hi + 1)), cols,
                             row_values[which])
 
-    _emit(text, args.out)
+    _emit(grid, args.out)
     return EXIT_OK
 
 
@@ -229,8 +279,8 @@ def _cmd_cube(args) -> int:
 
 def _cmd_graph(args) -> int:
     g = GapGraph(args.kind, args.n, args.h)
-    text = edgelist_text(g) if args.format == "edgelist" else graph_dot(g)
-    _emit(text, args.out)
+    lines = edgelist_lines(g) if args.format == "edgelist" else dot_lines(g)
+    _emit(_chunks(lines), args.out)
     return EXIT_OK
 
 
@@ -294,12 +344,14 @@ _SEQ_KINDS = {"F": FIBONACCI, "L": LUCAS, "F-ext": EXTENDED_FIBONACCI,
 def _cmd_seq(args) -> int:
     seq = HSequence(_SEQ_KINDS[args.kind], args.h)
     start = seq.min_index
-    values = seq.prefix(args.n_max)
-    if args.format == "json":
-        payload = {"kind": args.kind, "h": args.h, "start": start, "values": values}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    terms = islice(seq, max(args.n_max - start + 1, 0))  # through n_max
+    if args.format == "json":  # json.dumps(payload, indent=2) + "\n", written directly
+        head = (f'{{\n  "kind": {json.dumps(args.kind)},\n  "h": {args.h},\n'
+                f'  "start": {start},\n  "values": ')
+        text = chain([head], _chunks(_json_array(map(str, terms), 1)), ["\n}\n"])
     else:
-        _emit("".join(f"{n}\t{v}\n" for n, v in enumerate(values, start)), args.out)
+        text = _chunks(f"{n}\t{v}\n" for n, v in zip(count(start), terms))
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -326,7 +378,7 @@ class _Arg:
     """A positional ``name`` or an option ``--name``: ``kind`` is ``int``,
     ``str`` or ``None``, a bare flag that stores True when given."""
 
-    def __init__(self, name, kind=str, choices=(), default=None, required=False, help="",
+    def __init__(self, name, kind=str, choices=(), default=None, required=False, *, help,
                  nonnegative=False):
         self.name, self.kind, self.choices, self.default = name, kind, choices, default
         self.required, self.help, self.nonnegative = required, help, nonnegative
@@ -349,43 +401,56 @@ class _Arg:
         return value
 
 
-_GRAPH_KIND = _Arg("kind", choices=(PATH, CYCLE), required=True)
-_N, _H = _Arg("n", int, required=True), _Arg("h", int, required=True)
+_GRAPH_KIND = _Arg("kind", choices=(PATH, CYCLE), required=True, help="which graph is powered")
+_N = _Arg("n", int, required=True, help="vertex count")
+_H = _Arg("h", int, required=True, help="power: vertices up to h apart are adjacent")
 _CAP = _Arg("--cap", int, default=DEFAULT_CAP, nonnegative=True,
-            help=f"enumeration size cap (default {DEFAULT_CAP})")
-_OUT = _Arg("--out")
+            help="largest n the enumeration accepts")
+_OUT = _Arg("--out", help="write to this file, not stdout; replaced only once complete")
 
 # command -> (handler, help, arguments): the one declaration argv is read against.
 _COMMANDS = {
     "table": (_cmd_table, "render a count/sequence table", (
-        _Arg("which", choices=("pk", "ck", "p", "c", "F", "L", "H", "M"), required=True),
+        _Arg("which", choices=("pk", "ck", "p", "c", "F", "L", "H", "M"), required=True,
+             help="per-size counts, totals, sequences or diagram edges"),
         _Arg("--h", help="gap parameter, single value or lo:hi range"),
-        _Arg("--n-max", int), _Arg("--k-max", int),
+        _Arg("--n-max", int, help="last column n (default 15)"),
+        _Arg("--k-max", int, help="last row k of pk/ck (default the largest subset size)"),
         _Arg("--paper-layout", None, default=False,
              help="reproduce the published table extents cell-for-cell"),
-        _Arg("--format", choices=("tsv", "csv", "json"), default="tsv"), _OUT)),
+        _Arg("--format", choices=("tsv", "csv", "json"), default="tsv", help="output format"),
+        _OUT)),
     "cube": (_cmd_cube, "export an inclusion diagram", (
-        _GRAPH_KIND, _N, _H, _Arg("--format", choices=("dot", "json", "edgelist"), default="dot"),
+        _GRAPH_KIND, _N, _H,
+        _Arg("--format", choices=("dot", "json", "edgelist"), default="dot",
+             help="export format"),
         _CAP, _OUT)),
     "graph": (_cmd_graph, "export a path/cycle power", (
-        _GRAPH_KIND, _N, _H, _Arg("--format", choices=("edgelist", "dot"), default="edgelist"),
+        _GRAPH_KIND, _N, _H,
+        _Arg("--format", choices=("edgelist", "dot"), default="edgelist", help="export format"),
         _OUT)),
     "count": (_cmd_count, "print one exact count", (
         _Arg("quantity", choices=("path", "cycle", "path-edges", "cycle-edges"), required=True,
              help="independent-set totals, or inclusion-diagram edges"),
         _N, _H, _Arg("k", int, help="subset size (set counts only)"),
-        _Arg("--route", choices=("closed", "recurrence", "conv", "oracle"), default="closed"),
+        _Arg("--route", choices=("closed", "recurrence", "conv", "oracle"), default="closed",
+             help="how the count is computed"),
         _CAP, _OUT)),
     "seq": (_cmd_seq, "dump a delayed Fibonacci/Lucas sequence", (
-        _Arg("kind", choices=tuple(_SEQ_KINDS), required=True),
-        _Arg("--h", int, required=True), _Arg("--n-max", int, default=15),
-        _Arg("--format", choices=("tsv", "json"), default="tsv"), _OUT)),
+        _Arg("kind", choices=tuple(_SEQ_KINDS), required=True,
+             help="Fibonacci or Lucas, -ext from index -h (needs h >= 2)"),
+        _Arg("--h", int, required=True, help="gap parameter"),
+        _Arg("--n-max", int, default=15, help="last index"),
+        _Arg("--format", choices=("tsv", "json"), default="tsv", help="output format"), _OUT)),
     "verify": (_cmd_verify, "run the identity cross-check suite", (
-        _Arg("--n-max", int, default=40), _Arg("--h-max", int, default=10),
-        _Arg("--oracle-n-max", int, default=16),
-        _Arg("--format", choices=("summary", "json"), default="summary"), _OUT)),
+        _Arg("--n-max", int, default=40, help="largest n of the algebraic sweeps"),
+        _Arg("--h-max", int, default=10, help="largest h of every sweep"),
+        _Arg("--oracle-n-max", int, default=16, help="largest n of the enumeration sweeps"),
+        _Arg("--format", choices=("summary", "json"), default="summary",
+             help="summary lines or the JSON report"),
+        _OUT)),
 }
-_COMMAND = _Arg("command", choices=tuple(_COMMANDS))
+_COMMAND = _Arg("command", choices=tuple(_COMMANDS), help="the command to run")
 _HELP = ("-h", "--help")
 _DESCRIPTION = ("fibcubes: exact counts, diagrams, and identity checks for independent sets "
                 "of path and cycle powers.  fibcubes <command> --help describes one command.")
@@ -441,6 +506,10 @@ def _usage(command: str) -> str:
     return " ".join(words)
 
 
+def _default(arg: _Arg) -> str:
+    return "" if arg.default is None or arg.kind is None else f" (default {arg.default})"
+
+
 def _cmd_help(args) -> int:
     # Every command's usage line, or one command's and a line per argument.
     lines = [] if args.command else [_DESCRIPTION, ""]
@@ -448,7 +517,7 @@ def _cmd_help(args) -> int:
         _, summary, spec = _COMMANDS[name]
         lines += [f"usage: {_usage(name)}", f"    {summary}"]
         if args.command:
-            lines += ["", *(f"  {a.name:<16}{a.help}".rstrip() for a in spec)]
+            lines += ["", *(f"  {a.name:<16}{a.help}" + _default(a) for a in spec)]
     _emit("\n".join(lines) + "\n", None)
     return EXIT_OK
 

@@ -28,8 +28,8 @@ Conventions used throughout:
   sequences, both also extended down to index -h, and the path and cycle
   totals (p(n) = n+1 for n <= h, c(n) = n+1 for n <= 2h+1) that give the
   recurrence route independently of the closed forms.  A sequence keeps no
-  memo: every use runs the recurrence from the seeds with a window of h+1
-  terms, so memory stays flat in n.
+  memo: every use runs the recurrence from the seeds with a window of at
+  most h+1 terms, so memory stays flat in n.
 * A convolution a * b of two such sequences obeys the same delayed
   recurrence, driven by a through a short numerator taken from b's seeds,
   so :func:`convolve` costs a few big-integer additions per index instead
@@ -300,9 +300,11 @@ class HSequence:
     * ``cycle-totals`` (private): t(0..2h+1) = n+1, the cycle totals
 
     A sequence keeps no terms.  Iterating it runs the recurrence from the
-    seeds with a window of h+1 terms, so memory stays flat in the index; an
-    index inside the seed run is answered by the seed function alone, so a
-    large h costs nothing until terms past the seeds are needed.
+    seeds with a window of at most h+1 terms made past the seeds, so memory
+    stays flat in the index and grows with h only as far as terms are
+    yielded.  An index inside the seed run is answered by the seed function
+    alone, and one within h+1 past it by stepping from the last seed, so a
+    large h costs nothing until terms well past the seeds are needed.
     """
 
     def __init__(self, kind: str, h: int):
@@ -316,7 +318,7 @@ class HSequence:
         self.kind = kind
         self.h = h
         self.min_index = first(h)
-        self._seed_count = last(h) - self.min_index + 1
+        self._last = last(h)  # at least min_index + h: the recurrence starts from seeds
         self._seed = globals()[seed]
 
     def __repr__(self) -> str:
@@ -324,28 +326,37 @@ class HSequence:
 
     def __iter__(self) -> Iterator[int]:
         """Yield t(min_index), t(min_index + 1), ... without end."""
-        h, lo, seed = self.h, self.min_index, self._seed
-        window: deque[int] = deque(maxlen=h + 1)  # t(n-h-1) .. t(n-1)
-        append = window.append
-        for n in range(lo, lo + self._seed_count):
+        h, seed, last = self.h, self._seed, self._last
+        for n in range(self.min_index, last + 1):
             t = seed(h, n)
+            yield t
+        # For h+1 terms past the seeds, t(n-h-1) is still a seed; only the
+        # terms made since are kept, so the window fills as terms are yielded.
+        window: deque[int] = deque(maxlen=h + 1)  # t(n-h-1) .. t(n-1) once full
+        append = window.append
+        for n in range(last - h, last + 1):
+            t += seed(h, n)
             append(t)
             yield t
         while True:
-            t = window[-1] + window[0]
+            t += window[0]
             append(t)
             yield t
 
     def term(self, n: int) -> int:
         """The n-th term; n counts from ``min_index`` (1, 0, or -h)."""
-        pos = n - self.min_index
-        if pos < 0:
+        h, seed, last = self.h, self._seed, self._last
+        if n < self.min_index:
             raise ValueError(
                 f"index {n} below first index {self.min_index} of {self.kind} sequence"
             )
-        if pos < self._seed_count:
-            return self._seed(self.h, n)
-        return next(islice(self, pos, None))
+        if n <= last:
+            return seed(h, n)
+        if n <= last + h + 1:
+            # t(j-h-1) is a seed for every j <= n: a step per index past the
+            # last seed, and no window.
+            return seed(h, last) + sum(seed(h, j) for j in range(last - h, n - h))
+        return next(islice(self, n - self.min_index, None))
 
     def prefix(self, n: int) -> list[int]:
         """Terms from ``min_index`` through n inclusive (none if n is below
@@ -363,7 +374,7 @@ class HSequence:
         index and h+1, so a short convolution costs little whatever h is.
         """
         h = self.h
-        size = min(count, max(self.min_index + self._seed_count - 1, h + 1))
+        size = min(count, max(self._last, h + 1))
         one = 1 - self.min_index  # position of index 1
         t = [0, *islice(self, one, one + size)]  # t(0) read as 0, t(1..size)
         beta = (t[k + 1] - t[k] - (t[k - h] if k > h else 0) for k in range(size))

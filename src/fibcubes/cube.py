@@ -32,8 +32,37 @@ from .graphs import GapGraph
 
 __all__ = ["CubeGraph", "build_cube", "cover_count"]
 
-# Row strings joined into one intermediate string of export text.
+# Row strings joined into one intermediate string of export text: at most
+# this many, and fewer once they are long, so a chunk stays near _CHUNK_CHARS.
 _ROWS_PER_CHUNK = 4096
+_CHUNK_CHARS = 1 << 16
+
+
+def _chunks(pieces, sep: str = ""):
+    """Yield the nonempty strings ``pieces`` ``sep``-joined a chunk at a time;
+    the chunks ``sep``-joined give the whole.
+
+    Each chunk takes as many pieces as the last one's length says fit in
+    ``_CHUNK_CHARS``, and at most twice as many, so a chunk's size stays flat
+    as pieces grow (terms of a sequence gain digits along it).
+    """
+    pieces = iter(pieces)
+    take = 1
+    while chunk := sep.join(itertools.islice(pieces, take)):
+        yield chunk
+        take = max(1, min(_ROWS_PER_CHUNK, 2 * take, take * _CHUNK_CHARS // len(chunk)))
+
+
+def _json_array(items, depth: int):
+    """Yield the ``json.dumps(..., indent=2)`` layout of an array at nesting
+    depth ``depth`` whose items come already encoded, one piece per item
+    (and a closing piece), so an item is made only when its piece is wanted."""
+    pad = "\n" + "  " * (depth + 1)
+    lead = "[" + pad
+    for item in items:
+        yield lead + item
+        lead = "," + pad
+    yield "[]" if lead[0] == "[" else "\n" + "  " * depth + "]"
 
 
 class _Vertices(Sequence):
@@ -142,9 +171,7 @@ class CubeGraph:
         starts, uppers = self._starts, self._uppers
         rows = (row(lo, map(name, uppers[a:b]))
                 for lo, a, b in zip(s, starts, starts[1:]) if a != b)
-        chunks = []
-        while chunk := sep.join(itertools.islice(rows, _ROWS_PER_CHUNK)):
-            chunks.append(chunk)
+        chunks = list(_chunks(rows, sep))
         del s, name, rows  # before the final join, which holds the text twice
         return sep.join(chunks)
 
@@ -207,10 +234,10 @@ class CubeGraph:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written directly."""
         g = self.source
         n = g.n
-        ranks = [_json_array([f'"{_bit_string(n, m)}"' for m in block], 2)
-                 for block in self._rank_blocks()]
+        ranks = ("".join(_json_array((f'"{_bit_string(n, m)}"' for m in block), 2))
+                 for block in self._rank_blocks())
         head = (f'{{\n  "kind": {json.dumps(g.kind)},\n  "n": {n},\n  "h": {g.h},\n'
-                f'  "ranks": {_json_array(ranks, 1)},\n  "covers": ')
+                f'  "ranks": {"".join(_json_array(ranks, 1))},\n  "covers": ')
         covers = self._cover_rows(
             lambda lo, his: (f"[\n      {lo},\n      "
                              + f"\n    ],\n    [\n      {lo},\n      ".join(his) + "\n    ]"),
@@ -221,15 +248,6 @@ class CubeGraph:
 
     def to_edgelist_text(self) -> str:
         return self._cover_rows(lambda lo, his: f"{lo} " + f"\n{lo} ".join(his) + "\n")
-
-
-def _json_array(items: list[str], depth: int) -> str:
-    # The indent=2 layout of an array at nesting depth `depth` whose items
-    # are already encoded.
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
 def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:

@@ -7,10 +7,12 @@ cycles.  Adjacency is computed on demand; no matrix is stored.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
-__all__ = ["PATH", "CYCLE", "GapGraph", "edgelist_text", "graph_dot"]
+__all__ = ["PATH", "CYCLE", "GapGraph", "edgelist_lines", "edgelist_text", "dot_lines",
+           "graph_dot"]
 
 PATH = "path"
 CYCLE = "cycle"
@@ -44,36 +46,49 @@ class GapGraph:
             return True
         return self.kind == CYCLE and d >= n - self.h
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All unordered adjacent pairs (i, j), i < j, lexicographically sorted.
+    def iter_edges(self) -> Iterator[tuple[int, int]]:
+        """All unordered adjacent pairs (i, j), i < j, in lexicographic order.
 
         Generated directly in O(edges): for each i, the window j in
         (i, i+h], then on a cycle the wrap-around j >= i + n - h past it.
         """
         n, h = self.n, self.h
         wrap = self.kind == CYCLE
-        return [
+        return (
             (i, j)
             for i in range(1, n + 1)
             for j in chain(
                 range(i + 1, min(i + h, n) + 1),
                 range(max(i + h + 1, i + n - h), n + 1) if wrap else (),
             )
-        ]
+        )
+
+    def edges(self) -> list[tuple[int, int]]:
+        """The pairs of :meth:`iter_edges` as a list."""
+        return list(self.iter_edges())
 
     def edge_count(self) -> int:
-        return len(self.edges())
+        return sum(1 for _ in self.iter_edges())
+
+
+def edgelist_lines(g: GapGraph) -> Iterator[str]:
+    """The lines of :func:`edgelist_text`, one per edge, made as they are wanted."""
+    return (f"{i} {j}\n" for i, j in g.iter_edges())
+
+
+def dot_lines(g: GapGraph) -> Iterator[str]:
+    """The lines of :func:`graph_dot`, made as they are wanted."""
+    return chain([f"graph {g.kind}_{g.n}_{g.h} {{\n"],
+                 (f"  v{i};\n" for i in range(1, g.n + 1)),
+                 (f"  v{i} -- v{j};\n" for i, j in g.iter_edges()),
+                 ["}\n"])
 
 
 def edgelist_text(g: GapGraph) -> str:
     """Plain-text edge list, one "i j" pair per line."""
-    return "".join(f"{i} {j}\n" for i, j in g.edges())
+    return "".join(edgelist_lines(g))
 
 
 def graph_dot(g: GapGraph) -> str:
     """Undirected DOT with vertices labeled v1..vn."""
-    lines = [f"graph {g.kind}_{g.n}_{g.h} {{"]
-    lines.extend(f"  v{i};" for i in range(1, g.n + 1))
-    lines.extend(f"  v{i} -- v{j};" for i, j in g.edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(dot_lines(g))

@@ -4,8 +4,10 @@
 import contextlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -16,7 +18,7 @@ except ImportError:  # not on every platform
 
 import fibcubes.cli as cli
 from fibcubes import counting
-from fibcubes.counting import path_count_rec
+from fibcubes.counting import path_count, path_count_rec
 
 
 def run(argv, capsys):
@@ -198,6 +200,17 @@ def test_command_help_lists_every_argument(command, capsys):
     assert run(CHEAP_COMMANDS[command] + ["-h"], capsys) == (0, out, "")
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_argument_line_of_command_help_has_text(command, capsys):
+    code, out, _ = run([command, "--help"], capsys)
+    lines = out.split("\n\n", 1)[1].splitlines()
+    spec = cli._COMMANDS[command][2]
+    assert code == 0 and len(lines) == len(spec)
+    for line, arg in zip(lines, spec):
+        name, text = line.split(None, 1)
+        assert name == arg.name and text.strip(), line
+
+
 def test_cli_leaves_argparse_gettext_and_locale_unloaded():
     # Parsing costs no import: argparse alone, with gettext and locale behind
     # it, took about 4.7 ms of every command.
@@ -334,6 +347,99 @@ def test_output_written_in_slices_is_whole(tmp_path, capsys, monkeypatch):
     assert target.read_text() == whole
     assert run(argv, capsys)[1] == whole
     assert code == 0 and len(whole) > 7
+
+
+STREAMED = {
+    "table-json": ["table", "pk", "--h", "1", "--n-max", "390", "--format", "json"],
+    "seq-ext": ["seq", "F-ext", "--h", "400000", "--n-max", "1"],
+    "graph": ["graph", "path", "200000", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", STREAMED.values(), ids=STREAMED)
+def test_streamed_output_peaks_below_a_quarter_of_its_size(argv, tmp_path):
+    # A row or a chunk of lines at a time: the whole text never exists at once.
+    target = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert code == 0 and size > 1 << 20
+    assert peak < size // 4, f"peak {peak} bytes for {size} bytes written"
+
+
+@pytest.mark.parametrize("fmt,first", [
+    ("tsv", "\tn=0\t1\t2\nh=0\t1\t2\t4\n"),
+    ("json", '{\n  "row": "h",\n  "rows": [\n    0,\n    1\n  ],\n  "col": "n",\n'
+             '  "cols": [\n    0,\n    1,\n    2\n  ],\n  "values": [\n    [\n      1,\n'
+             '      2,\n      4\n    ]'),
+])
+def test_failure_after_the_first_row_leaves_out_file_alone(fmt, first, tmp_path, monkeypatch,
+                                                            capsys):
+    real = cli.path_count_row
+    calls = []
+
+    def failing_row(n_max, h):
+        calls.append(h)
+        if len(calls) == 2:
+            raise ValueError("second row failed")
+        return real(n_max, h)
+
+    monkeypatch.setattr(cli, "path_count_row", failing_row)
+    argv = ["table", "p", "--h", "0:1", "--n-max", "2", "--format", fmt]
+    # On stdout the first row is out before the second is computed ...
+    assert run(argv, capsys) == (2, first, "error: second row failed\n")
+    # ... but an existing --out file keeps its text, and nothing is left beside it.
+    target = tmp_path / "kept.txt"
+    target.write_text("kept\n")
+    calls.clear()
+    assert run(argv + ["--out", str(target)], capsys) == (2, "", "error: second row failed\n")
+    assert target.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["kept.txt"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_out_to_a_device_is_written_in_place():
+    mode = os.stat("/dev/null").st_mode
+    assert cli.main(["graph", "path", "3", "1", "--out", "/dev/null"]) == 0
+    assert os.stat("/dev/null").st_mode == mode and stat.S_ISCHR(mode)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_out_file_mode_follows_umask_or_the_file_it_replaces(tmp_path, capsys):
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    old.write_text("old\n")
+    old.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        for target in (new, old):
+            assert run(CHEAP_COMMANDS["seq"] + ["--out", str(target)], capsys)[:2] == (0, "")
+    finally:
+        os.umask(umask)
+    assert new.read_text() == old.read_text() == "1\t1\n2\t1\n3\t2\n"
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+
+
+# Argvs whose JSON output must be exactly json.dumps(..., indent=2) of itself.
+JSON_ARGVS = [
+    ["table", "pk", "--h", "1", "--paper-layout", "--format", "json"],
+    ["table", "M", "--paper-layout", "--format", "json"],
+    ["table", "c", "--h", "0:3", "--n-max", "6", "--format", "json"],
+    ["table", "F", "--h", "2", "--n-max", "1", "--format", "json"],
+    ["seq", "L-ext", "--h", "3", "--n-max", "20", "--format", "json"],
+    ["seq", "F", "--h", "2", "--n-max", "0", "--format", "json"],  # "values": []
+]
+
+
+@pytest.mark.parametrize("argv", JSON_ARGVS)
+def test_json_output_is_the_indent_2_layout(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # --- cube / graph ------------------------------------------------------------
@@ -553,14 +659,28 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
 
 
-@pytest.mark.skipif(resource is None or not hasattr(resource, "RLIMIT_AS"),
-                    reason="no RLIMIT_AS")
+needs_rlimit_as = pytest.mark.skipif(resource is None or not hasattr(resource, "RLIMIT_AS"),
+                                     reason="no RLIMIT_AS")
+
+
+@needs_rlimit_as
+def test_recurrence_just_past_huge_h_seeds_runs_in_a_small_address_space():
+    # Five terms past the seeds, each reading its t(n-h-1) from the seed
+    # function: no window of h+1 terms is filled.
+    n, h = 1000000005, 1000000000
+    cmd, env = _python_m_fibcubes("count", "path", str(n), str(h), "--route", "recurrence")
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120,
+                         preexec_fn=_limit_address_space)
+    assert (out.returncode, out.stdout, out.stderr) == (0, f"{path_count(n, h)}\n", "")
+    assert out.stdout == "1000000016\n"
+
+
+@needs_rlimit_as
 @pytest.mark.parametrize("argv", [
-    ["count", "path", "1000000005", "1000000000", "--route", "recurrence"],
     ["count", "path-edges", "1000000005", "1000000000", "--route", "conv"],
     ["count", "path", "40", "0", "--route", "oracle", "--cap", "40"],
     ["cube", "path", "30", "0", "--cap", "30"],
-], ids=["recurrence", "conv", "oracle", "cube"])
+], ids=["conv", "oracle", "cube"])
 def test_out_of_memory_is_capacity_error(argv):
     # Each command outgrows a 300 MB address space within seconds.
     cmd, env = _python_m_fibcubes(*argv)

@@ -6,6 +6,7 @@ transcribed from.  Cross-route equalities (closed form vs recurrence vs
 convolution) are swept exhaustively over small ranges.
 """
 
+import collections
 import itertools
 import os
 import subprocess
@@ -458,6 +459,44 @@ def test_conv_cost_follows_the_index_not_h(fn, n):
     # need five terms, not h+1 seeds (about 8 MB of list slots each).
     peak = _traced_peak(fn, n, 10**6)
     assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+ALL_KINDS = (counting.FIBONACCI, counting.LUCAS, counting.EXTENDED_FIBONACCI,
+             counting.EXTENDED_LUCAS, counting._PATH_TOTALS, counting._CYCLE_TOTALS)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_terms_follow_the_literal_recurrence_through_every_phase(kind):
+    # Seeds, the h+1 terms whose t(n-h-1) is still a seed, then the window.
+    for h in range(2 if "extended" in kind else 0, 7):
+        seq = counting.HSequence(kind, h)
+        first, last = seq.min_index, seq._last
+        t = {}
+        for n in range(first, last + 2 * h + 4):
+            t[n] = seq._seed(h, n) if n <= last else t[n - 1] + t[n - h - 1]
+        literal = [t[n] for n in sorted(t)]
+        assert seq.prefix(max(t)) == literal, (kind, h)
+        assert [seq.term(n) for n in sorted(t)] == literal, (kind, h)
+
+
+@pytest.mark.parametrize("fn,args,closed", [
+    (path_count_rec, (10**6 + 5, 10**6), path_count),
+    (cycle_count_rec, (2 * 10**6 + 7, 10**6), cycle_count),
+    (h_fibonacci, (10**6, 10**6 + 6), lambda h, n: path_count(n - h - 1, h)),
+])
+def test_term_just_past_long_seeds_keeps_no_window(fn, args, closed):
+    # A window of h+1 seeds would take about 8 MB of slots here.
+    peak = _traced_peak(fn, *args)
+    assert peak < 64 << 10, f"peak {peak} bytes"
+    assert fn(*args) == closed(*args)
+
+
+def test_iterating_past_long_seeds_keeps_only_the_new_terms():
+    # F-ext at h = 4*10^5 has 4*10^5 + 1 seeds; past them only the terms
+    # made since are kept, not a window of h+1 seeds.
+    seq = counting.HSequence(counting.EXTENDED_FIBONACCI, 4 * 10**5)
+    peak = _traced_peak(lambda: collections.deque(itertools.islice(seq, 4 * 10**5 + 4), 1))
+    assert peak < 64 << 10, f"peak {peak} bytes"
 
 
 H_LARGE = 10**5

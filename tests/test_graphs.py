@@ -5,9 +5,13 @@ circular-distance form of cycle adjacency) are all independently derivable
 from the |j-i| definition, which is what the double loops below recompute.
 """
 
+import itertools
+import tracemalloc
+
 import pytest
 
-from fibcubes.graphs import CYCLE, PATH, GapGraph, edgelist_text, graph_dot
+from fibcubes.graphs import (CYCLE, PATH, GapGraph, dot_lines, edgelist_lines, edgelist_text,
+                             graph_dot)
 
 
 def test_small_path_power_edges():
@@ -121,3 +125,30 @@ def test_graph_dot():
         "  v1 -- v2;\n  v1 -- v3;\n  v2 -- v3;\n"
         "}\n"
     )
+
+
+def test_edges_and_lines_are_made_as_they_are_wanted():
+    g = GapGraph(PATH, 10**9, 2)  # about 2*10^9 edges, far too many to list
+    assert list(itertools.islice(g.iter_edges(), 3)) == [(1, 2), (1, 3), (2, 3)]
+    assert list(itertools.islice(edgelist_lines(g), 2)) == ["1 2\n", "1 3\n"]
+    assert next(dot_lines(g)) == "graph path_1000000000_2 {\n"
+
+
+@pytest.mark.parametrize("kind", [PATH, CYCLE])
+def test_text_exports_join_their_lines(kind):
+    for n in range(7):
+        for h in range(4):
+            g = GapGraph(kind, n, h)
+            assert list(g.iter_edges()) == g.edges()
+            assert edgelist_text(g) == "".join(edgelist_lines(g))
+            assert graph_dot(g) == "".join(dot_lines(g))
+
+
+def test_edge_count_lists_no_edges():
+    tracemalloc.start()
+    try:
+        assert GapGraph(CYCLE, 10**5, 2).edge_count() == 2 * 10**5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, f"peak {peak} bytes"
