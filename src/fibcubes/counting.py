@@ -30,12 +30,12 @@ Conventions used throughout:
   recurrence route independently of the closed forms.  A sequence keeps no
   memo: every use runs the recurrence from the seeds with a window of at
   most h+1 terms, so memory stays flat in n.
-* A convolution a * b of two such sequences obeys the same delayed
-  recurrence, driven by a through a short numerator taken from b's seeds,
-  so :func:`convolve` costs a few big-integer additions per index instead
-  of one big-integer product per index, and keeps at most h+1 of its values.
-  One private generator streams g(1), g(2), ...; :func:`convolve` keeps
-  its last value.
+* A convolution a * b of two such sequences is beta * (A / Q): b's short
+  numerator beta, taken from b's seeds, applied to the stream U = A / Q,
+  which obeys the same delayed recurrence driven by a.  One private
+  generator streams u(1), u(2), ... at three big-integer additions per
+  index and keeps at most h+1 of its values; :func:`convolve` applies beta
+  once, to the last few, and a row applies it at each index.
 * The row functions (``path_count_row``, ``cycle_count_row``,
   ``path_edges_row``, ``cycle_edges_row``, ``path_count_k_row``,
   ``cycle_count_k_row``) give one quantity for n = 0..n_max in one linear
@@ -52,7 +52,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterator
-from itertools import chain, count, islice, repeat, tee
+from functools import reduce
+from itertools import count, islice, repeat
 from operator import add, mul
 
 __all__ = [
@@ -421,48 +422,60 @@ def convolve(a: HSequence, b: HSequence, n: int) -> int:
     """Discrete convolution g(n) = sum_{i=1..n} a(i) * b(n-i+1) (n >= 1).
 
     Computed without a single product of two sequence terms.  b's generating
-    function is beta / Q with a short numerator beta (see
-    :meth:`HSequence.numerator`), so g obeys b's delayed recurrence, driven
-    by a:
+    function is beta / Q with Q(x) = 1 - x - x^(h+1) and a short numerator
+    beta (see :meth:`HSequence.numerator`), so g is beta * U with U = A / Q:
 
-        g(j) = g(j-1) + g(j-h-1) + sum_k beta_k * a(j-k),
+        u(j) = u(j-1) + u(j-h-1) + a(j),   g(n) = sum_k beta_k * u(n-k),
 
-    with g and a read as 0 at indices below 1.  a(1..n) is streamed once
-    from a's own recurrence, one ``tee`` copy per coefficient, and only the
-    last min(h+1, n) values of g are kept.
+    with u and a read as 0 below index 1.  u is streamed once, driven by
+    a's own recurrence, at three big-integer additions per index, and beta
+    is applied once, to the last few values of u.
     """
     if a.h != b.h:
         raise ValueError(f"cannot convolve sequences with h={a.h} and h={b.h}")
     if n < 1:
         raise ValueError("convolution index must be >= 1")
-    return deque(_convolution(a, b, n), maxlen=1).pop()
+    beta = b.numerator(n)
+    if not beta:  # b vanishes on 1..n
+        return 0
+    # Every k in beta is below n, so the tail holds u(n-K) .. u(n).
+    return _combine(beta, deque(_driven(a, n), maxlen=beta[-1][0] + 1))
+
+
+def _driven(a: HSequence, n: int) -> Iterator[int]:
+    """Yield u(1), ..., u(n) of u(j) = u(j-1) + u(j-h-1) + a(j) (n >= 0)."""
+    # u(j-m) .. u(j-1).  With m = n <= h, window[0] stands for u(j-h-1),
+    # which is 0 like u(j-m) for every j <= n.
+    m = min(a.h + 1, n)
+    window = deque([0] * m, maxlen=m)
+    append = window.append
+    u = 0
+    one = 1 - a.min_index
+    for t in islice(a, one, one + n):
+        u += window[0] + t
+        append(u)
+        yield u
+
+
+def _combine(beta: tuple[tuple[int, int], ...], tail: deque[int]) -> int:
+    """sum_k beta_k * u(j-k) for ``tail`` ending in u(j); a coefficient of 1
+    costs no product."""
+    return reduce(add, (tail[-1 - k] if c == 1 else c * tail[-1 - k] for k, c in beta))
 
 
 def _convolution(a: HSequence, b: HSequence, n: int) -> Iterator[int]:
-    """Yield g(1), ..., g(n) of :func:`convolve`'s recurrence (n >= 0)."""
+    """Yield g(1), ..., g(n) of :func:`convolve`, applying beta at each index."""
     beta = b.numerator(n)
     if not beta:  # b vanishes on 1..n
         yield from repeat(0, n)
-        return
-    one = 1 - a.min_index
-    copies = tee(islice(a, one, one + n), len(beta))
-    drive = None
-    for (k, c), copy in zip(beta, copies):
-        # beta_k * a(j-k) for j = 1..n
-        shifted = chain(repeat(0, k), copy)
-        if c != 1:
-            shifted = map(mul, repeat(c), shifted)
-        drive = shifted if drive is None else map(add, drive, shifted)
-    # g(j-m) .. g(j-1), g(j-1) also held as g.  With m = n <= h, window[0]
-    # stands for g(j-h-1), which is 0 like g(j-m) for every j <= n.
-    m = min(b.h + 1, n)
-    window = deque([0] * m, maxlen=m)
-    append = window.append
-    g = 0
-    for d in islice(drive, n):
-        g += window[0] + d
-        append(g)
-        yield g
+    elif beta == ((0, 1),):  # g = u, as for F * F
+        yield from _driven(a, n)
+    else:
+        size = beta[-1][0] + 1
+        tail = deque([0] * size, maxlen=size)
+        for u in _driven(a, n):
+            tail.append(u)
+            yield _combine(beta, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,50 @@ def test_convolve_matches_literal_sum(kind_a, kind_b):
                 assert convolve(a, a, n) == literal, (h, n)
 
 
+@pytest.mark.parametrize("kind_a,kind_b", list(itertools.product(_KINDS, repeat=2)))
+def test_convolve_is_symmetric(kind_a, kind_b):
+    # The two orders drive different streams through different numerators.
+    extended = (counting.EXTENDED_FIBONACCI, counting.EXTENDED_LUCAS)
+    for h in range(6):
+        if h < 2 and (kind_a in extended or kind_b in extended):
+            continue
+        a, b = counting.HSequence(kind_a, h), counting.HSequence(kind_b, h)
+        for n in range(1, 41):
+            assert convolve(a, b, n) == convolve(b, a, n), (h, n)
+
+
+class _ProductCountingInt(int):
+    """An int that stays one under addition and counts its products."""
+
+    products = 0
+
+    def __add__(self, other):
+        return _ProductCountingInt(int.__add__(self, other))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        _ProductCountingInt.products += 1
+        return int.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("h", [0, 1, 2, 5])
+def test_cycle_edges_conv_applies_the_numerator_once(monkeypatch, h):
+    # The cost shape without timing: F * L multiplies only to apply L's
+    # numerator beta at the end, never once per index.
+    n = 200
+    beta = lucas_sequence(h).numerator(n - h)
+    expected = cycle_edges_closed(n, h)
+    _ProductCountingInt.products = 0
+    assert 2 * _ProductCountingInt(3) == 6 and _ProductCountingInt.products == 1
+    _ProductCountingInt.products = 0
+    monkeypatch.setattr(counting, "_fib_base", lambda h, n: _ProductCountingInt(1))
+    assert cycle_edges_conv(n, h) == expected
+    assert _ProductCountingInt.products <= len(beta), (_ProductCountingInt.products, beta)
+
+
 @pytest.mark.parametrize("lucas_base", [
     lambda h, n: h if n == 1 else 1,       # the verify fault injection
     lambda h, n: 3 * n * n - h,            # no delayed-Lucas shape at all
@@ -445,10 +489,10 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("fn", [path_count_rec, cycle_edges_conv])
+@pytest.mark.parametrize("fn", [path_count_rec, path_edges_conv, cycle_edges_conv])
 def test_recurrence_and_conv_routes_keep_no_memo(fn):
     # Every term of F up to n = 20000 at h = 1 takes about 17 MB; the
-    # recurrence route and F * L keep a window of h+1 terms, a few KB.
+    # recurrence route, F * F and F * L keep a window of h+1 terms, a few KB.
     peak = _traced_peak(fn, 20000, 1)
     assert peak < 1 << 20, f"peak {peak} bytes"
 

@@ -67,3 +67,18 @@ def test_cycle_size_row_checks_each_division(monkeypatch):
     monkeypatch.setattr(counting, "_binomial_row", lambda m, k, count: [1] * count)
     with pytest.raises(ArithmeticError, match="n=1 h=0 k=2"):
         cycle_count_k_row(3, 0, 2)
+
+
+@pytest.mark.parametrize("fib_base", [
+    lambda h, n: 2 if n == 1 else 1,       # the verify fault injection
+    lambda h, n: 3 * n * n - h,            # no delayed-Fibonacci shape at all
+], ids=["long-head", "quadratic"])
+def test_path_edges_row_follows_patched_fibonacci_seeds(monkeypatch, fib_base):
+    # Under broken seeds F's numerator is no longer 1, so the row applies it
+    # at every index; it must still be the literal self-convolution.
+    monkeypatch.setattr(counting, "_fib_base", fib_base)
+    for h in range(6):
+        f = counting.HSequence(counting.FIBONACCI, h)
+        literal = [sum(f.term(i) * f.term(n + 1 - i) for i in range(1, n + 1))
+                   for n in range(41)]
+        assert path_edges_row(40, h) == literal, h
