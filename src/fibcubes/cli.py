@@ -35,7 +35,7 @@ import sys
 from itertools import chain, count, islice
 from types import SimpleNamespace
 
-from . import counting, cube, enumeration, verify
+from . import cube, enumeration, verify
 from .counting import (
     EXTENDED_FIBONACCI,
     EXTENDED_LUCAS,
@@ -87,6 +87,7 @@ PAPER_TABLE_LAYOUTS = {
 PAPER_H_RANGE = (0, 10)
 
 _PER_SIZE_TABLES = ("pk", "ck")
+_TABLE_N_MAX = 15  # last column n unless --n-max or --paper-layout sets it
 _WRITE_SLICE = 1 << 20  # characters per write
 
 
@@ -176,14 +177,14 @@ def _parse_h_range(text: str) -> tuple[int, int]:
 # table
 # ---------------------------------------------------------------------------
 
-def _render_grid(fmt: str, row_tag: str, rows: list, cols: list, row_values):
+def _render_grid(fmt: str, row_tag: str, rows: range, cols: range, row_values):
     """Yield the grid of one line per row against the n columns ``cols``, a
     row at a time; ``row_values(r)`` gives row ``r``'s values, one int per
     column, and is called only when that row's chunk is wanted."""
     if fmt == "json":  # json.dumps(payload, indent=2) + "\n", written directly
-        yield (f'{{\n  "row": {json.dumps(row_tag)},\n'
-               f'  "rows": {"".join(_json_array(map(str, rows), 1))},\n'
-               f'  "col": "n",\n  "cols": {"".join(_json_array(map(str, cols), 1))},\n'
+        yield f'{{\n  "row": {json.dumps(row_tag)},\n  "rows": '
+        yield from _chunks(_json_array(map(str, rows), 1))
+        yield (f',\n  "col": "n",\n  "cols": {"".join(_json_array(map(str, cols), 1))},\n'
                f'  "values": ')
         yield from _json_array(("".join(_json_array(map(str, row_values(r)), 2))
                                 for r in rows), 1)
@@ -191,14 +192,14 @@ def _render_grid(fmt: str, row_tag: str, rows: list, cols: list, row_values):
         return
     sep = "\t" if fmt == "tsv" else ","
     yield sep.join(["", f"n={cols[0]}", *map(str, cols[1:])]) + "\n"
-    for label, r in zip([f"{row_tag}={rows[0]}", *map(str, rows[1:])], rows):
+    for label, r in zip(chain([f"{row_tag}={rows[0]}"], map(str, rows[1:])), rows):
         yield sep.join([label, *map(str, row_values(r))]) + "\n"
 
 
 def _cmd_table(args) -> int:
-    which = args.which
+    which, paper = args.which, args.paper_layout
     per_size = which in _PER_SIZE_TABLES
-    if args.paper_layout:
+    if paper:
         if args.n_max is not None or args.k_max is not None:
             raise ValueError("--paper-layout fixes the extents; drop --n-max/--k-max")
         if not per_size and args.h is not None:
@@ -207,56 +208,48 @@ def _cmd_table(args) -> int:
         raise ValueError(f"table {which} has no k axis")
     if per_size and args.h is None:
         raise ValueError(f"table {which} needs --h")
-    h_lo, h_hi = PAPER_H_RANGE if args.h is None else _parse_h_range(args.h)
+    h, h_hi = PAPER_H_RANGE if args.h is None else _parse_h_range(args.h)
 
-    if per_size:
-        h = h_lo
-        n_min = 0
-        if args.paper_layout:
-            layouts = PAPER_TABLE_LAYOUTS[which]
-            if h_lo != h_hi or h not in layouts:
-                raise ValueError(
-                    f"--paper-layout for {which} exists only for --h in {sorted(layouts)}")
-            n_max, k_max = layouts[h]
-        else:
-            if h_lo != h_hi:
-                raise ValueError(f"table {which} needs a single --h, not a range")
-            n_max = args.n_max if args.n_max is not None else 15
-            k_max = args.k_max if args.k_max is not None else max_subset_size(n_max, h)
-    elif args.paper_layout:
-        n_min, n_max = PAPER_TABLE_LAYOUTS[which]
+    # The extents: columns n_min..n_max, and rows k = 0..k_max of one h or h..h_hi.
+    n_max = _TABLE_N_MAX if args.n_max is None else args.n_max
+    layout = PAPER_TABLE_LAYOUTS[which]
+    if not per_size:
+        n_min, n_max = layout if paper else (1 if which in ("F", "L") else 0, n_max)
+        row_tag, rows = "h", range(h, h_hi + 1)
+    elif paper and (h != h_hi or h not in layout):
+        raise ValueError(f"--paper-layout for {which} exists only for --h in {sorted(layout)}")
+    elif h != h_hi:
+        raise ValueError(f"table {which} needs a single --h, not a range")
     else:
-        n_min = 1 if which in ("F", "L") else 0
-        n_max = args.n_max if args.n_max is not None else 15
-
-    cols = list(range(n_min, n_max + 1))
+        n_min, k_max = 0, args.k_max
+        if paper:
+            n_max, k_max = layout[h]
+        elif k_max is None:
+            k_max = max_subset_size(n_max, h)
+        row_tag, rows = "k", range(k_max + 1)
+    cols = range(n_min, n_max + 1)
     if not cols:
         raise ValueError(f"empty column range: n runs {n_min}..{n_max}")
-    if per_size:
-        rows = list(range(k_max + 1))
-        if not rows:
-            raise ValueError(f"empty row range: k runs 0..{k_max}")
-        row_k = path_count_k_row if which == "pk" else cycle_count_k_row
-        grid = _render_grid(args.format, "k", rows, cols, lambda k: row_k(n_max, h, k))
-    else:
-        # Every row is one linear pass over its columns: 0..n_max, except
-        # the F and L columns, which run 1..n_max.
-        paper = args.paper_layout
-        row_values = {
-            "p": lambda hh: path_count_row(n_max, hh),
-            "c": lambda hh: cycle_count_row(n_max, hh),
-            "F": lambda hh: HSequence(FIBONACCI, hh).prefix(n_max),
-            "L": lambda hh: HSequence(LUCAS, hh).prefix(n_max),
-            "H": lambda hh: path_edges_row(n_max, hh),
-            # The published edge table prints 0 in the n <= h corner it makes
-            # no claim about; the library value there is cycle_edges itself.
-            "M": lambda hh: [0 if paper and n <= hh else e
-                             for n, e in enumerate(cycle_edges_row(n_max, hh))],
-        }
-        grid = _render_grid(args.format, "h", list(range(h_lo, h_hi + 1)), cols,
-                            row_values[which])
+    if not rows:
+        raise ValueError(f"empty row range: {row_tag} runs {rows.start}..{rows.stop - 1}")
 
-    _emit(grid, args.out)
+    # Row r's values, r a k or an h; like _COUNT_ROUTES, the lambdas look the
+    # row functions up by name when called.  Every row is one linear pass over
+    # its columns: 0..n_max, except the F and L columns, which run 1..n_max.
+    row_values = {
+        "pk": lambda k: path_count_k_row(n_max, h, k),
+        "ck": lambda k: cycle_count_k_row(n_max, h, k),
+        "p": lambda hh: path_count_row(n_max, hh),
+        "c": lambda hh: cycle_count_row(n_max, hh),
+        "F": lambda hh: HSequence(FIBONACCI, hh).prefix(n_max),
+        "L": lambda hh: HSequence(LUCAS, hh).prefix(n_max),
+        "H": lambda hh: path_edges_row(n_max, hh),
+        # The published edge table prints 0 in the n <= h corner it makes
+        # no claim about; the library value there is cycle_edges itself.
+        "M": lambda hh: [0 if paper and n <= hh else e
+                         for n, e in enumerate(cycle_edges_row(n_max, hh))],
+    }[which]
+    _emit(_render_grid(args.format, row_tag, rows, cols, row_values), args.out)
     return EXIT_OK
 
 
@@ -414,7 +407,7 @@ _COMMANDS = {
         _Arg("which", choices=("pk", "ck", "p", "c", "F", "L", "H", "M"), required=True,
              help="per-size counts, totals, sequences or diagram edges"),
         _Arg("--h", help="gap parameter, single value or lo:hi range"),
-        _Arg("--n-max", int, help="last column n (default 15)"),
+        _Arg("--n-max", int, help=f"last column n (default {_TABLE_N_MAX})"),
         _Arg("--k-max", int, help="last row k of pk/ck (default the largest subset size)"),
         _Arg("--paper-layout", None, default=False,
              help="reproduce the published table extents cell-for-cell"),
@@ -443,9 +436,11 @@ _COMMANDS = {
         _Arg("--n-max", int, default=15, help="last index"),
         _Arg("--format", choices=("tsv", "json"), default="tsv", help="output format"), _OUT)),
     "verify": (_cmd_verify, "run the identity cross-check suite", (
-        _Arg("--n-max", int, default=40, help="largest n of the algebraic sweeps"),
-        _Arg("--h-max", int, default=10, help="largest h of every sweep"),
-        _Arg("--oracle-n-max", int, default=16, help="largest n of the enumeration sweeps"),
+        _Arg("--n-max", int, default=verify.DEFAULT_BOUNDS.n_max,
+             help="largest n of the algebraic sweeps"),
+        _Arg("--h-max", int, default=verify.DEFAULT_BOUNDS.h_max, help="largest h of every sweep"),
+        _Arg("--oracle-n-max", int, default=verify.DEFAULT_BOUNDS.oracle_n_max,
+             help="largest n of the enumeration sweeps"),
         _Arg("--format", choices=("summary", "json"), default="summary",
              help="summary lines or the JSON report"),
         _OUT)),

@@ -49,6 +49,7 @@ from .graphs import CYCLE, PATH, GapGraph
 
 __all__ = [
     "Bounds",
+    "DEFAULT_BOUNDS",
     "IdentityReport",
     "ALL_IDENTITY_IDS",
     "run_suite",
@@ -73,6 +74,10 @@ class Bounds:
 
     def oracle(self, cap: int) -> int:
         return min(self.oracle_n_max, cap)
+
+
+# The bounds of run_suite() and of a bare `fibcubes verify`.
+DEFAULT_BOUNDS = Bounds(n_max=40, h_max=10, oracle_n_max=16)
 
 
 @dataclass
@@ -451,7 +456,8 @@ if len(set(ALL_IDENTITY_IDS)) != len(ALL_IDENTITY_IDS):
     raise RuntimeError("duplicate identity id")
 
 
-def run_suite(n_max: int = 40, h_max: int = 10, oracle_n_max: int = 16) -> list[IdentityReport]:
+def run_suite(n_max: int = DEFAULT_BOUNDS.n_max, h_max: int = DEFAULT_BOUNDS.h_max,
+              oracle_n_max: int = DEFAULT_BOUNDS.oracle_n_max) -> list[IdentityReport]:
     """Run every registered identity and return one report per identity.
 
     Failures are data, not exceptions: a crashing identity is reported as

@@ -2,6 +2,7 @@
 (0 ok, 1 verification failure, 2 usage, 3 capacity)."""
 
 import contextlib
+import inspect
 import json
 import os
 import stat
@@ -17,7 +18,7 @@ except ImportError:  # not on every platform
     resource = None
 
 import fibcubes.cli as cli
-from fibcubes import counting
+from fibcubes import counting, verify
 from fibcubes.counting import path_count, path_count_rec
 
 
@@ -200,6 +201,15 @@ def test_command_help_lists_every_argument(command, capsys):
     assert run(CHEAP_COMMANDS[command] + ["-h"], capsys) == (0, out, "")
 
 
+def test_verify_help_shows_run_suite_defaults(capsys):
+    code, out, _ = run(["verify", "--help"], capsys)
+    assert code == 0
+    lines = {line.split()[0]: line for line in out.split("\n\n", 1)[1].splitlines()}
+    for name, param in inspect.signature(verify.run_suite).parameters.items():
+        flag = "--" + name.replace("_", "-")
+        assert lines[flag].endswith(f" (default {param.default})"), lines[flag]
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_every_argument_line_of_command_help_has_text(command, capsys):
     code, out, _ = run([command, "--help"], capsys)
@@ -289,20 +299,43 @@ def test_table_paper_layout_edge_table_fills_zeros(capsys):
     assert out == "\tn=0\t1\t2\t3\t4\t5\nh=5\t0\t1\t2\t3\t4\t5\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["table", "pk", "--paper-layout"],            # pk needs --h
-    ["table", "pk", "--h", "5", "--paper-layout"],  # no published table for h=5
-    ["table", "pk", "--h", "1:3"],                # per-size tables need one h
-    ["table", "p", "--paper-layout", "--n-max", "9"],
-    ["table", "p", "--paper-layout", "--h", "2"],
-    ["table", "p", "--k-max", "4"],               # no k axis on sweep tables
-    ["table", "F", "--h", "3:1"],
-    ["table", "F", "--h", "1", "--n-max", "0"],  # F starts at n=1
-])
-def test_table_usage_errors(argv, capsys):
-    code, _, err = run(argv, capsys)
-    assert code == 2
-    assert err.startswith("error:")
+# argv, and the exact stderr message it gives.  The rules are checked in a
+# fixed order; where an argv breaks two of them, the first in that order wins.
+TABLE_USAGE_ERRORS = [
+    (["table", "pk", "--paper-layout"], "table pk needs --h"),
+    (["table", "pk", "--h", "5", "--paper-layout"],  # no published table for h=5
+     "--paper-layout for pk exists only for --h in [1, 2, 3]"),
+    (["table", "pk", "--h", "1:3"], "table pk needs a single --h, not a range"),
+    (["table", "p", "--paper-layout", "--n-max", "9"],
+     "--paper-layout fixes the extents; drop --n-max/--k-max"),
+    (["table", "p", "--paper-layout", "--h", "2"], "--paper-layout fixes the h range; drop --h"),
+    (["table", "p", "--k-max", "4"], "table p has no k axis"),
+    (["table", "F", "--h", "3:1"], "bad h range '3:1'"),
+    # F starts at n=1
+    (["table", "F", "--h", "1", "--n-max", "0"], "empty column range: n runs 1..0"),
+    (["table", "pk", "--h", "0:2", "--paper-layout"],
+     "--paper-layout for pk exists only for --h in [1, 2, 3]"),
+    (["table", "p", "--paper-layout", "--h", "2", "--k-max", "1"],
+     "--paper-layout fixes the extents; drop --n-max/--k-max"),
+    (["table", "pk", "--h", "1:3", "--paper-layout", "--n-max", "3"],
+     "--paper-layout fixes the extents; drop --n-max/--k-max"),
+    (["table", "ck", "--k-max", "1", "--paper-layout"],
+     "--paper-layout fixes the extents; drop --n-max/--k-max"),
+    (["table", "ck", "--n-max", "3"], "table ck needs --h"),
+    (["table", "p", "--h", "3:1", "--k-max", "1"], "table p has no k axis"),
+    (["table", "ck", "--h", "0", "--paper-layout"],
+     "--paper-layout for ck exists only for --h in [1, 2, 3]"),
+    (["table", "pk", "--h", "1:3", "--n-max", "-1"], "table pk needs a single --h, not a range"),
+    (["table", "pk", "--h", "1", "--n-max", "-1", "--k-max", "-1"],
+     "empty column range: n runs 0..-1"),
+    (["table", "p", "--h", "1", "--n-max", "-1"], "empty column range: n runs 0..-1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", TABLE_USAGE_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(TABLE_USAGE_ERRORS))])
+def test_table_usage_errors(argv, message, capsys):
+    assert run(argv, capsys) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("text", ["1:", ":3", "0x1"])
@@ -351,6 +384,8 @@ def test_output_written_in_slices_is_whole(tmp_path, capsys, monkeypatch):
 
 STREAMED = {
     "table-json": ["table", "pk", "--h", "1", "--n-max", "390", "--format", "json"],
+    "table-k-rows": ["table", "pk", "--h", "1", "--n-max", "1", "--k-max", "200000"],
+    "table-h-rows-json": ["table", "p", "--h", "0:200000", "--n-max", "0", "--format", "json"],
     "seq-ext": ["seq", "F-ext", "--h", "400000", "--n-max", "1"],
     "graph": ["graph", "path", "200000", "1"],
 }
