@@ -17,7 +17,9 @@ invariant, propagates.
 Output is streamed: ``table`` computes and writes one row at a time, ``seq``
 and ``graph`` a chunk of lines at a time, and ``_emit`` writes each chunk as
 it arrives, so memory stays flat in the size of the output (``cube`` and
-``verify`` build their text first and write it the same way).  Every usage
+``verify`` build their text first and write it the same way).  One size,
+``cube._CHUNK_CHARS``, sets both the chunks of ``cube._chunks``, which
+concatenate to the whole text, and the slices ``_emit`` writes.  Every usage
 check runs before the first byte is written.  ``--out`` to a regular file
 writes beside it and renames over it once the output is whole, so a command
 that fails midway leaves an existing file untouched.  JSON is the
@@ -88,7 +90,6 @@ PAPER_H_RANGE = (0, 10)
 
 _PER_SIZE_TABLES = ("pk", "ck")
 _TABLE_N_MAX = 15  # last column n unless --n-max or --paper-layout sets it
-_WRITE_SLICE = 1 << 20  # characters per write
 
 
 def _emit(chunks, out: str | None) -> None:
@@ -98,14 +99,15 @@ def _emit(chunks, out: str | None) -> None:
     """
     if isinstance(chunks, str):
         chunks = (chunks,)
+    step = cube._CHUNK_CHARS
     to_stdout = out is None or out == "-"
     if to_stdout and sys.stdout is None:  # the interpreter started with fd 1 closed
         raise ValueError("cannot write stdout: it is closed")
     try:
         with contextlib.nullcontext(sys.stdout) if to_stdout else _out_file(out) as fh:
             for chunk in chunks:
-                for i in range(0, len(chunk), _WRITE_SLICE):
-                    fh.write(chunk[i:i + _WRITE_SLICE])
+                for i in range(0, len(chunk), step):
+                    fh.write(chunk[i:i + step])
             fh.flush()
     except OSError as exc:
         if to_stdout:

@@ -199,10 +199,18 @@ def cycle_count_k(n: int, h: int, k: int) -> int:
         return 1
     if k == 1:
         return n
-    num = n * binom(n - h * k - 1, k - 1)
-    if num % k:
-        raise ArithmeticError(f"inexact division for cycle count n={n} h={h} k={k}")
-    return num // k
+    return next(_cycle_shares(h, [n], [k], [binom(n - h * k - 1, k - 1)]))
+
+
+def _cycle_shares(h: int, ns, ks, bs) -> Iterator[int]:
+    # n * b / k for n, k, b taken in step, b = C(n - h*k - 1, k - 1): each
+    # k-subset is counted once per element, so every division is exact
+    # unless the arithmetic is broken.
+    for n, k, b in zip(ns, ks, bs):
+        share, rest = divmod(n * b, k)
+        if rest:
+            raise ArithmeticError(f"inexact division for cycle count n={n} h={h} k={k}")
+        yield share
 
 
 def _cycle_size_bound(n: int, h: int) -> int:
@@ -215,13 +223,9 @@ def cycle_count(n: int, h: int) -> int:
     """Total number of independent sets of the h-power of the n-cycle."""
     _require_nonnegative(n, h)
     bound = _cycle_size_bound(n, h)
-    total = 1  # the empty set
-    # C(n - h*k - 1, k - 1) for k = 1..bound
-    for k, b in enumerate(_diagonal_binomials(n - h - 1, h, bound - 1), start=1):
-        count, rest = divmod(n * b, k)
-        if rest:
-            raise ArithmeticError(f"inexact division for cycle count n={n} h={h} k={k}")
-        total += count
+    # The empty set, then k = 1..bound from C(n - h*k - 1, k - 1).
+    total = 1 + sum(_cycle_shares(h, repeat(n), count(1),
+                                  _diagonal_binomials(n - h - 1, h, bound - 1)))
     if cycle_count_k(n, h, bound + 1) != 0:
         raise ArithmeticError(f"nonzero cycle count past the size bound: n={n} h={h}")
     return total
@@ -589,13 +593,7 @@ def cycle_count_k_row(n_max: int, h: int, k: int) -> list[int]:
     _require_gap(h)
     if k <= 0:
         return [int(k == 0)] * (n_max + 1)
-    row = []
-    for n, b in enumerate(_binomial_row(-h * k - 1, k - 1, n_max + 1)):
-        c, rest = divmod(n * b, k)
-        if rest:
-            raise ArithmeticError(f"inexact division for cycle count n={n} h={h} k={k}")
-        row.append(c)
-    return row
+    return list(_cycle_shares(h, count(), repeat(k), _binomial_row(-h * k - 1, k - 1, n_max + 1)))
 
 
 # ---------------------------------------------------------------------------

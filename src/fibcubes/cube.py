@@ -12,7 +12,8 @@ indexes or iterates ``CubeGraph.vertices``.  Covers are stored as rows, one
 per lower vertex, in two ``array('I')``: one holds the V+1 row offsets,
 the other the upper indices, row after row, so a cover costs 4 bytes.
 ``CubeGraph.covers`` reads (lower, upper) pairs from them on access, and
-the exporters write one string per row.
+the exporters write one string per row.  ``_chunks`` joins such pieces into
+chunks of about ``_CHUNK_CHARS`` characters that concatenate to the whole.
 
 For h = 0 this is the Boolean lattice (the n-cube); for h = 1 on paths and
 cycles it is the classic Fibonacci and Lucas cube.
@@ -32,25 +33,23 @@ from .graphs import GapGraph
 
 __all__ = ["CubeGraph", "build_cube", "cover_count"]
 
-# Row strings joined into one intermediate string of export text: at most
-# this many, and fewer once they are long, so a chunk stays near _CHUNK_CHARS.
-_ROWS_PER_CHUNK = 4096
-_CHUNK_CHARS = 1 << 16
+_CHUNK_CHARS = 1 << 15  # characters per chunk of _chunks and per write of cli._emit
 
 
 def _chunks(pieces, sep: str = ""):
-    """Yield the nonempty strings ``pieces`` ``sep``-joined a chunk at a time;
-    the chunks ``sep``-joined give the whole.
-
-    Each chunk takes as many pieces as the last one's length says fit in
-    ``_CHUNK_CHARS``, and at most twice as many, so a chunk's size stays flat
-    as pieces grow (terms of a sequence gain digits along it).
+    """Yield ``sep.join(pieces)`` a chunk at a time; the chunks concatenate to
+    it, for any pieces.  A chunk joins pieces until their length reaches
+    ``_CHUNK_CHARS``, and every chunk after the first starts with ``sep``.
     """
-    pieces = iter(pieces)
-    take = 1
-    while chunk := sep.join(itertools.islice(pieces, take)):
-        yield chunk
-        take = max(1, min(_ROWS_PER_CHUNK, 2 * take, take * _CHUNK_CHARS // len(chunk)))
+    batch, size, lead = [], 0, ""
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _CHUNK_CHARS:
+            yield lead + sep.join(batch)
+            batch, size, lead = [], 0, sep
+    if batch:
+        yield lead + sep.join(batch)
 
 
 def _json_array(items, depth: int):
@@ -173,7 +172,7 @@ class CubeGraph:
                 for lo, a, b in zip(s, starts, starts[1:]) if a != b)
         chunks = list(_chunks(rows, sep))
         del s, name, rows  # before the final join, which holds the text twice
-        return sep.join(chunks)
+        return "".join(chunks)
 
     def _rank_blocks(self):
         # Masks are in rank order and a down-closed family skips no rank.

@@ -230,9 +230,7 @@ def _subset_shift_bijection(n, h, s):
     # The index-spreading map is injective, lands on gap-valid masks, inverts
     # cleanly, and its image is exactly as large as the closed form says.
     for k in range(max_subset_size(n, h) + 1):
-        top = n - h * k + h
-        if top < 0:
-            continue
+        top = n - h * k + h  # >= 1 for n >= 1, since k <= ceil(n / (h+1))
         images = set()
         ok = True
         for combo in itertools.combinations(range(1, top + 1), k):

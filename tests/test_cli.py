@@ -374,7 +374,7 @@ def test_output_written_in_slices_is_whole(tmp_path, capsys, monkeypatch):
     # give the text that one write gives, to the file and to stdout.
     argv = ["cube", "cycle", "7", "1", "--format", "json"]
     code, whole, _ = run(argv, capsys)
-    monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+    monkeypatch.setattr(cli.cube, "_CHUNK_CHARS", 7)
     target = tmp_path / "c.json"
     assert run(argv + ["--out", str(target)], capsys)[:2] == (0, "")
     assert target.read_text() == whole
@@ -467,6 +467,9 @@ JSON_ARGVS = [
     ["table", "F", "--h", "2", "--n-max", "1", "--format", "json"],
     ["seq", "L-ext", "--h", "3", "--n-max", "20", "--format", "json"],
     ["seq", "F", "--h", "2", "--n-max", "0", "--format", "json"],  # "values": []
+    # Many chunks each, so the layout is checked across chunk boundaries.
+    ["seq", "F", "--h", "1", "--n-max", "3000", "--format", "json"],
+    ["table", "p", "--h", "0:20000", "--n-max", "0", "--format", "json"],
 ]
 
 

@@ -291,9 +291,23 @@ def test_covers_view_of_the_empty_and_star_diagrams():
 def test_exports_do_not_depend_on_the_chunk_size(monkeypatch):
     cubes = list(_cubes_up_to(7, 2))
     want = [(c.to_dot(), c.to_json(), c.to_edgelist_text()) for c in cubes]
-    for rows in (1, 2, 3):
-        monkeypatch.setattr(cube, "_ROWS_PER_CHUNK", rows)
+    for size in (1, 2, 3):
+        monkeypatch.setattr(cube, "_CHUNK_CHARS", size)
         assert [(c.to_dot(), c.to_json(), c.to_edgelist_text()) for c in cubes] == want
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, None])
+@pytest.mark.parametrize("sep", ["", ",", ",\n    "])
+def test_chunks_concatenate_to_the_whole(size, sep, monkeypatch):
+    # Empty pieces are pieces too: the chunks, written one after another,
+    # are the sep-joined text whatever the chunk size.
+    if size is not None:
+        monkeypatch.setattr(cube, "_CHUNK_CHARS", size)
+    long = "z" * (cube._CHUNK_CHARS + 3)
+    for pieces in (["", "x", "y"], ["a", "", "", "b"], [""] * 3, [], ["ab", long, "", "c"],
+                   [str(i) for i in range(50)]):
+        assert "".join(cube._chunks(pieces, sep)) == sep.join(pieces)
+        assert "".join(cube._chunks(iter(pieces), sep)) == sep.join(pieces)
 
 
 def test_cover_count_reads_no_pairs(monkeypatch):
