@@ -9,6 +9,15 @@ argv, a negative n, h, k or cap, or output that cannot be written), 3 capacity
 error (beyond the enumeration cap, or out of memory).  All numeric output is
 full decimal, never scientific notation.
 
+``seq`` and the h-by-n tables (``p``, ``c``, ``F``, ``L``, ``H``, ``M``)
+decide once, before any work, whether their values are born as ints or as
+exact ``decimal.Decimal``: Decimal when the largest value is predicted to
+reach ``_DECIMAL_DIGITS`` digits, since a Decimal prints in time linear in
+its digits and an int in quadratic time.  Decimal values are made and
+printed inside one context that raises on any rounding, active until the
+output is written; ``decimal`` is imported only then.  ``count`` and the
+per-size tables ``pk`` and ``ck`` always print ints.
+
 Parsing and the commands raise on bad input; ``_run``, which does both, alone
 turns an exception into an ``error: ...`` line on stderr and an exit code.
 Any other exception, such as an ``ArithmeticError`` from a broken internal
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import re
 import stat
@@ -90,6 +100,18 @@ PAPER_H_RANGE = (0, 10)
 
 _PER_SIZE_TABLES = ("pk", "ck")
 _TABLE_N_MAX = 15  # last column n unless --n-max or --paper-layout sets it
+
+# Sequence-backed output whose largest value is predicted to have at least
+# this many digits is computed in Decimal, the rest in int.  CPython 3.11
+# turns an int into decimal text in time quadratic in its digits, libmpdec
+# a Decimal in linear time.  Measured on Python 3.11.7, 2 CPUs: str takes
+# 0.32 us for a 100-digit Decimal against 0.33 us for the int, 0.93 against
+# 2.8 at 400 digits, and 4.6 against 45 at 1,600.  A Decimal add costs more
+# (0.09 against 0.06 us at 100 digits), a row's values run from one digit
+# up to its largest, and importing decimal adds about 2 ms to the command,
+# so in a fresh process Decimal breaks even near 400 digits for ``seq F
+# --h 1`` and near 480 for ``table F --h 0:10``; small output stays on int.
+_DECIMAL_DIGITS = 450
 
 
 def _emit(chunks, out: str | None) -> None:
@@ -164,6 +186,38 @@ def _discard(stream) -> None:
     os.close(null)
 
 
+def _digits_per_index(h: int) -> float:
+    """log10 of the growth rate of t(n) = t(n-1) + t(n-h-1): of the root
+    r > 1 of r^h (r - 1) = 1, found by bisection on y = ln r, where
+    h = -ln(e^y - 1) / y.  A negative h reads as h = 0, and an h past about
+    10^16 as that h; h is compared, never converted, so any int will do."""
+    lo, hi = 0.0, math.log(2)
+    for _ in range(50):
+        mid = (lo + hi) / 2
+        if h < -math.log(math.expm1(mid)) / mid:
+            lo = mid
+        else:
+            hi = mid
+    return hi / math.log(10)
+
+
+def _exact_numbers(h: int, n_max: int):
+    """The unit that sequences of gap h or more are run from through index
+    n_max, and the context that keeps their values exact: ``1`` and no
+    context while the largest value is predicted under ``_DECIMAL_DIGITS``
+    digits, else ``Decimal(1)`` and a context that raises on any rounding.
+    The context must stay active until the output is written."""
+    if n_max < _DECIMAL_DIGITS / _digits_per_index(h):  # no float of n_max, which may be huge
+        return 1, contextlib.nullcontext()
+    import decimal  # only here, so small output never loads it
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            Emin=decimal.MIN_EMIN,
+                            traps=[decimal.Inexact, decimal.Rounded,
+                                   decimal.InvalidOperation, decimal.DivisionByZero])
+    return decimal.Decimal(1), decimal.localcontext(exact)
+
+
 def _parse_h_range(text: str) -> tuple[int, int]:
     """Parse "2" or "0:10" into an inclusive (lo, hi) range."""
     match = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", text)
@@ -188,14 +242,19 @@ def _render_grid(fmt: str, row_tag: str, rows: range, cols: range, row_values):
         yield from _chunks(_json_array(map(str, rows), 1))
         yield (f',\n  "col": "n",\n  "cols": {"".join(_json_array(map(str, cols), 1))},\n'
                f'  "values": ')
-        yield from _json_array(("".join(_json_array(map(str, row_values(r)), 2))
-                                for r in rows), 1)
-        yield "\n}\n"
+        # A row's values are one join, written between its brackets rather
+        # than copied into them: ``rows`` and ``cols`` are never empty here.
+        lead, cell = "[\n    [\n      ", ",\n      "
+        for r in rows:
+            yield from (lead, cell.join(map(str, row_values(r))), "\n    ]")
+            lead = ",\n    [\n      "
+        yield "\n  ]\n}\n"
         return
     sep = "\t" if fmt == "tsv" else ","
     yield sep.join(["", f"n={cols[0]}", *map(str, cols[1:])]) + "\n"
     for label, r in zip(chain([f"{row_tag}={rows[0]}"], map(str, rows[1:])), rows):
-        yield sep.join([label, *map(str, row_values(r))]) + "\n"
+        yield sep.join([label, *map(str, row_values(r))])
+        yield "\n"  # not appended to the row, which would copy it
 
 
 def _cmd_table(args) -> int:
@@ -238,20 +297,23 @@ def _cmd_table(args) -> int:
     # Row r's values, r a k or an h; like _COUNT_ROUTES, the lambdas look the
     # row functions up by name when called.  Every row is one linear pass over
     # its columns: 0..n_max, except the F and L columns, which run 1..n_max.
+    # The h rows grow fastest at their first h, and are made from ``unit``.
+    unit, exact = (1, contextlib.nullcontext()) if per_size else _exact_numbers(h, n_max)
     row_values = {
         "pk": lambda k: path_count_k_row(n_max, h, k),
         "ck": lambda k: cycle_count_k_row(n_max, h, k),
-        "p": lambda hh: path_count_row(n_max, hh),
-        "c": lambda hh: cycle_count_row(n_max, hh),
-        "F": lambda hh: HSequence(FIBONACCI, hh).prefix(n_max),
-        "L": lambda hh: HSequence(LUCAS, hh).prefix(n_max),
-        "H": lambda hh: path_edges_row(n_max, hh),
+        "p": lambda hh: path_count_row(n_max, hh, unit),
+        "c": lambda hh: cycle_count_row(n_max, hh, unit),
+        "F": lambda hh: islice(HSequence(FIBONACCI, hh, unit), n_max),
+        "L": lambda hh: islice(HSequence(LUCAS, hh, unit), n_max),
+        "H": lambda hh: path_edges_row(n_max, hh, unit),
         # The published edge table prints 0 in the n <= h corner it makes
         # no claim about; the library value there is cycle_edges itself.
         "M": lambda hh: [0 if paper and n <= hh else e
-                         for n, e in enumerate(cycle_edges_row(n_max, hh))],
+                         for n, e in enumerate(cycle_edges_row(n_max, hh, unit))],
     }[which]
-    _emit(_render_grid(args.format, row_tag, rows, cols, row_values), args.out)
+    with exact:
+        _emit(_render_grid(args.format, row_tag, rows, cols, row_values), args.out)
     return EXIT_OK
 
 
@@ -337,7 +399,8 @@ _SEQ_KINDS = {"F": FIBONACCI, "L": LUCAS, "F-ext": EXTENDED_FIBONACCI,
 
 
 def _cmd_seq(args) -> int:
-    seq = HSequence(_SEQ_KINDS[args.kind], args.h)
+    unit, exact = _exact_numbers(args.h, args.n_max)
+    seq = HSequence(_SEQ_KINDS[args.kind], args.h, unit)
     start = seq.min_index
     terms = islice(seq, max(args.n_max - start + 1, 0))  # through n_max
     if args.format == "json":  # json.dumps(payload, indent=2) + "\n", written directly
@@ -345,8 +408,10 @@ def _cmd_seq(args) -> int:
                 f'  "start": {start},\n  "values": ')
         text = chain([head], _chunks(_json_array(map(str, terms), 1)), ["\n}\n"])
     else:
-        text = _chunks(f"{n}\t{v}\n" for n, v in zip(count(start), terms))
-    _emit(text, args.out)
+        # !s: str() of a Decimal is quicker than its __format__.
+        text = _chunks(f"{n}\t{v!s}\n" for n, v in zip(count(start), terms))
+    with exact:
+        _emit(text, args.out)
     return EXIT_OK
 
 

@@ -12,7 +12,17 @@ Conventions used throughout:
   for every m (including negative m), and C(m, k) = 0 whenever k < 0, or
   m < 0 < k, or k > m.  This is exactly what makes the closed forms vanish
   outside their support.
-* All results are Python ints, so nothing ever overflows.
+* Every per-cell function returns a Python int, so nothing ever
+  overflows.  :class:`HSequence` and the rows of the totals and edge counts
+  (``path_count_row``, ``cycle_count_row``, ``path_edges_row``,
+  ``cycle_edges_row``) may instead run over exact ``decimal.Decimal``:
+  given ``Decimal(1)`` as their private unit, they multiply every seed by
+  it, and every later value is a sum, or a product with a small int, of
+  those.  That is exact integer arithmetic only under a context that
+  raises on any rounding, which the caller sets up (``fibcubes.cli`` does
+  for large output, since a Decimal converts to decimal text in time
+  linear in its digits and an int in quadratic time).  The per-size rows
+  and the closed forms stay on int.
 * The closed-form totals and edge sums walk consecutive binomials along a
   diagonal, C(m, k) -> C(m-h, k+1), each from the one before by one
   multiply and one exact divide, so a total costs one big-integer step per
@@ -41,7 +51,7 @@ Conventions used throughout:
   ``cycle_count_k_row``) give one quantity for n = 0..n_max in one linear
   pass, which is what a table row needs: the totals are prefixes of the
   path- and cycle-total sequences, path edges the prefix of the streamed
-  F * F convolution, cycle edges n * F(n-h) read off one prefix of F, and
+  F * F convolution, cycle edges n * F(n-h) read off F as it streams, and
   the per-size counts binomials stepped along n by
   C(m+1, k) = C(m, k) * (m+1) / (m+1-k).  The per-cell functions stay the
   closed forms that the rows are checked against.
@@ -310,9 +320,12 @@ class HSequence:
     yielded.  An index inside the seed run is answered by the seed function
     alone, and one within h+1 past it by stepping from the last seed, so a
     large h costs nothing until terms well past the seeds are needed.
+
+    Every seed is multiplied by ``_unit``, ``1`` or ``Decimal(1)``, so the
+    terms are ints or Decimals; :meth:`numerator` is int either way.
     """
 
-    def __init__(self, kind: str, h: int):
+    def __init__(self, kind: str, h: int, _unit=1):
         if kind not in _SEEDS:
             raise ValueError(f"unknown sequence kind {kind!r}")
         if h < 0:
@@ -324,7 +337,9 @@ class HSequence:
         self.h = h
         self.min_index = first(h)
         self._last = last(h)  # at least min_index + h: the recurrence starts from seeds
-        self._seed = globals()[seed]
+        seed = globals()[seed]
+        # Seeds in the unit's type; the int unit 1 needs no product.
+        self._seed = seed if type(_unit) is int else lambda h, n: _unit * seed(h, n)
 
     def __repr__(self) -> str:
         return f"HSequence({self.kind!r}, h={self.h})"
@@ -383,7 +398,7 @@ class HSequence:
         one = 1 - self.min_index  # position of index 1
         t = [0, *islice(self, one, one + size)]  # t(0) read as 0, t(1..size)
         beta = (t[k + 1] - t[k] - (t[k - h] if k > h else 0) for k in range(size))
-        return tuple((k, v) for k, v in enumerate(beta) if v)
+        return tuple((k, int(v)) for k, v in enumerate(beta) if v)
 
 
 def fibonacci_sequence(h: int) -> HSequence:
@@ -538,29 +553,31 @@ def cycle_edges_conv(n: int, h: int) -> int:
 # Table rows: one quantity for n = 0..n_max in one linear pass
 # ---------------------------------------------------------------------------
 
-def path_count_row(n_max: int, h: int) -> list[int]:
+# The four rows below pass their private ``_unit`` to the sequence they read
+# (see HSequence), so their values are Decimals for Decimal(1).
+
+def path_count_row(n_max: int, h: int, _unit=1) -> list[int]:
     """path_count(n, h) for n = 0..n_max: a prefix of the path totals."""
-    return HSequence(_PATH_TOTALS, h).prefix(n_max)
+    return HSequence(_PATH_TOTALS, h, _unit).prefix(n_max)
 
 
-def cycle_count_row(n_max: int, h: int) -> list[int]:
+def cycle_count_row(n_max: int, h: int, _unit=1) -> list[int]:
     """cycle_count(n, h) for n = 0..n_max: a prefix of the cycle totals."""
-    return HSequence(_CYCLE_TOTALS, h).prefix(n_max)
+    return HSequence(_CYCLE_TOTALS, h, _unit).prefix(n_max)
 
 
-def path_edges_row(n_max: int, h: int) -> list[int]:
+def path_edges_row(n_max: int, h: int, _unit=1) -> list[int]:
     """path_edges(n, h) for n = 0..n_max: 0, then the self-convolution of
     the delayed-Fibonacci sequence at 1..n_max."""
-    f = HSequence(FIBONACCI, h)
+    f = HSequence(FIBONACCI, h, _unit)
     return [0, *_convolution(f, f, n_max)] if n_max >= 0 else []
 
 
-def cycle_edges_row(n_max: int, h: int) -> list[int]:
+def cycle_edges_row(n_max: int, h: int, _unit=1) -> list[int]:
     """cycle_edges(n, h) for n = 0..n_max: 0 at n = 0, the n singleton
-    edges for 0 < n <= h, and n * F(n-h) beyond, all from one prefix of F."""
-    fib = HSequence(FIBONACCI, h).prefix(n_max - h)  # F(1..n_max-h)
+    edges for 0 < n <= h, and n * F(n-h) beyond, F(1..n_max-h) streamed."""
     star = range(min(h, n_max) + 1)
-    return [*star, *map(mul, range(h + 1, n_max + 1), fib)]
+    return [*star, *map(mul, range(h + 1, n_max + 1), HSequence(FIBONACCI, h, _unit))]
 
 
 def _binomial_row(m: int, k: int, count: int) -> list[int]:

@@ -417,11 +417,11 @@ def test_failure_after_the_first_row_leaves_out_file_alone(fmt, first, tmp_path,
     real = cli.path_count_row
     calls = []
 
-    def failing_row(n_max, h):
+    def failing_row(n_max, h, unit):
         calls.append(h)
         if len(calls) == 2:
             raise ValueError("second row failed")
-        return real(n_max, h)
+        return real(n_max, h, unit)
 
     monkeypatch.setattr(cli, "path_count_row", failing_row)
     argv = ["table", "p", "--h", "0:1", "--n-max", "2", "--format", fmt]
@@ -760,7 +760,7 @@ def test_seq_and_table_print_values_past_the_digit_limit(monkeypatch, capsys):
     big = 7 * 10 ** 5000 + 3
     monkeypatch.setattr(counting, "_fib_base", lambda h, n: big + n)
     monkeypatch.setattr(cli, "path_count_row",
-                        lambda n_max, h: [-big - n for n in range(n_max + 1)])
+                        lambda n_max, h, unit: [-big - n for n in range(n_max + 1)])
     seq_argv = ["seq", "F", "--h", "1", "--n-max", "2"]
     table_argv = ["table", "p", "--h", "0", "--n-max", "1"]
     with digit_limit(4300):
