@@ -6,14 +6,14 @@ taking subsets, deleting any single bit of a vertex lands on another vertex,
 which is how covers are generated, and cover pairs coincide with pairs at
 Hamming distance 1.
 
-Vertices stay integer masks (b_1 the low bit) from enumeration to the
-exported text; :class:`VertexMask` objects are made only when a caller
-indexes or iterates ``CubeGraph.vertices``.  Covers are stored as rows, one
-per lower vertex, in two ``array('I')``: one holds the V+1 row offsets,
-the other the upper indices, row after row, so a cover costs 4 bytes.
-``CubeGraph.covers`` reads (lower, upper) pairs from them on access, and
-the exporters write one string per row.  ``_chunks`` joins such pieces into
-chunks of about ``_CHUNK_CHARS`` characters that concatenate to the whole.
+Vertices stay integer masks (b_1 the low bit), in one rank-ordered list,
+from enumeration to the exported text; :class:`VertexMask` objects are made
+only when a caller indexes or iterates ``CubeGraph.vertices``.  Covers are
+rows, one per lower vertex, in two ``array('I')``: V+1 row offsets and the
+upper indices, row after row, so a cover costs 4 bytes.  ``covers`` reads
+(lower, upper) pairs from them on access.  An export is one join of chunks
+of about ``_CHUNK_CHARS`` characters, which ``_chunks`` makes from one
+string per label or row and which concatenate to the whole.
 
 For h = 0 this is the Boolean lattice (the n-cube); for h = 1 on paths and
 cycles it is the classic Fibonacci and Lucas cube.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from operator import eq
@@ -122,10 +122,10 @@ class CubeGraph:
     """Ranked vertex masks plus cover rows; built once, then immutable.
 
     Vertex order is (rank, numeric mask value): all size-0 sets first, then
-    size-1, and so on, each block ascending.  ``position`` maps each integer
-    mask to its index in that order and is the only per-vertex table kept;
-    ``masks`` lists its keys in order.  ``vertices`` is a read-only sequence
-    of :class:`VertexMask` whose items are made on access.
+    size-1, and so on, each block ascending.  ``masks`` lists the integer
+    masks in that order, the only per-vertex table kept; ``index_of``
+    bisects it on (rank, value).  ``vertices`` is a read-only sequence of
+    :class:`VertexMask` whose items are made on access.
 
     The covers of lower vertex ``lo`` are the ascending upper indices
     ``_uppers[_starts[lo]:_starts[lo + 1]]``.  ``covers`` is a read-only
@@ -133,15 +133,14 @@ class CubeGraph:
     items are made on access.
     """
 
-    def __init__(self, source: GapGraph, position: dict[int, int],
+    def __init__(self, source: GapGraph, masks: list[int],
                  starts: Sequence[int], uppers: Sequence[int]):
         self.source = source
-        self.masks = list(position)
-        self.vertices = _Vertices(source.n, self.masks)
+        self.masks = masks
+        self.vertices = _Vertices(source.n, masks)
         self._starts = starts
         self._uppers = uppers
         self.covers = _Covers(starts, uppers)
-        self._position = position
 
     def __repr__(self) -> str:
         g = self.source
@@ -157,22 +156,23 @@ class CubeGraph:
         return len(self.covers)
 
     def index_of(self, mask: VertexMask) -> int:
-        return self._position[mask.bits]
+        """The index of ``mask`` in vertex order; KeyError if it is no vertex."""
+        if mask.n != self.source.n:
+            raise ValueError(f"mask length {mask.n} does not match graph order {self.source.n}")
+        bits = mask.bits
+        i = bisect_left(self.masks, (bits.bit_count(), bits), key=lambda m: (m.bit_count(), m))
+        if self.masks[i:i + 1] != [bits]:
+            raise KeyError(bits)
+        return i
 
-    def _cover_rows(self, row, sep: str = "") -> str:
-        """``sep``-joined ``row(lower_name, upper_names)`` over the nonempty rows.
-
-        Each index is formatted once, not at every cover; the row strings are
-        joined a chunk at a time, so they never all exist at once.
-        """
+    def _cover_rows(self, row, sep: str = ""):
+        """Chunks of the ``sep``-joined ``row(lower_name, upper_names)`` over the
+        nonempty rows; each index is formatted once, not at every cover."""
         s = list(map(str, range(len(self.masks))))
         name = s.__getitem__
         starts, uppers = self._starts, self._uppers
-        rows = (row(lo, map(name, uppers[a:b]))
-                for lo, a, b in zip(s, starts, starts[1:]) if a != b)
-        chunks = list(_chunks(rows, sep))
-        del s, name, rows  # before the final join, which holds the text twice
-        return "".join(chunks)
+        return _chunks((row(lo, map(name, uppers[a:b]))
+                        for lo, a, b in zip(s, starts, starts[1:]) if a != b), sep)
 
     def _rank_blocks(self):
         # Masks are in rank order and a down-closed family skips no rank.
@@ -189,12 +189,12 @@ class CubeGraph:
         independently of how the covers were generated; on a subset-closed
         family this must equal the number of covers.
         """
-        pos = self._position
+        members = set(self.masks)
         n = self.source.n
         hits = 0
         for bits in self.masks:
             for b in range(n):
-                if bits ^ (1 << b) in pos:
+                if bits ^ (1 << b) in members:
                     hits += 1
         if hits % 2:
             raise ArithmeticError(f"odd Hamming pair count {hits}")
@@ -210,14 +210,15 @@ class CubeGraph:
 
     # -- exports ------------------------------------------------------------
     # A row of covers is one string: its lower name is repeated through the
-    # separator of one join over its upper names.
+    # separator of one join over its upper names.  An export is one join.
 
     def to_dot(self) -> str:
         g = self.source
         n = g.n
-        labels = "".join([f'  {i} [label="{_bit_string(n, m)}"];\n' for i, m in enumerate(self.masks)])
+        labels = _chunks(f'  {i} [label="{_bit_string(n, m)}"];\n' for i, m in enumerate(self.masks))
         covers = self._cover_rows(lambda lo, his: f"  {lo} -- " + f";\n  {lo} -- ".join(his) + ";\n")
-        return f"graph cube_{g.kind}_{g.n}_{g.h} {{\n{labels}{covers}}}\n"
+        head = f"graph cube_{g.kind}_{n}_{g.h} {{\n"
+        return "".join(itertools.chain((head,), labels, covers, ("}\n",)))
 
     def to_json_dict(self) -> dict:
         n = self.source.n
@@ -235,18 +236,17 @@ class CubeGraph:
         n = g.n
         ranks = ("".join(_json_array((f'"{_bit_string(n, m)}"' for m in block), 2))
                  for block in self._rank_blocks())
-        head = (f'{{\n  "kind": {json.dumps(g.kind)},\n  "n": {n},\n  "h": {g.h},\n'
-                f'  "ranks": {"".join(_json_array(ranks, 1))},\n  "covers": ')
+        head = f'{{\n  "kind": {json.dumps(g.kind)},\n  "n": {n},\n  "h": {g.h},\n  "ranks": '
         covers = self._cover_rows(
             lambda lo, his: (f"[\n      {lo},\n      "
                              + f"\n    ],\n    [\n      {lo},\n      ".join(his) + "\n    ]"),
             ",\n    ")
-        if not covers:
-            return head + "[]\n}\n"
-        return f"{head}[\n    {covers}\n  ]\n}}\n"
+        opening, closing = ("[\n    ", "\n  ]") if self.cover_count else ("[", "]")
+        return "".join(itertools.chain((head,), _chunks(_json_array(ranks, 1)),
+                                       (',\n  "covers": ' + opening,), covers, (closing + "\n}\n",)))
 
     def to_edgelist_text(self) -> str:
-        return self._cover_rows(lambda lo, his: f"{lo} " + f"\n{lo} ".join(his) + "\n")
+        return "".join(self._cover_rows(lambda lo, his: f"{lo} " + f"\n{lo} ".join(his) + "\n"))
 
 
 def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:
@@ -263,7 +263,8 @@ def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:
     by_rank: list[list[int]] = [[] for _ in range(g.n + 2)]
     for m in iter_masks(g, cap):  # ascending, so each bucket is too
         by_rank[m.bit_count()].append(m)
-    position = {m: i for i, m in enumerate(itertools.chain.from_iterable(by_rank))}
+    masks = list(itertools.chain.from_iterable(by_rank))
+    position = {m: i for i, m in enumerate(masks)}  # places the covers; the cube keeps no map
     from array import array  # here, so that commands building no cube never load it
 
     starts = array("I", [0])
@@ -284,7 +285,7 @@ def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:
             uppers.extend(row)
             starts.append(len(uppers))
         base += len(lower)
-    return CubeGraph(g, position, starts, uppers)
+    return CubeGraph(g, masks, starts, uppers)
 
 
 def cover_count(g: GapGraph, cap: int = DEFAULT_CAP) -> int:

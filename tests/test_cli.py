@@ -776,6 +776,18 @@ def test_seq_and_table_print_values_past_the_digit_limit(monkeypatch, capsys):
         assert json.loads(table_json[1])["values"] == [[-big, -big - 1]]
 
 
+@needs_digit_limit
+def test_argv_integers_past_the_digit_limit_parse(capsys):
+    # Arguments are parsed with int(text) and echoed in error messages, so
+    # main lifts the limit for these even where no output value is large.
+    big = "1" + "0" * 5000
+    with digit_limit(4300):
+        seq = run(["seq", "F", "--h", big, "--n-max", "3"], capsys)
+        count = run(["count", "path", big, "1", "--route", "oracle"], capsys)
+    assert seq == (0, "1\t1\n2\t1\n3\t1\n", "")
+    assert count == (3, "", f"error: refusing to enumerate n={big} (cap 24)\n")
+
+
 def test_package_runs_as_module():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     out = subprocess.run([sys.executable, "-m", "fibcubes", "count", "path", "10", "2"],

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -137,6 +138,44 @@ def test_index_of():
         assert c.index_of(v) == i
     # rank-2 block starts at 5 and is numerically ordered: 1010, 1001, 0101
     assert c.index_of(VertexMask.from_string("1001")) == 6
+
+
+def test_index_of_rejects_a_mask_of_another_length():
+    # The bits alone would name a vertex: 1 is {1} and 8 is {4} of path 4.
+    c = build_cube(GapGraph(PATH, 4, 1))
+    for mask in (VertexMask(5, 1), VertexMask(9, 8), VertexMask(3, 0)):
+        with pytest.raises(ValueError, match=f"mask length {mask.n} does not match graph order 4"):
+            c.index_of(mask)
+
+
+def test_index_of_raises_key_error_for_a_non_vertex():
+    # Every mask of the right length: below, between and past the vertices
+    # of each rank, and ranks above the top one (1111 of path 4 1).
+    for g in (GapGraph(PATH, 4, 1), GapGraph(PATH, 6, 2), GapGraph(CYCLE, 6, 2)):
+        c = build_cube(g)
+        members = set(c.masks)
+        for bits in range(1 << g.n):
+            if bits in members:
+                assert c.masks[c.index_of(VertexMask(g.n, bits))] == bits
+            else:
+                with pytest.raises(KeyError):
+                    c.index_of(VertexMask(g.n, bits))
+
+
+def test_built_cube_holds_under_100_bytes_per_vertex():
+    # The masks, the two cover arrays and the int objects: about 73 bytes a
+    # vertex for path 14 0 (16,384 vertices, 7 covers each); a {mask: index}
+    # map kept beside the masks took it to about 136.
+    g = GapGraph(PATH, 14, 0)
+    build_cube(GapGraph(PATH, 2, 0))  # loads array before tracing starts
+    tracemalloc.start()
+    try:
+        c = build_cube(g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert c.vertex_count == 1 << 14
+    assert held / c.vertex_count < 100, f"{held / c.vertex_count:.1f} bytes per vertex"
 
 
 # --- exports -----------------------------------------------------------------
