@@ -56,7 +56,7 @@ from .counting import (
     HSequence,
     cycle_count,
     cycle_count_k,
-    cycle_count_k_row,
+    cycle_count_k_rows,
     cycle_count_rec,
     cycle_count_row,
     cycle_edges,
@@ -65,7 +65,7 @@ from .counting import (
     max_subset_size,
     path_count,
     path_count_k,
-    path_count_k_row,
+    path_count_k_rows,
     path_count_rec,
     path_count_row,
     path_edges,
@@ -233,10 +233,10 @@ def _parse_h_range(text: str) -> tuple[int, int]:
 # table
 # ---------------------------------------------------------------------------
 
-def _render_grid(fmt: str, row_tag: str, rows: range, cols: range, row_values):
+def _render_grid(fmt: str, row_tag: str, rows: range, cols: range, values):
     """Yield the grid of one line per row against the n columns ``cols``, a
-    row at a time; ``row_values(r)`` gives row ``r``'s values, one int per
-    column, and is called only when that row's chunk is wanted."""
+    row at a time; ``values`` yields each row's values, one int per column,
+    and is read only as far as ``rows`` runs, a row when its chunk is wanted."""
     if fmt == "json":  # json.dumps(payload, indent=2) + "\n", written directly
         yield f'{{\n  "row": {json.dumps(row_tag)},\n  "rows": '
         yield from _chunks(_json_array(map(str, rows), 1))
@@ -245,15 +245,15 @@ def _render_grid(fmt: str, row_tag: str, rows: range, cols: range, row_values):
         # A row's values are one join, written between its brackets rather
         # than copied into them: ``rows`` and ``cols`` are never empty here.
         lead, cell = "[\n    [\n      ", ",\n      "
-        for r in rows:
-            yield from (lead, cell.join(map(str, row_values(r))), "\n    ]")
+        for _, row in zip(rows, values):
+            yield from (lead, cell.join(map(str, row)), "\n    ]")
             lead = ",\n    [\n      "
         yield "\n  ]\n}\n"
         return
     sep = "\t" if fmt == "tsv" else ","
     yield sep.join(["", f"n={cols[0]}", *map(str, cols[1:])]) + "\n"
-    for label, r in zip(chain([f"{row_tag}={rows[0]}"], map(str, rows[1:])), rows):
-        yield sep.join([label, *map(str, row_values(r))])
+    for label, row in zip(chain([f"{row_tag}={rows[0]}"], map(str, rows[1:])), values):
+        yield sep.join([label, *map(str, row)])
         yield "\n"  # not appended to the row, which would copy it
 
 
@@ -294,14 +294,12 @@ def _cmd_table(args) -> int:
     if not rows:
         raise ValueError(f"empty row range: {row_tag} runs {rows.start}..{rows.stop - 1}")
 
-    # Row r's values, r a k or an h; like _COUNT_ROUTES, the lambdas look the
-    # row functions up by name when called.  Every row is one linear pass over
-    # its columns: 0..n_max, except the F and L columns, which run 1..n_max.
-    # The h rows grow fastest at their first h, and are made from ``unit``.
+    # Row h's values; like _COUNT_ROUTES, the lambdas look the row functions
+    # up by name when called.  Every row is one linear pass over its columns:
+    # 0..n_max, except the F and L columns, which run 1..n_max.  The h rows
+    # grow fastest at their first h, and are made from ``unit``.
     unit, exact = (1, contextlib.nullcontext()) if per_size else _exact_numbers(h, n_max)
     row_values = {
-        "pk": lambda k: path_count_k_row(n_max, h, k),
-        "ck": lambda k: cycle_count_k_row(n_max, h, k),
         "p": lambda hh: path_count_row(n_max, hh, unit),
         "c": lambda hh: cycle_count_row(n_max, hh, unit),
         "F": lambda hh: islice(HSequence(FIBONACCI, hh, unit), n_max),
@@ -311,9 +309,12 @@ def _cmd_table(args) -> int:
         # no claim about; the library value there is cycle_edges itself.
         "M": lambda hh: [0 if paper and n <= hh else e
                          for n, e in enumerate(cycle_edges_row(n_max, hh, unit))],
-    }[which]
+    }
+    # The k rows are one stream, each row made from the rows above it.
+    values = (path_count_k_rows(n_max, h) if which == "pk" else cycle_count_k_rows(n_max, h)
+              if which == "ck" else map(row_values[which], rows))
     with exact:
-        _emit(_render_grid(args.format, row_tag, rows, cols, row_values), args.out)
+        _emit(_render_grid(args.format, row_tag, rows, cols, values), args.out)
     return EXIT_OK
 
 

@@ -47,14 +47,13 @@ Conventions used throughout:
   index and keeps at most h+1 of its values; :func:`convolve` applies beta
   once, to the last few, and a row applies it at each index.
 * The row functions (``path_count_row``, ``cycle_count_row``,
-  ``path_edges_row``, ``cycle_edges_row``, ``path_count_k_row``,
-  ``cycle_count_k_row``) give one quantity for n = 0..n_max in one linear
-  pass, which is what a table row needs: the totals are prefixes of the
-  path- and cycle-total sequences, path edges the prefix of the streamed
-  F * F convolution, cycle edges n * F(n-h) read off F as it streams, and
-  the per-size counts binomials stepped along n by
-  C(m+1, k) = C(m, k) * (m+1) / (m+1-k).  The per-cell functions stay the
-  closed forms that the rows are checked against.
+  ``path_edges_row``, ``cycle_edges_row``) give one quantity for
+  n = 0..n_max in one linear pass, which is what a table row needs: the
+  totals are prefixes of the path- and cycle-total sequences, path edges
+  the prefix of the streamed F * F convolution, and cycle edges n * F(n-h)
+  read off F as it streams.  The per-size rows, streamed for k = 0, 1, ...,
+  are made by addition alone (:func:`path_count_k_rows`).  The per-cell
+  functions stay the closed forms that the rows are checked against.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from functools import reduce
-from itertools import count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import add, mul
 
 __all__ = [
@@ -95,8 +94,8 @@ __all__ = [
     "cycle_count_row",
     "path_edges_row",
     "cycle_edges_row",
-    "path_count_k_row",
-    "cycle_count_k_row",
+    "path_count_k_rows",
+    "cycle_count_k_rows",
     "t_count",
     "max_subset_size",
 ]
@@ -580,37 +579,37 @@ def cycle_edges_row(n_max: int, h: int, _unit=1) -> list[int]:
     return [*star, *map(mul, range(h + 1, n_max + 1), HSequence(FIBONACCI, h, _unit))]
 
 
-def _binomial_row(m: int, k: int, count: int) -> list[int]:
-    """C(m, k), C(m+1, k), ..., ``count`` terms by the subset convention
-    of :func:`binom`, each from the one before by
-    C(m+1, k) = C(m, k) * (m+1) / (m+1-k)."""
-    if k <= 0:
-        return [int(k == 0)] * count
-    lead = min(max(k - m, 0), count)  # C(top, k) = 0 while top < k
-    row = [0] * lead
-    top = max(m, k)
-    b = math.comb(top, k)
-    for _ in range(count - lead):
-        row.append(b)
-        top += 1
-        b = b * top // (top - k)
-    return row
-
-
-def path_count_k_row(n_max: int, h: int, k: int) -> list[int]:
-    """path_count_k(n, h, k) for n = 0..n_max: C(n - h*k + h, k) stepped
-    along n."""
+def path_count_k_rows(n_max: int, h: int) -> Iterator[list[int]]:
+    """Yield path_count_k(n, h, k) for n = 0..n_max as rows k = 0, 1, ...
+    without end: ones, n, then each row the running sum of the row above
+    delayed by h+1 columns, C(n-h*k, k+1) = sum_{m <= n-h-1} C(m-h*k+h, k),
+    as a k-subset avoids vertex n or holds it and none of the h before it.
+    Rows rise along n, so past a zero last cell every row is zero."""
     _require_gap(h)
-    return _binomial_row(h - h * k, k, n_max + 1)
+    width = max(n_max + 1, 0)
+    delay = min(h + 1, width)
+    yield [1] * width
+    row = list(range(width))
+    while True:
+        yield row
+        row = ([*repeat(0, delay), *islice(accumulate(row), width - delay)]
+               if row and row[-1] else [0] * width)
 
 
-def cycle_count_k_row(n_max: int, h: int, k: int) -> list[int]:
-    """cycle_count_k(n, h, k) for n = 0..n_max: n * C(n - h*k - 1, k - 1) / k
-    with C stepped along n, each division checked exact."""
-    _require_gap(h)
-    if k <= 0:
-        return [int(k == 0)] * (n_max + 1)
-    return list(_cycle_shares(h, count(), repeat(k), _binomial_row(-h * k - 1, k - 1, n_max + 1)))
+def cycle_count_k_rows(n_max: int, h: int) -> Iterator[list[int]]:
+    """Yield cycle_count_k(n, h, k) for n = 0..n_max as rows k = 0, 1, ...
+    without end: the first two path rows, then path row k delayed by h
+    columns plus h times path row k-1 delayed by 2h+1, as a k-subset holds
+    at most one of the vertices 1..h: C(n-h*k, k) + h * C(n-h*k-1, k-1)."""
+    width = max(n_max + 1, 0)
+    lead, join = min(h, width), min(2 * h + 1, width)  # the two delays, clipped
+    rows = path_count_k_rows(n_max, h)
+    yield next(rows)
+    yield (below := next(rows))
+    for row in rows:
+        yield [*repeat(0, lead), *map(add, islice(row, width - lead),
+                                      chain(repeat(0, join - lead), map(mul, repeat(h), below)))]
+        below = row
 
 
 # ---------------------------------------------------------------------------

@@ -727,6 +727,23 @@ def test_out_of_memory_is_capacity_error(argv):
     assert (out.returncode, out.stdout, out.stderr) == (3, "", "error: out of memory\n")
 
 
+@needs_rlimit_as
+@pytest.mark.parametrize("which,cell", [("pk", counting.path_count_k),
+                                        ("ck", counting.cycle_count_k)], ids=["pk", "ck"])
+def test_huge_h_size_table_runs_in_a_small_address_space(which, cell):
+    # Every delay of h or more columns is clipped to the row's 7 columns; a
+    # row of h zeros would outgrow the address space.
+    h = 10**9
+    cmd, env = _python_m_fibcubes("table", which, "--h", str(h), "--n-max", "6",
+                                  "--k-max", "3")
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120,
+                         preexec_fn=_limit_address_space)
+    grid = ["\tn=0\t1\t2\t3\t4\t5\t6"]
+    grid += ["\t".join([f"k={k}" if k == 0 else str(k), *(str(cell(n, h, k)) for n in range(7))])
+             for k in range(4)]
+    assert (out.returncode, out.stdout, out.stderr) == (0, "\n".join(grid) + "\n", "")
+
+
 # --- integers past the interpreter's int-to-str digit limit -------------------
 
 needs_digit_limit = pytest.mark.skipif(

@@ -268,8 +268,6 @@ def test_cycle_division_always_exact():
     ("binom", lambda m, k: 1, lambda: counting.cycle_count_k(7, 1, 2)),
     ("_diagonal_binomials", lambda m, h, last: iter([1] * (last + 1)),
      lambda: counting.cycle_count(7, 1)),
-    ("_binomial_row", lambda start, k, length: [1] * length,
-     lambda: counting.cycle_count_k_row(7, 1, 2)),
 ])
 def test_inexact_cycle_division_raises(name, fake, call, monkeypatch):
     # With every binomial forced to 1, n * 1 / 2 leaves a remainder at an odd n.

@@ -4,6 +4,8 @@ The sweeps in test_counting.py stop at small n; here n reaches 10^4, where
 only the closed forms, the recurrences and the convolutions are cheap.
 """
 
+from itertools import islice
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -28,16 +30,20 @@ def test_routes_agree_at_random_sizes(n, h):
 # per-cell closed forms are quadratic in n.
 ROWS = [("path_count_row", "path_count"), ("cycle_count_row", "cycle_count"),
         ("path_edges_row", "path_edges"), ("cycle_edges_row", "cycle_edges")]
-SIZE_ROWS = [("path_count_k_row", "path_count_k"), ("cycle_count_k_row", "cycle_count_k")]
+SIZE_ROWS = [("path_count_k_rows", "path_count_k"), ("cycle_count_k_rows", "cycle_count_k")]
 
 
 @settings(max_examples=60, deadline=None)
 @given(n_max=st.integers(0, 2000), h=st.integers(0, 40), data=st.data())
 def test_rows_match_cells_at_random_sizes(n_max, h, data):
     ns = data.draw(st.lists(st.integers(0, n_max), max_size=3)) + [n_max]
-    k = data.draw(st.integers(0, counting.max_subset_size(n_max, h) + 2))
-    for row, cell, args in [(r, c, ()) for r, c in ROWS] + [(r, c, (k,)) for r, c in SIZE_ROWS]:
-        values = getattr(counting, row)(n_max, h, *args)
+    for row, cell in ROWS:
+        values = getattr(counting, row)(n_max, h)
         assert len(values) == n_max + 1, row
-        cells = [getattr(counting, cell)(n, h, *args) for n in ns]
-        assert [values[n] for n in ns] == cells, row
+        assert [values[n] for n in ns] == [getattr(counting, cell)(n, h) for n in ns], row
+    sizes = counting.max_subset_size(n_max, h) + 3  # rows k = 0..max_subset_size + 2
+    for rows, cell in SIZE_ROWS:
+        for k, values in enumerate(islice(getattr(counting, rows)(n_max, h), sizes)):
+            assert len(values) == n_max + 1, (rows, k)
+            cells = [getattr(counting, cell)(n, h, k) for n in ns]
+            assert [values[n] for n in ns] == cells, (rows, k)

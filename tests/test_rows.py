@@ -1,9 +1,12 @@
 """Table rows: each row function equals its per-cell route at every n.
 
 ``fibcubes table`` renders a row of a count table from one linear pass
-(a sequence prefix, the streamed convolution, or a binomial stepped along
-n); the per-cell closed forms stay the reference here.
+(a sequence prefix or the streamed convolution), or takes the per-size rows
+k = 0, 1, 2, ... from a stream made by addition alone; the per-cell closed
+forms stay the reference here.
 """
+
+from itertools import islice
 
 import pytest
 
@@ -11,14 +14,14 @@ from fibcubes import counting
 from fibcubes.counting import (
     cycle_count,
     cycle_count_k,
-    cycle_count_k_row,
+    cycle_count_k_rows,
     cycle_count_row,
     cycle_edges,
     cycle_edges_row,
     max_subset_size,
     path_count,
     path_count_k,
-    path_count_k_row,
+    path_count_k_rows,
     path_count_row,
     path_edges,
     path_edges_row,
@@ -30,16 +33,17 @@ TOTAL_ROWS = [
     (path_edges_row, path_edges),
     (cycle_edges_row, cycle_edges),
 ]
-SIZE_ROWS = [(path_count_k_row, path_count_k), (cycle_count_k_row, cycle_count_k)]
+SIZE_ROWS = [(path_count_k_rows, path_count_k), (cycle_count_k_rows, cycle_count_k)]
 
 
 def _check_rows(n_max, h):
     ns = range(n_max + 1)
     for row, cell in TOTAL_ROWS:
         assert row(n_max, h) == [cell(n, h) for n in ns], (row.__name__, n_max, h)
-    for k in range(-1, max_subset_size(n_max, h) + 3):
-        for row, cell in SIZE_ROWS:
-            assert row(n_max, h, k) == [cell(n, h, k) for n in ns], (row.__name__, n_max, h, k)
+    sizes = max_subset_size(n_max, h) + 3  # rows k = 0..max_subset_size + 2
+    for rows, cell in SIZE_ROWS:
+        for k, row in enumerate(islice(rows(n_max, h), sizes)):
+            assert row == [cell(n, h, k) for n in ns], (rows.__name__, n_max, h, k)
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 17, 80])
@@ -54,19 +58,18 @@ def test_rows_match_cells_at_huge_h(h):
         _check_rows(n_max, h)
 
 
-@pytest.mark.parametrize("row", [r for r, _ in TOTAL_ROWS] + [r for r, _ in SIZE_ROWS])
+@pytest.mark.parametrize("row", [r for r, _ in TOTAL_ROWS])
 def test_rows_reject_negative_h_and_are_empty_below_n_0(row):
-    args = (2,) if row in (path_count_k_row, cycle_count_k_row) else ()
     with pytest.raises(ValueError):
-        row(3, -1, *args)
-    assert row(-1, 2, *args) == []
+        row(3, -1)
+    assert row(-1, 2) == []
 
 
-def test_cycle_size_row_checks_each_division(monkeypatch):
-    # A broken binomial makes n * C(n-h*k-1, k-1) indivisible by k at n = 1.
-    monkeypatch.setattr(counting, "_binomial_row", lambda m, k, count: [1] * count)
-    with pytest.raises(ArithmeticError, match="n=1 h=0 k=2"):
-        cycle_count_k_row(3, 0, 2)
+@pytest.mark.parametrize("rows", [r for r, _ in SIZE_ROWS])
+def test_size_rows_reject_negative_h_at_the_first_row_and_are_empty_below_n_0(rows):
+    with pytest.raises(ValueError):
+        next(rows(3, -1))
+    assert list(islice(rows(-1, 2), 5)) == [[]] * 5
 
 
 @pytest.mark.parametrize("fib_base", [
