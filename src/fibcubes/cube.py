@@ -15,6 +15,10 @@ upper indices, row after row, so a cover costs 4 bytes.  ``covers`` reads
 of about ``_CHUNK_CHARS`` characters, which ``_chunks`` makes from one
 string per label or row and which concatenate to the whole.
 
+``build_cube`` places the covers one rank at a time, through a
+``{mask: row}`` map of the rank below alone; no map of the whole cube is
+ever held, not even while building.
+
 For h = 0 this is the Boolean lattice (the n-cube); for h = 1 on paths and
 cycles it is the classic Fibonacci and Lucas cube.
 """
@@ -253,9 +257,10 @@ def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:
     """Construct the inclusion diagram of g's independent sets.
 
     Covers come from bit deletion: clearing any set bit of a vertex yields a
-    subset, which down-closure guarantees is itself a vertex (raising if it
-    is not).  The uppers of one rank are visited in ascending index, so the
-    rows of the rank below fill in ascending order and are written out, in
+    subset, which down-closure guarantees is a vertex of the rank below
+    (raising if it is not), found in a ``{mask: row}`` map of that rank.
+    The uppers of one rank are visited in ascending index, so the rows of
+    the rank below fill in ascending order and are written out, in
     lower-index order, once that rank is done: no pair tuples, no sort.
     """
     # One bucket per rank, plus an always-empty one above the top, so that
@@ -264,27 +269,27 @@ def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:
     for m in iter_masks(g, cap):  # ascending, so each bucket is too
         by_rank[m.bit_count()].append(m)
     masks = list(itertools.chain.from_iterable(by_rank))
-    position = {m: i for i, m in enumerate(masks)}  # places the covers; the cube keeps no map
     from array import array  # here, so that commands building no cube never load it
 
     starts = array("I", [0])
     uppers = array("I")
-    base = 0  # index of the lower rank's first vertex
+    first = 0  # index of the upper rank's first vertex
     for lower, upper in itertools.pairwise(by_rank):
+        first += len(lower)
+        row_of = {m: r for r, m in enumerate(lower)}
         rows: list[list[int]] = [[] for _ in lower]
         try:
-            for hi, bits in enumerate(upper, base + len(lower)):
+            for hi, bits in enumerate(upper, first):
                 rest = bits
                 while rest:
                     low = rest & -rest
-                    rows[position[bits ^ low] - base].append(hi)
+                    rows[row_of[bits ^ low]].append(hi)
                     rest ^= low
         except KeyError:
             raise ArithmeticError(f"family not subset-closed at mask 0x{bits:x}") from None
         for row in rows:
             uppers.extend(row)
             starts.append(len(uppers))
-        base += len(lower)
     return CubeGraph(g, masks, starts, uppers)
 
 

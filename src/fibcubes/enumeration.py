@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .graphs import CYCLE, GapGraph
@@ -49,13 +48,16 @@ def _bit_string(n: int, bits: int) -> str:
 class VertexMask:
     """A length-n bit string encoding a vertex subset (bit i-1 <-> v_i).
 
-    ``vertices()`` and ``to_string()`` are derived once per instance and
-    cached on private names; the cache is not a field, so ``==``, ``hash``
-    and ``repr`` see only ``n`` and ``bits``.
+    ``vertices()`` and ``to_string()`` are derived on first use and stored in
+    the instance dict under private names, whose class-level ``None`` marks
+    "not yet made"; no descriptor or lock sits on the path. The cache is not
+    a field, so ``==``, ``hash`` and ``repr`` see only ``n`` and ``bits``.
     """
 
     n: int
     bits: int
+    _string = None  # class-level defaults, not fields: shadowed once made
+    _vertices = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -84,28 +86,26 @@ class VertexMask:
             bits |= 1 << (v - 1)
         return cls(n, bits)
 
-    @cached_property
-    def _string(self) -> str:
-        return _bit_string(self.n, self.bits)
-
-    @cached_property
-    def _vertices(self) -> tuple[int, ...]:
-        out = []
-        rest = self.bits
-        while rest:
-            low = rest & -rest
-            out.append(low.bit_length())
-            rest ^= low
-        return tuple(out)
-
     def to_string(self) -> str:
-        return self._string
+        s = self._string
+        if s is None:
+            s = self.__dict__["_string"] = _bit_string(self.n, self.bits)
+        return s
 
     __str__ = to_string
 
     def vertices(self) -> tuple[int, ...]:
         """Set vertices as ascending 1-based indices."""
-        return self._vertices
+        vs = self._vertices
+        if vs is None:
+            out = []
+            rest = self.bits
+            while rest:
+                low = rest & -rest
+                out.append(low.bit_length())
+                rest ^= low
+            vs = self.__dict__["_vertices"] = tuple(out)
+        return vs
 
     def size(self) -> int:
         return self.bits.bit_count()
@@ -133,7 +133,7 @@ def gap_check(mask: VertexMask, h: int, circular: bool = False) -> bool:
     bits, n = mask.bits, mask.n
     # Two set bits d apart meet under a shift by d.  On a cycle, bits n - d
     # apart are d apart the other way round.
-    for d in range(1, min(h, n - 1) + 1):
+    for d in range(1, (h if h < n else n - 1) + 1):
         if bits & (bits >> d):
             return False
         if circular and bits & (bits >> (n - d)):
@@ -219,6 +219,15 @@ def bijection_f_inv(mask: VertexMask, h: int) -> list[int]:
     return [p - (j - 1) * h for j, p in enumerate(mask.vertices(), start=1)]
 
 
+def _gap_pattern(gap: int) -> str:
+    return "1" + "0" * (gap - 1) + "1"
+
+
+# "11", "101", ..., the pattern of each gap up to the enumeration cap; longer
+# ones are made when asked for.
+_GAP_PATTERNS = tuple(map(_gap_pattern, range(1, DEFAULT_CAP + 1)))
+
+
 def avoids_substrings(mask: VertexMask, h: int, circular: bool = False) -> bool:
     """Whether the mask's string contains none of 11, 101, ..., 1 0^{h-1} 1.
 
@@ -230,14 +239,17 @@ def avoids_substrings(mask: VertexMask, h: int, circular: bool = False) -> bool:
         raise ValueError("substring characterization needs h >= 1")
     s = mask.to_string()
     n = mask.n
-    # Around the wrap: the windows that start in s and run past its end. One
-    # string serves every gap; its windows that lie wholly in the appended
-    # prefix are windows of s, already tested.
-    wrapped = s + s[:h] if circular else s
-    for gap in range(1, h + 1):
-        pat = "1" + "0" * (gap - 1) + "1"
+    # A pattern of gap n or more is longer than the string, so only gaps up
+    # to n - 1 are tested, one ``in`` each. Around the wrap, the text is s
+    # followed by its first h characters: its windows that start in s and
+    # run past its end are the wrapped ones, and those wholly in the
+    # appended prefix are windows of s.
+    top = h if h < n else max(n - 1, 0)
+    patterns = (_GAP_PATTERNS[:top] if top <= DEFAULT_CAP
+                else map(_gap_pattern, range(1, top + 1)))
+    if circular:
+        s += s[:h]
+    for pat in patterns:
         if pat in s:
-            return False
-        if circular and gap < n and pat in wrapped:
             return False
     return True

@@ -18,9 +18,15 @@ PATH = "path"
 CYCLE = "cycle"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapGraph:
-    """The h-power of a path or cycle on n vertices (1-indexed)."""
+    """The h-power of a path or cycle on n vertices (1-indexed).
+
+    A frozen, slotted value: the fields ``(kind, n, h)`` are all it holds,
+    and no instance dict is made.  ``is_edge`` is called once per vertex
+    pair by the independence oracle, so it makes one range check and one
+    distance test, on the distance the short way round for a cycle.
+    """
 
     kind: str
     n: int
@@ -39,12 +45,10 @@ class GapGraph:
         n = self.n
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"vertex index out of range 1..{n}: ({i}, {j})")
-        if i == j:
-            return False
-        d = abs(j - i)
-        if d <= self.h:
-            return True
-        return self.kind == CYCLE and d >= n - self.h
+        d = j - i if i < j else i - j
+        if d + d > n and self.kind == CYCLE:  # the short way round
+            d = n - d
+        return 0 < d <= self.h
 
     def iter_edges(self) -> Iterator[tuple[int, int]]:
         """All unordered adjacent pairs (i, j), i < j, in lexicographic order.

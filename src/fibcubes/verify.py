@@ -13,12 +13,24 @@ or by oracle_n_max for enumeration-backed identities. ``_registry`` builds
 the rows on every run, so a row names its routes directly and gets the
 functions bound in this module at that moment: a function rebound here (by
 a test's monkeypatch, or by the benchmark tracer's per-call spans) is the
-one the identity runs. Only the independence sweep keeps its own loop, whose
-n-bits-h order lets one mask serve every h.
+one the identity runs.
+
+Values that two rows read are memoized per run: ``_registry`` wraps them in
+fresh caches, so nothing in them outlives the run. The per-vertex sums of
+``t_count``, which ``edge-count-by-vertex-sums`` and
+``vertex-split-product`` both read, are computed once per (n, h), and the
+clamped path totals once per (m, h).
+
+Only the independence sweep keeps its own loop, whose n-bits-h order lets
+one mask serve every h. It tallies inline: it compares the routes itself,
+counts the comparisons it made (also when a route raises mid-sweep), and
+records a witness only on a mismatch, instead of a keyword call to the
+tally per comparison.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -162,23 +174,29 @@ def _agree(lhs, rhs, ks=None, **ranges):
 # Algebraic identities (bounded by n_max / h_max)
 # ---------------------------------------------------------------------------
 
-def _edge_count_by_vertex_sums(n, h, s):
+def _vertex_sums(n, h):
+    # For i = 1..n, the subsets of the path power through v_i: the sum over
+    # k of t_count(n, h, k, i). Two rows read it, through a per-run cache.
+    ks = range(1, max_subset_size(n, h) + 1)
+    return [sum(t_count(n, h, k, i) for k in ks) for i in range(1, n + 1)]
+
+
+def _edge_count_by_vertex_sums(vertex_sums):
     # Summing per-vertex membership counts hits each k-subset k times.
-    total = sum(
-        t_count(n, h, k, i)
-        for k in range(1, max_subset_size(n, h) + 1)
-        for i in range(1, n + 1)
-    )
-    s.eq(path_edges(n, h), total, n=n, h=h)
+    def check(n, h, s):
+        total = sum(vertex_sums(n, h))
+        s.eq(path_edges(n, h), total, n=n, h=h)
+    return check
 
 
-def _vertex_split_product(n, h, s):
+def _vertex_split_product(vertex_sums, clamped):
     # All subsets through vertex i = (left-segment total) * (right-segment total).
-    kmax = max_subset_size(n, h)
-    for i in range(1, n + 1):
-        through = sum(t_count(n, h, k, i) for k in range(1, kmax + 1))
-        split = path_count_clamped(i - h - 1, h) * path_count_clamped(n - h - i, h)
-        s.eq(split, through, n=n, h=h, i=i)
+    def check(n, h, s):
+        sums = vertex_sums(n, h)
+        for i in range(1, n + 1):
+            split = clamped(i - h - 1, h) * clamped(n - h - i, h)
+            s.eq(split, sums[i - 1], n=n, h=h, i=i)
+    return check
 
 
 def _exact_arithmetic_sanity(n, h, s):
@@ -212,18 +230,29 @@ def _run_independence_characterizations(b: Bounds, s: _Tally):
     # over every bit string, linear and circular. The sweep runs n, then
     # bits, then h: one mask per bit string serves every h, and its vertex
     # tuple and string are decoded once. Witnesses come in (n, bits, h) order.
+    # Its 720,874 comparisons at the default bounds are tallied inline: s.eq
+    # would add a keyword call to each.
     hs = range(b.h(5) + 1)
-    for n in range(b.oracle(14) + 1):
-        graphs = [(h, circular, GapGraph(CYCLE if circular else PATH, n, h))
-                  for h in hs for circular in (False, True)]
-        for bits in range(1 << n):
-            mask = VertexMask(n, bits)
-            for h, circular, g in graphs:
-                by_gap = gap_check(mask, h, circular)
-                s.eq(by_gap, is_independent(g, mask), n=n, h=h, i=bits)
-                if h >= 1:
-                    s.eq(by_gap, avoids_substrings(mask, h, circular),
-                         n=n, h=h, i=bits)
+    checked = 0
+    try:
+        for n in range(b.oracle(14) + 1):
+            graphs = [(h, circular, GapGraph(CYCLE if circular else PATH, n, h))
+                      for h in hs for circular in (False, True)]
+            for bits in range(1 << n):
+                mask = VertexMask(n, bits)
+                for h, circular, g in graphs:
+                    by_gap = gap_check(mask, h, circular)
+                    other = is_independent(g, mask)
+                    checked += 1
+                    if by_gap != other:
+                        s._fail(by_gap, other, n, h, None, bits)
+                    if h >= 1:
+                        other = avoids_substrings(mask, h, circular)
+                        checked += 1
+                        if by_gap != other:
+                            s._fail(by_gap, other, n, h, None, bits)
+    finally:
+        s.checked += checked
 
 
 def _subset_shift_bijection(n, h, s):
@@ -344,7 +373,10 @@ def _classical_lucas_bridge(n, h, s):
 
 def _registry():
     """The identity rows (id, description, runner), built anew on every call
-    so that each row's routes are the ones bound in this module right now."""
+    so that each row's routes are the ones bound in this module right now
+    and the caches of values that rows share start empty."""
+    vertex_sums = functools.cache(_vertex_sums)
+    clamped = functools.cache(path_count_clamped)
     return (
         ("path-count-recurrence",
          "path totals: closed-form sum equals delayed recurrence",
@@ -387,10 +419,10 @@ def _registry():
                 n_lo=lambda h: 3 * h + 3)),
         ("edge-count-by-vertex-sums",
          "per-vertex membership counts sum to the edge count",
-         _sweep(_edge_count_by_vertex_sums, h_cap=5, n_cap=25, n_lo=lambda h: 1)),
+         _sweep(_edge_count_by_vertex_sums(vertex_sums), h_cap=5, n_cap=25, n_lo=lambda h: 1)),
         ("vertex-split-product",
          "membership counts through a vertex factor into segment totals",
-         _sweep(_vertex_split_product, h_cap=5, n_cap=25, n_lo=lambda h: 1)),
+         _sweep(_vertex_split_product(vertex_sums, clamped), h_cap=5, n_cap=25, n_lo=lambda h: 1)),
         ("extended-fibonacci-agreement",
          "negatively-indexed Fibonacci extension matches the plain sequence",
          _agree(lambda n, h: h_fibonacci(h, n), lambda n, h: extended_fib(h, n),

@@ -178,6 +178,23 @@ def test_built_cube_holds_under_100_bytes_per_vertex():
     assert held / c.vertex_count < 100, f"{held / c.vertex_count:.1f} bytes per vertex"
 
 
+def test_building_a_cube_peaks_under_160_bytes_per_vertex():
+    # At its peak the build holds the rank buckets, the masks, the cover
+    # arrays, one rank's {mask: row} map and that rank's rows: about 138
+    # bytes a vertex for path 16 0 (65,536 vertices). A {mask: index} map of
+    # the whole cube, as covers were once placed, took it to about 187.
+    g = GapGraph(PATH, 16, 0)
+    build_cube(GapGraph(PATH, 2, 0))  # loads array before tracing starts
+    tracemalloc.start()
+    try:
+        c = build_cube(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.vertex_count == 1 << 16
+    assert peak / c.vertex_count < 160, f"{peak / c.vertex_count:.1f} bytes per vertex"
+
+
 # --- exports -----------------------------------------------------------------
 
 

@@ -333,6 +333,20 @@ def test_avoids_substrings_with_patterns_as_long_as_the_string():
     assert not avoids_substrings(VertexMask.from_string("10010"), 2, circular=True)
 
 
+def test_avoids_substrings_with_patterns_past_the_enumeration_cap():
+    # Gaps above DEFAULT_CAP have no precomputed pattern; two set bits d
+    # apart on 30 vertices reach gaps up to 29, both ways round.
+    n = 30
+    for d in range(1, n):
+        for start in (0, n - 1 - d):
+            m = VertexMask(n, 1 << start | 1 << (start + d))
+            for h in (DEFAULT_CAP - 1, DEFAULT_CAP, DEFAULT_CAP + 1, n - 2, n - 1, n):
+                for circular in (False, True):
+                    got = avoids_substrings(m, h, circular)
+                    assert got == _avoids_substrings_reference(m.to_string(), h, circular)
+                    assert got == gap_check(m, h, circular), (d, start, h, circular)
+
+
 # --- enumeration as counting oracle ---------------------------------------------------
 
 

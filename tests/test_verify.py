@@ -15,6 +15,7 @@ import pytest
 
 import fibcubes.cli as cli
 from fibcubes import counting, verify
+from fibcubes.counting import path_count_clamped, path_edges
 from fibcubes.graphs import CYCLE, PATH
 
 SMALL = dict(n_max=12, h_max=4, oracle_n_max=8)
@@ -105,6 +106,13 @@ def test_default_report_matches_golden_json():
     # Only the default oracle bound reaches the n <= 14 independence sweep.
     text = verify.reports_to_json(verify.run_suite())
     assert text.encode("utf-8") == (GOLDEN / "verify_default.json").read_bytes()
+
+
+def test_benchmark_sized_report_matches_golden_json():
+    # The oracle bound 12 clips the independence sweep and the cube
+    # identities where neither other golden report does.
+    text = verify.reports_to_json(verify.run_suite(36, 8, 12))
+    assert text.encode("utf-8") == (GOLDEN / "verify_n36_h8_o12.json").read_bytes()
 
 
 def test_reports_are_deterministic():
@@ -232,6 +240,58 @@ def test_independence_sweep_reports_a_single_wrong_answer(monkeypatch):
                                 "expected": True, "actual": False}]
 
 
+def test_independence_sweep_counts_the_checks_made_before_a_crash(monkeypatch):
+    real = verify.is_independent
+
+    def crashing(g, mask):
+        if (g.kind, g.n, g.h, mask.bits) == (CYCLE, 6, 2, 0b001001):
+            raise RuntimeError("injected")
+        return real(g, mask)
+
+    monkeypatch.setattr(verify, "is_independent", crashing)
+    report = next(r for r in _suite() if r.identity == "independence-characterizations")
+    # Each mask is compared 18 times at h <= 4: once per graph (10) and once
+    # per graph with h >= 1 (8). The 63 masks of n <= 5 and the 9 of n = 6
+    # below 0b001001 make 1,296; that mask adds 8 (h = 0 twice, h = 1 and
+    # the path at h = 2 twice each) before its (cycle, h = 2) call raises,
+    # which counts no comparison.
+    assert report.checked == 63 * 18 + 9 * 18 + 8
+    assert report.failed == 1
+    assert report.failures == [{"n": None, "h": None, "k": None, "i": None,
+                                "expected": "no exception",
+                                "actual": "RuntimeError('injected')"}]
+
+
+def _off_by_one_at(monkeypatch, route, at):
+    original = getattr(verify, route)
+    monkeypatch.setattr(verify, route,
+                        lambda *args: original(*args) + (args == at))
+
+
+def _failures(reports, identity):
+    return next(r for r in reports if r.identity == identity).failures
+
+
+def test_one_wrong_membership_count_fails_both_per_vertex_identities(monkeypatch):
+    # Both identities read one shared table of per-vertex sums; a wrong
+    # t_count must reach each of them, at its own (n, h) and vertex.
+    _off_by_one_at(monkeypatch, "t_count", (7, 1, 2, 3))
+    reports = _suite()
+    assert _failures(reports, "edge-count-by-vertex-sums") == [
+        {"n": 7, "h": 1, "k": None, "i": None,
+         "expected": path_edges(7, 1), "actual": path_edges(7, 1) + 1}]
+    through = path_count_clamped(1, 1) * path_count_clamped(3, 1)  # v_3 of P_7^1
+    assert _failures(reports, "vertex-split-product") == [
+        {"n": 7, "h": 1, "k": None, "i": 3, "expected": through, "actual": through + 1}]
+
+
+def test_shared_values_do_not_outlive_a_run(monkeypatch):
+    assert all(r.status == "pass" for r in _suite())
+    _off_by_one_at(monkeypatch, "t_count", (7, 1, 2, 3))
+    failed = {r.identity for r in _suite() if r.failed}
+    assert {"edge-count-by-vertex-sums", "vertex-split-product"} <= failed
+
+
 # One route per two-route identity: shifting it by one must fail every check
 # of that identity, which a tautological identity, or one that bound its
 # routes at import, would not.
@@ -247,6 +307,9 @@ def test_independence_sweep_reports_a_single_wrong_answer(monkeypatch):
     ("extended-fibonacci-agreement", "extended_fib"),
     ("extended-lucas-agreement", "extended_lucas"),
     ("path-cycle-count-bridge", "cycle_count_k"),
+    ("vertex-split-product", "path_count_clamped"),
+    ("vertex-split-product", "t_count"),
+    ("edge-count-by-vertex-sums", "t_count"),
     # path-count-shift-symmetry has no case: both of its routes are
     # path_count_k at shifted arguments, so one shift moves both sides.
 ])
