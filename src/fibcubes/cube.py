@@ -26,7 +26,6 @@ cycles it is the classic Fibonacci and Lucas cube.
 from __future__ import annotations
 
 import itertools
-import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
@@ -236,6 +235,8 @@ class CubeGraph:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written directly."""
+        import json  # only here, so output other than JSON never loads it
+
         g = self.source
         n = g.n
         ranks = ("".join(_json_array((f'"{_bit_string(n, m)}"' for m in block), 2))

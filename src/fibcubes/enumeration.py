@@ -13,10 +13,9 @@ the string reads left to right as b_1..b_n.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import CYCLE, GapGraph
+from .graphs import CYCLE, GapGraph, _set, _Value
 
 __all__ = [
     "DEFAULT_CAP",
@@ -44,26 +43,29 @@ def _bit_string(n: int, bits: int) -> str:
     return format(bits, f"0{n}b")[::-1] if n else ""
 
 
-@dataclass(frozen=True)
-class VertexMask:
+class VertexMask(_Value):
     """A length-n bit string encoding a vertex subset (bit i-1 <-> v_i).
 
-    ``vertices()`` and ``to_string()`` are derived on first use and stored in
-    the instance dict under private names, whose class-level ``None`` marks
-    "not yet made"; no descriptor or lock sits on the path. The cache is not
-    a field, so ``==``, ``hash`` and ``repr`` see only ``n`` and ``bits``.
+    A frozen, slotted value with the fields ``(n, bits)``.  ``vertices()``
+    and ``to_string()`` are derived on first use and kept in two more slots,
+    which hold ``None`` until then; no descriptor or lock sits on the path.
+    They are not fields, so ``==``, ``hash`` and ``repr`` see only ``n`` and
+    ``bits``.
     """
 
-    n: int
-    bits: int
-    _string = None  # class-level defaults, not fields: shadowed once made
-    _vertices = None
+    __slots__ = ("n", "bits", "_string", "_vertices")
+    __match_args__ = ("n", "bits")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, bits: int):
+        if n < 0:
             raise ValueError("mask length must be nonnegative")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for length {self.n}")
+        # bit_length, not 1 << n: the bound would be an n-bit number.
+        if bits < 0 or bits.bit_length() > n:
+            raise ValueError(f"bits 0x{bits:x} out of range for length {n}")
+        _set(self, "n", n)
+        _set(self, "bits", bits)
+        _set(self, "_string", None)
+        _set(self, "_vertices", None)
 
     @classmethod
     def from_string(cls, s: str) -> "VertexMask":
@@ -89,7 +91,8 @@ class VertexMask:
     def to_string(self) -> str:
         s = self._string
         if s is None:
-            s = self.__dict__["_string"] = _bit_string(self.n, self.bits)
+            s = _bit_string(self.n, self.bits)
+            _set(self, "_string", s)
         return s
 
     __str__ = to_string
@@ -104,7 +107,8 @@ class VertexMask:
                 low = rest & -rest
                 out.append(low.bit_length())
                 rest ^= low
-            vs = self.__dict__["_vertices"] = tuple(out)
+            vs = tuple(out)
+            _set(self, "_vertices", vs)
         return vs
 
     def size(self) -> int:
@@ -150,12 +154,20 @@ def _path_mask_ints(n: int, h: int) -> list[int]:
     """
     out = [0]
     sizes = [1]  # sizes[m] = number of valid masks with all bits below m
-    for m in range(1, n + 1):
-        b = m - 1
-        hi = 1 << b
-        limit = sizes[max(b - h, 0)]
-        out.extend(hi | out[i] for i in range(limit))
-        sizes.append(len(out))
+    try:
+        for m in range(1, n + 1):
+            b = m - 1
+            hi = 1 << b
+            limit = sizes[max(b - h, 0)]
+            out.extend(hi | out[i] for i in range(limit))
+            sizes.append(len(out))
+    except MemoryError:
+        # Free the partial list before the error unwinds. Held by the
+        # traceback, it leaves the interpreter no memory for the frames the
+        # error passes, and CPython 3.11 can then lose the error and raise
+        # SystemError instead.
+        del out
+        raise
     return out
 
 

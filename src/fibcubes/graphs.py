@@ -8,8 +8,8 @@ cycles.  Adjacency is computed on demand; no matrix is stored.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 
 __all__ = ["PATH", "CYCLE", "GapGraph", "edgelist_lines", "edgelist_text", "dot_lines",
            "graph_dot"]
@@ -17,28 +17,72 @@ __all__ = ["PATH", "CYCLE", "GapGraph", "edgelist_lines", "edgelist_text", "dot_
 PATH = "path"
 CYCLE = "cycle"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class GapGraph:
-    """The h-power of a path or cycle on n vertices (1-indexed).
 
-    A frozen, slotted value: the fields ``(kind, n, h)`` are all it holds,
-    and no instance dict is made.  ``is_edge`` is called once per vertex
-    pair by the independence oracle, so it makes one range check and one
-    distance test, on the distance the short way round for a cycle.
+class _Value:
+    """Base of the package's value classes, whose ``__match_args__`` name
+    their fields.
+
+    ``==`` holds only against an instance of the same class with equal
+    fields, and ``hash`` and ``repr`` read the fields, as for a frozen
+    dataclass.  Instances are frozen: ``__init__`` stores the fields with
+    ``object.__setattr__`` and any other assignment raises AttributeError,
+    so pickle and copy go through ``__reduce__``, which calls the class on
+    the fields.  Class attributes stay assignable.  ``dataclasses`` is not
+    used because importing it loads ``inspect`` and ``ast``, about 8 ms of
+    every command's start-up.
     """
 
-    kind: str
-    n: int
-    h: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (PATH, CYCLE):
-            raise ValueError(f"kind must be {PATH!r} or {CYCLE!r}, got {self.kind!r}")
-        if self.n < 0:
+    def __init_subclass__(cls):
+        # Every value class has two fields or more, so this returns a tuple.
+        cls._fields = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GapGraph(_Value):
+    """The h-power of a path or cycle on n vertices (1-indexed).
+
+    A frozen, slotted value: the fields ``(kind, n, h)`` are all it holds.
+    ``is_edge`` is called once per vertex pair by the independence oracle,
+    so it makes one range check and one distance test, on the distance the
+    short way round for a cycle.
+    """
+
+    __slots__ = __match_args__ = ("kind", "n", "h")
+
+    def __init__(self, kind: str, n: int, h: int):
+        if kind not in (PATH, CYCLE):
+            raise ValueError(f"kind must be {PATH!r} or {CYCLE!r}, got {kind!r}")
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if self.h < 0:
+        if h < 0:
             raise ValueError("power must be nonnegative")
+        _set(self, "kind", kind)
+        _set(self, "n", n)
+        _set(self, "h", h)
 
     def is_edge(self, i: int, j: int) -> bool:
         """Whether v_i ~ v_j.  Irreflexive; indices must be in 1..n."""

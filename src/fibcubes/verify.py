@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-from dataclasses import dataclass, field
 
 from . import cube, enumeration
 from .counting import (
@@ -57,7 +55,7 @@ from .counting import (
     t_count,
 )
 from .enumeration import VertexMask, avoids_substrings, gap_check, is_independent
-from .graphs import CYCLE, PATH, GapGraph
+from .graphs import CYCLE, PATH, GapGraph, _set, _Value
 
 __all__ = [
     "Bounds",
@@ -72,11 +70,13 @@ __all__ = [
 FAILURE_WITNESS_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class Bounds:
-    n_max: int
-    h_max: int
-    oracle_n_max: int
+class Bounds(_Value):
+    __slots__ = __match_args__ = ("n_max", "h_max", "oracle_n_max")
+
+    def __init__(self, n_max: int, h_max: int, oracle_n_max: int):
+        _set(self, "n_max", n_max)
+        _set(self, "h_max", h_max)
+        _set(self, "oracle_n_max", oracle_n_max)
 
     def n(self, cap: int) -> int:
         return min(self.n_max, cap)
@@ -92,16 +92,26 @@ class Bounds:
 DEFAULT_BOUNDS = Bounds(n_max=40, h_max=10, oracle_n_max=16)
 
 
-@dataclass
-class IdentityReport:
-    """Outcome of sweeping one identity: pass/fail plus witness tuples."""
+class IdentityReport(_Value):
+    """Outcome of sweeping one identity: pass/fail plus witness tuples.
 
-    identity: str
-    description: str
-    bounds: dict
-    checked: int = 0
-    failed: int = 0
-    failures: list = field(default_factory=list)
+    Unlike the other value classes, a report is mutable and unhashable, and
+    it keeps an instance dict.
+    """
+
+    __match_args__ = ("identity", "description", "bounds", "checked", "failed", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, identity: str, description: str, bounds: dict, checked: int = 0,
+                 failed: int = 0, failures: list | None = None):
+        self.identity = identity
+        self.description = description
+        self.bounds = bounds
+        self.checked = checked
+        self.failed = failed
+        self.failures = [] if failures is None else failures
 
     @property
     def status(self) -> str:
@@ -518,6 +528,8 @@ def run_suite(n_max: int = DEFAULT_BOUNDS.n_max, h_max: int = DEFAULT_BOUNDS.h_m
 
 
 def reports_to_json(reports: list[IdentityReport]) -> str:
+    import json  # only here, so output other than JSON never loads it
+
     return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
 
 

@@ -223,9 +223,11 @@ def test_every_argument_line_of_command_help_has_text(command, capsys):
 
 def test_cli_leaves_argparse_gettext_and_locale_unloaded():
     # Parsing costs no import: argparse alone, with gettext and locale behind
-    # it, took about 4.7 ms of every command.
+    # it, took about 4.7 ms of every command; dataclasses, with inspect
+    # behind it, about 8 ms; json, which only JSON output needs, about 2 ms.
     code = ("import sys, fibcubes.cli; fibcubes.cli.main(['count', 'path', '10', '2']); "
-            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+            "print(sorted({'argparse', 'gettext', 'locale', 'dataclasses', 'inspect', 'json'}"
+            " & set(sys.modules)))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
@@ -742,6 +744,37 @@ def test_huge_h_size_table_runs_in_a_small_address_space(which, cell):
     grid += ["\t".join([f"k={k}" if k == 0 else str(k), *(str(cell(n, h, k)) for n in range(7))])
              for k in range(4)]
     assert (out.returncode, out.stdout, out.stderr) == (0, "\n".join(grid) + "\n", "")
+
+
+@needs_rlimit_as
+def test_enumeration_out_of_memory_frees_its_partial_list():
+    # The error is still held, and its traceback with every frame it passed,
+    # yet the partial list is gone: unwinding through those frames with the
+    # memory still taken could lose the error, which then left a command as
+    # a SystemError traceback instead of exit 3.
+    code = ("from fibcubes.enumeration import iter_masks; from fibcubes.graphs import GapGraph\n"
+            "try:\n"
+            "    iter_masks(GapGraph('path', 30, 0), cap=30)\n"
+            "except MemoryError as exc:\n"
+            "    print(len(bytearray(200 << 20)) >> 20, exc.__traceback__ is not None)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120,
+                         preexec_fn=_limit_address_space)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "200 True\n", "")
+
+
+@needs_rlimit_as
+def test_mask_of_huge_length_is_checked_in_a_small_address_space():
+    # The range check reads the bits' length: a bound of 1 << n would take
+    # n / 8 bytes, 1.25 GB here.
+    code = ("from fibcubes.enumeration import VertexMask; "
+            "m = VertexMask(10**10, 5); print(m.vertices(), m.size())")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60,
+                         preexec_fn=_limit_address_space)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "(1, 3) 2\n", "")
 
 
 # --- integers past the interpreter's int-to-str digit limit -------------------

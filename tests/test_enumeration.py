@@ -6,7 +6,7 @@ values; the wide cross-sweeps live in the verification suite and acceptance
 tests.
 """
 
-import dataclasses
+import copy
 import itertools
 import pickle
 
@@ -65,17 +65,53 @@ def test_mask_caching_keeps_value_semantics():
     assert m == fresh and hash(m) == hash(fresh)
     assert m != VertexMask(6, 0b101000) and m != VertexMask(7, 0b101001)
     assert repr(m) == "VertexMask(n=6, bits=41)"
-    assert [f.name for f in dataclasses.fields(VertexMask)] == ["n", "bits"]
-    moved = dataclasses.replace(m, bits=0b000011)
+    assert VertexMask.__match_args__ == ("n", "bits")
+    moved = VertexMask(6, 0b000011)
     assert moved.vertices() == (1, 2) and moved.to_string() == "110000"
     back = pickle.loads(pickle.dumps(m))
     assert back == m and back.vertices() == vs and back.to_string() == s
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         m.bits = 0
     with pytest.raises(ValueError):
-        dataclasses.replace(m, bits=1 << 6)
+        VertexMask(6, 1 << 6)
     with pytest.raises(ValueError):
         VertexMask(-1, 0)
+
+
+def test_mask_value_semantics():
+    m = VertexMask(6, 0b101001)
+    assert m == VertexMask(n=6, bits=0b101001)
+    assert m != VertexMask(6, 0b101000) and m != VertexMask(5, 0b01001)
+    assert m != (6, 0b101001) and (6, 0b101001) != m and m != GapGraph(PATH, 6, 0b101001)
+    assert m != 41 and m != "100101"
+    for bits in (-1, -(1 << 70)):  # each fits in 80 bits but its sign
+        with pytest.raises(ValueError, match="out of range"):
+            VertexMask(80, bits)
+    assert hash(m) == hash(VertexMask(6, 0b101001)) == hash((6, 0b101001))
+    assert len({m, VertexMask(6, 0b101001), VertexMask(6, 0)}) == 2
+    assert repr(VertexMask(0, 0)) == "VertexMask(n=0, bits=0)"
+    assert str(m) == "100101"
+    for name in ("n", "bits", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 1)
+    with pytest.raises(AttributeError):
+        del m.n
+    m.vertices(), m.to_string()  # both caches filled
+    twins = [pickle.loads(pickle.dumps(m, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*twins, copy.copy(m), copy.deepcopy(m)]:
+        assert type(twin) is VertexMask and twin == m and hash(twin) == hash(m)
+        assert repr(twin) == repr(m)
+        assert twin.vertices() == (1, 4, 6) and twin.to_string() == "100101"
+        with pytest.raises(AttributeError):
+            twin.bits = 0
+
+
+def test_mask_keeps_no_instance_dict():
+    # Its caches live in slots too, so a mask is four pointers and a header.
+    m = VertexMask(6, 0b101001)
+    m.vertices(), m.to_string()
+    assert not hasattr(m, "__dict__")
 
 
 def _literal_vertices(n, bits):

@@ -5,7 +5,9 @@ circular-distance form of cycle adjacency) are all independently derivable
 from the |j-i| definition, which is what the double loops below recompute.
 """
 
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import pytest
@@ -30,6 +32,30 @@ def test_edges_match_double_loop_over_is_edge(kind):
             literal = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
                        if g.is_edge(i, j)]
             assert g.edges() == literal, (n, h)
+
+
+def test_gap_graph_value_semantics():
+    g = GapGraph(PATH, 4, 1)
+    assert g == GapGraph(kind=PATH, n=4, h=1)
+    assert g != GapGraph(CYCLE, 4, 1) and g != GapGraph(PATH, 5, 1) and g != GapGraph(PATH, 4, 2)
+    assert g != (PATH, 4, 1) and (PATH, 4, 1) != g and g != [PATH, 4, 1] and g != "path"
+    assert hash(g) == hash(GapGraph(PATH, 4, 1)) == hash((PATH, 4, 1))
+    assert len({g, GapGraph(PATH, 4, 1), GapGraph(CYCLE, 4, 1)}) == 2
+    assert repr(g) == "GapGraph(kind='path', n=4, h=1)"
+    assert GapGraph.__match_args__ == ("kind", "n", "h")
+    for name in ("kind", "n", "h"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+    with pytest.raises(AttributeError):
+        del g.h
+    assert not hasattr(g, "__dict__")
+    twins = [pickle.loads(pickle.dumps(g, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*twins, copy.copy(g), copy.deepcopy(g)]:
+        assert type(twin) is GapGraph and twin == g and hash(twin) == hash(g)
+        assert repr(twin) == repr(g) and twin.edges() == g.edges()
+        with pytest.raises(AttributeError):
+            twin.n = 5
 
 
 def test_zero_power_is_edgeless():
