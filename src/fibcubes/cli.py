@@ -42,7 +42,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import re
 import stat
 import sys
 from itertools import chain, count, islice
@@ -220,11 +219,14 @@ def _exact_numbers(h: int, n_max: int):
 
 
 def _parse_h_range(text: str) -> tuple[int, int]:
-    """Parse "2" or "0:10" into an inclusive (lo, hi) range."""
-    match = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", text)
-    if match is None:
+    """Parse "2" or "0:10" into an inclusive (lo, hi) range; the bounds are
+    ASCII digits only."""
+    lo, colon, hi = text.partition(":")
+    if not colon:
+        hi = lo  # "2" means 2:2
+    if not (lo.isascii() and lo.isdigit() and hi.isascii() and hi.isdigit()):
         raise ValueError(f"bad h range {text!r}")
-    lo, hi = (int(v) for v in match.groups(match[1]))  # "2" means 2:2
+    lo, hi = int(lo), int(hi)
     if hi < lo:
         raise ValueError(f"bad h range {text!r}")
     return lo, hi
@@ -522,12 +524,23 @@ _COMMAND = _Arg("command", choices=tuple(_COMMANDS), help="the command to run")
 _HELP = ("-h", "--help")
 _DESCRIPTION = ("fibcubes: exact counts, diagrams, and identity checks for independent sets "
                 "of path and cycle powers.  fibcubes <command> --help describes one command.")
-_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _is_negative_number(token: str) -> bool:
+    """Whether token is "-" and digits (-5), or "-", digits or none, "."
+    and digits (-.5, -1.5); a digit is any Unicode decimal digit, as
+    str.isdecimal takes it."""
+    if token[:1] != "-":
+        return False
+    whole, point, fraction = token[1:].partition(".")
+    if point:
+        return fraction.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
 
 
 def _is_option(token: str) -> bool:
     # A negative number or a lone "-" is a value, not an option.
-    return token[:1] == "-" and token != "-" and not _NEGATIVE_NUMBER.fullmatch(token)
+    return token[:1] == "-" and token != "-" and not _is_negative_number(token)
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:

@@ -39,7 +39,12 @@ Conventions used throughout:
   totals (p(n) = n+1 for n <= h, c(n) = n+1 for n <= 2h+1) that give the
   recurrence route independently of the closed forms.  A sequence keeps no
   memo: every use runs the recurrence from the seeds with a window of at
-  most h+1 terms, so memory stays flat in n.
+  most h+1 terms, so memory stays flat in n.  A single int term far past
+  the seeds is instead reached by Fiduccia's jump (C. M. Fiduccia, SIAM J.
+  Comput. 14 (1985)): x^m mod x^(h+1) - x^h - 1 by square and multiply,
+  applied to the last h+1 seeds, in O(h^2 log n) products, taken where a
+  measured cost estimate (:func:`_jump_pays`) says it beats iterating.
+  Rows, prefixes and convolutions keep streaming.
 * A convolution a * b of two such sequences is beta * (A / Q): b's short
   numerator beta, taken from b's seeds, applied to the stream U = A / Q,
   which obeys the same delayed recurrence driven by a.  One private
@@ -299,6 +304,52 @@ _SEEDS = {
 }
 
 
+def _jump_pays(h: int, steps: int) -> bool:
+    """Whether the jump to the term ``steps`` past the last seed is cheaper
+    than iterating there.  The model, fitted to timed crossovers for h <= 40:
+    a step of the iteration costs one unit, the jump 128 units plus
+    (h+1)^2 / 2 per bit of ``steps``, for its d(d+1)/2 products per squaring.
+    It never jumps at 128 steps or fewer."""
+    return steps > 128 + (h + 1) ** 2 * steps.bit_length() // 2
+
+
+def _reduce(s: list[int], d: int) -> list[int]:
+    """s(x) mod x^d - x^(d-1) - 1 for the coefficients s of a polynomial of
+    degree below 2d, in place: x^k = x^(k-1) + x^(k-d) from the top down to
+    x^d, so coefficients that start nonnegative stay so.  At d = 1 the
+    modulus is x - 2 and each step doubles."""
+    for k in range(len(s) - 1, d - 1, -1):
+        s[k - 1] += s[k]
+        s[k - d] += s[k]
+    del s[d:]
+    return s
+
+
+def _x_power(m: int, d: int) -> list[int]:
+    """Coefficients of x^m mod x^d - x^(d-1) - 1, by square and multiply
+    from the top bits of m; the most leading bits that make an exponent
+    below d give a single 1 without a product."""
+    i = max(m.bit_length() - d.bit_length(), 0)  # m >> i has at most as many bits as d
+    if m >> i >= d:
+        i += 1
+    c = [0] * d
+    c[m >> i] = 1
+    for i in reversed(range(i)):
+        # c^2, each product of two distinct coefficients taken once and
+        # doubled, then times x where bit i of m is set.
+        s = [0] * (2 * d - 1)
+        for j, cj in enumerate(c):
+            if cj:
+                s[2 * j] += cj * cj
+                cj += cj
+                for k in range(j + 1, d):
+                    s[j + k] += cj * c[k]
+        if m >> i & 1:
+            s.insert(0, 0)
+        c = _reduce(s, d)
+    return c
+
+
 class HSequence:
     """An integer sequence t(n) = t(n-1) + t(n-h-1), run from its seeds.
 
@@ -319,6 +370,8 @@ class HSequence:
     yielded.  An index inside the seed run is answered by the seed function
     alone, and one within h+1 past it by stepping from the last seed, so a
     large h costs nothing until terms well past the seeds are needed.
+    :meth:`term` reaches an index further on by iterating, or, for int
+    terms far enough past the seeds, by the jump of :meth:`_jump`.
 
     Every seed is multiplied by ``_unit``, ``1`` or ``Decimal(1)``, so the
     terms are ints or Decimals; :meth:`numerator` is int either way.
@@ -338,7 +391,8 @@ class HSequence:
         self._last = last(h)  # at least min_index + h: the recurrence starts from seeds
         seed = globals()[seed]
         # Seeds in the unit's type; the int unit 1 needs no product.
-        self._seed = seed if type(_unit) is int else lambda h, n: _unit * seed(h, n)
+        self._int = type(_unit) is int
+        self._seed = seed if self._int else lambda h, n: _unit * seed(h, n)
 
     def __repr__(self) -> str:
         return f"HSequence({self.kind!r}, h={self.h})"
@@ -363,7 +417,12 @@ class HSequence:
             yield t
 
     def term(self, n: int) -> int:
-        """The n-th term; n counts from ``min_index`` (1, 0, or -h)."""
+        """The n-th term; n counts from ``min_index`` (1, 0, or -h).
+
+        Past the first h+1 indices after the seeds, an int sequence takes
+        :meth:`_jump` where :func:`_jump_pays` says it is cheaper than
+        iterating; a Decimal sequence always iterates.
+        """
         h, seed, last = self.h, self._seed, self._last
         if n < self.min_index:
             raise ValueError(
@@ -375,7 +434,36 @@ class HSequence:
             # t(j-h-1) is a seed for every j <= n: a step per index past the
             # last seed, and no window.
             return seed(h, last) + sum(seed(h, j) for j in range(last - h, n - h))
+        if self._int and _jump_pays(h, n - last):
+            return self._jump(n)
+        return self._iterate(n)
+
+    def _iterate(self, n: int) -> int:
+        """t(n) for n >= ``min_index`` by running the recurrence from the seeds."""
         return next(islice(self, n - self.min_index, None))
+
+    def _jump(self, n: int) -> int:
+        """t(n) for n >= last - h by Fiduccia's jump, in O(h^2 log n) products.
+
+        From index b = last - h on, the terms obey P(E) t = 0, E the shift
+        and P(x) = x^(h+1) - x^h - 1, so t(b + m) = L(x^m mod P), L the
+        linear map taking x^k to T_k = t(b + k).  Split x^m = x^r * x^(m-r),
+        r = m // 2, with a = x^r mod P and c = x^(m-r) mod P (a, or a times
+        x): t(b + m) = sum_i a_i * u_i, u_i = sum_j c_j T_(i+j) = t(b + m -
+        r + i).  Each u_i takes products by small terms only, so the last
+        step multiplies d = h+1 pairs of big numbers, not the d(d+1)/2 of a
+        last squaring.  T_0..T_2h are the last h+1 seeds and the h terms
+        stepped from them.
+        """
+        h, seed, last = self.h, self._seed, self._last
+        d = h + 1
+        ts = [seed(h, j) for j in range(last - h, last + 1)]
+        ts[h:] = accumulate(ts[:h], initial=ts[h])  # each step adds a seed
+        m = n - last + h
+        r = m >> 1
+        a = _x_power(r, d)
+        c = _reduce([0, *a], d) if m & 1 else a
+        return sum(ai * sum(map(mul, c, ts[i:i + d])) for i, ai in enumerate(a) if ai)
 
     def prefix(self, n: int) -> list[int]:
         """Terms from ``min_index`` through n inclusive (none if n is below

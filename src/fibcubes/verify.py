@@ -21,11 +21,12 @@ fresh caches, so nothing in them outlives the run. The per-vertex sums of
 ``vertex-split-product`` both read, are computed once per (n, h), and the
 clamped path totals once per (m, h).
 
-Only the independence sweep keeps its own loop, whose n-bits-h order lets
-one mask serve every h. It tallies inline: it compares the routes itself,
-counts the comparisons it made (also when a route raises mid-sweep), and
-records a witness only on a mismatch, instead of a keyword call to the
-tally per comparison.
+Two rows keep their own loops. The independence sweep's n-bits-h order
+lets one mask serve every h. It tallies inline: it compares the routes
+itself, counts the comparisons it made (also when a route raises
+mid-sweep), and records a witness only on a mismatch, instead of a keyword
+call to the tally per comparison. The jump row runs each sequence kind at a
+few indices per h, not an (n, h) grid.
 """
 
 from __future__ import annotations
@@ -35,6 +36,13 @@ import itertools
 
 from . import cube, enumeration
 from .counting import (
+    _CYCLE_TOTALS,
+    _PATH_TOTALS,
+    EXTENDED_FIBONACCI,
+    EXTENDED_LUCAS,
+    FIBONACCI,
+    LUCAS,
+    HSequence,
     cycle_count,
     cycle_count_k,
     cycle_count_rec,
@@ -207,6 +215,25 @@ def _vertex_split_product(vertex_sums, clamped):
             split = clamped(i - h - 1, h) * clamped(n - h - i, h)
             s.eq(split, sums[i - 1], n=n, h=h, i=i)
     return check
+
+
+def _run_recurrence_jump(b: Bounds, s: _Tally):
+    # HSequence.term jumps only far past the seeds, beyond every n swept
+    # here, so this row forces the jump on each kind and compares it with
+    # one iterated prefix: at the h+1 indices past the last seed, which
+    # term steps to from the seeds, at the next one, where term would first
+    # leave that path, and at n_max, each as far as n_max allows.
+    for kind, h_lo in ((FIBONACCI, 0), (LUCAS, 0), (EXTENDED_FIBONACCI, 2),
+                       (EXTENDED_LUCAS, 2), (_PATH_TOTALS, 0), (_CYCLE_TOTALS, 0)):
+        for h in range(h_lo, b.h(10) + 1):
+            seq = HSequence(kind, h)
+            last = seq._last
+            ns = [*range(last + 1, min(last + h + 2, b.n_max) + 1)]
+            if b.n_max > last + h + 2:
+                ns.append(b.n_max)
+            terms = seq.prefix(b.n_max)
+            for n in ns:
+                s.eq(terms[n - seq.min_index], seq._jump(n), n=n, h=h)
 
 
 def _exact_arithmetic_sanity(n, h, s):
@@ -418,6 +445,9 @@ def _registry():
          "Lucas terms decompose into two Fibonacci terms",
          _agree(lambda n, h: h_fibonacci(h, n) + (h + 1) * h_fibonacci(h, n - h),
                 lambda n, h: h_lucas(h, n + 1), n_lo=lambda h: h + 1)),
+        ("recurrence-jump",
+         "delayed recurrences: the square-and-multiply jump equals iteration",
+         _run_recurrence_jump),
         # Splitting a cycle at a vertex or at a wrap pair leaves path segments:
         # c(n-h-1, k-1) = p(n-2h-1, k-1) + h*p(n-3h-2, k-2) once n > 3h+2.
         ("path-cycle-count-bridge",

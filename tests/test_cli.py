@@ -234,6 +234,49 @@ def test_cli_leaves_argparse_gettext_and_locale_unloaded():
     assert out.stdout == "60\n[]\n"
 
 
+def test_cli_leaves_re_unloaded_without_site():
+    # The two argv patterns are string tests, not regexes; re, with enum
+    # behind it, was the largest import left on the start-up path.  -S,
+    # because site may load re itself.
+    code = ("import sys, fibcubes.cli; fibcubes.cli.main(['count', 'path', '10', '2']); "
+            "print('re' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout == "60\nFalse\n"
+
+
+# Tokens on which a string test and a regex easily part: empty parts, stray
+# signs, points and colons, whitespace and newlines, underscores (which int()
+# takes), and digits outside ASCII: Arabic-Indic, fullwidth and mathematical
+# bold are Unicode decimals, superscript two a digit but not a decimal.
+TRICKY_TOKENS = ["", "-", "--", ".", "-.", "-5", "-05", "-5.", "-.5", "-1.5", "-1..5",
+                 "-1.5.2", "-.5.", "--5", "-+5", "+5", "-1e5", "-1_0", "- 5", "-5 ", "-5\n",
+                 "-٣", "-٣.٤", "-５", "-\U0001d7d3", "-²", "-².5",
+                 "5", "0", "02", "1_0", " 2", "2 ", "2\n", "+2", "٣", "１", "²",
+                 "a", "2:", ":3", ":", "0:10", "02:3", "3:2", "1:2:3", "1::2", "1: 2",
+                 "٣:4", "1:４", "1:²", "-1:2"]
+
+
+@pytest.mark.parametrize("token", TRICKY_TOKENS)
+def test_argv_string_tests_accept_what_the_regexes_accepted(token):
+    import re
+
+    # The patterns the CLI used: ASCII digits in an h range, any Unicode
+    # decimal digit (\d) in a negative number.
+    h_range = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", token)
+    try:
+        parsed = cli._parse_h_range(token)
+    except ValueError:
+        parsed = None
+    if h_range is None or int(h_range.groups(h_range[1])[1]) < int(h_range[1]):
+        assert parsed is None
+    else:
+        assert parsed == tuple(int(v) for v in h_range.groups(h_range[1]))
+    negative = re.compile(r"-\d+|-\d*\.\d+").fullmatch(token) is not None
+    assert cli._is_negative_number(token) is negative
+
+
 # --- table -----------------------------------------------------------------
 
 
@@ -580,7 +623,7 @@ def test_verify_summary_exit_0(capsys):
     code, out, _ = run(
         ["verify", "--n-max", "8", "--h-max", "2", "--oracle-n-max", "6"], capsys)
     assert code == 0
-    assert "27 identities, 27 passed, 0 failed" in out
+    assert "28 identities, 28 passed, 0 failed" in out
 
 
 def test_verify_json(capsys):
@@ -589,7 +632,7 @@ def test_verify_json(capsys):
          "--format", "json"], capsys)
     assert code == 0
     reports = json.loads(out)
-    assert len(reports) == 27
+    assert len(reports) == 28
     assert all(r["status"] == "pass" for r in reports)
     assert all(r["bounds"] == {"n_max": 6, "h_max": 1, "oracle_n_max": 5}
                for r in reports)

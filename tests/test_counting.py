@@ -536,6 +536,37 @@ def test_terms_follow_the_literal_recurrence_through_every_phase(kind):
         assert [seq.term(n) for n in sorted(t)] == literal, (kind, h)
 
 
+def _refuse(*args):
+    raise AssertionError("this route must not run")
+
+
+@pytest.mark.parametrize("kind,h", [(kind, h) for kind in ALL_KINDS for h in (0, 3, 10)
+                                    if h >= 2 or "extended" not in kind])
+def test_term_jumps_only_past_the_crossover(kind, h, monkeypatch):
+    seq = counting.HSequence(kind, h)
+    last = seq._last
+    crossover = next(s for s in range(1, 1 << 16) if counting._jump_pays(h, s))
+    far, near = last + crossover, last + crossover - 1
+    expected = {n: seq._iterate(n) for n in (far, far + 1000, near, last + h + 2)}
+    monkeypatch.setattr(counting.HSequence, "__iter__", _refuse)
+    assert seq.term(far) == expected[far]
+    assert seq.term(far + 1000) == expected[far + 1000]
+    monkeypatch.undo()
+    monkeypatch.setattr(counting.HSequence, "_jump", _refuse)
+    assert seq.term(near) == expected[near]
+    assert seq.term(last + h + 2) == expected[last + h + 2]
+
+
+def test_term_never_jumps_where_verify_and_table_reach(monkeypatch):
+    # verify and table stop at n = 40; the crossover is past 128 steps.
+    monkeypatch.setattr(counting.HSequence, "_jump", _refuse)
+    for kind in ALL_KINDS:
+        for h in range(2 if "extended" in kind else 0, 41):
+            seq = counting.HSequence(kind, h)
+            assert [seq.term(n) for n in range(seq.min_index, 41)] == seq.prefix(40)
+    assert not any(counting._jump_pays(h, s) for h in range(100) for s in range(129))
+
+
 @pytest.mark.parametrize("fn,args,closed", [
     (path_count_rec, (10**6 + 5, 10**6), path_count),
     (cycle_count_rec, (2 * 10**6 + 7, 10**6), cycle_count),

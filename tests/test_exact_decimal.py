@@ -80,6 +80,23 @@ def test_decimal_rows_equal_int_rows(row, h, n_max):
         same_tokens(row(n_max, h, unit), row(n_max, h))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_decimal_term_past_the_crossover_still_iterates(kind, monkeypatch):
+    # An int sequence would jump this far past its seeds; a Decimal one
+    # keeps iterating and keeps its type.
+    h, steps = 3, 2000
+    ints = HSequence(kind, h)
+    n = ints._last + steps
+    assert counting._jump_pays(h, steps)
+    expected = ints.term(n)
+    monkeypatch.setattr(HSequence, "_jump", lambda self, n: pytest.fail("jumped"))
+    unit, context = exact()
+    with context:
+        value = HSequence(kind, h, unit).term(n)
+    assert type(value) is Decimal
+    assert value == expected
+
+
 def test_negative_zero_is_why_tokens_are_checked():
     # Any product of a Decimal zero with a negative number prints "-0"; the
     # extended Lucas seeds hold both a zero and -h.

@@ -9,7 +9,7 @@ from itertools import islice
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fibcubes import counting  # noqa: E402
@@ -47,3 +47,22 @@ def test_rows_match_cells_at_random_sizes(n_max, h, data):
             assert len(values) == n_max + 1, (rows, k)
             cells = [getattr(counting, cell)(n, h, k) for n in ns]
             assert [values[n] for n in ns] == cells, (rows, k)
+
+
+KINDS = (counting.FIBONACCI, counting.LUCAS, counting.EXTENDED_FIBONACCI,
+         counting.EXTENDED_LUCAS, counting._PATH_TOTALS, counting._CYCLE_TOTALS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(KINDS), h=st.integers(0, 12), n=st.integers(-12, 3000))
+@example(kind=counting.FIBONACCI, h=0, n=3000)
+@example(kind=counting.EXTENDED_LUCAS, h=2, n=-1)  # the jump's seeds hold t(-1) = -2
+@example(kind=counting.EXTENDED_LUCAS, h=12, n=3000)
+@example(kind=counting._CYCLE_TOTALS, h=12, n=3000)
+def test_jump_equals_iteration(kind, h, n):
+    # The jump starts h below the last seed; below that it is not defined.
+    if kind in (counting.EXTENDED_FIBONACCI, counting.EXTENDED_LUCAS):
+        h = max(h, 2)
+    seq = counting.HSequence(kind, h)
+    n = max(n, seq._last - h)
+    assert seq._jump(n) == seq._iterate(n)

@@ -47,6 +47,7 @@ EXPECTED_IDENTITIES = (
     "path-count-shift-symmetry",
     "path-cycle-count-bridge",
     "path-edges-convolution",
+    "recurrence-jump",
     "small-cycle-star-poset",
     "subset-shift-bijection",
     "vertex-membership-counts",
@@ -312,8 +313,24 @@ def test_shared_values_do_not_outlive_a_run(monkeypatch):
     ("edge-count-by-vertex-sums", "t_count"),
     # path-count-shift-symmetry has no case: both of its routes are
     # path_count_k at shifted arguments, so one shift moves both sides.
+    # The jump is no verify route; its case breaks the jump's reduction.
+    ("recurrence-jump", "counting._reduce"),
 ])
 def test_each_route_fault_fails_its_identity(monkeypatch, identity, route):
+    if route == "counting._reduce":
+        # x^k reduced to x^(k-1) + x^(k-h) instead of x^(k-1) + x^(k-h-1):
+        # only far terms take the jump, so exactly the row that forces it fails.
+        def misreduced(s, d):
+            for k in range(len(s) - 1, d - 1, -1):
+                s[k - 1] += s[k]
+                s[k - d + 1] += s[k]
+            del s[d:]
+            return s
+
+        monkeypatch.setattr(counting, "_reduce", misreduced)
+        reports = _suite()
+        assert {r.identity for r in reports if r.failed} == {identity}
+        return
     original = getattr(verify, route)
     monkeypatch.setattr(verify, route, lambda *args: original(*args) + 1)
     report = next(r for r in _suite() if r.identity == identity)
