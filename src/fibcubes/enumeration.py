@@ -13,7 +13,6 @@ the string reads left to right as b_1..b_n.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 
 from .graphs import CYCLE, GapGraph, _set, _Value
 
@@ -115,16 +114,42 @@ class VertexMask(_Value):
         return self.bits.bit_count()
 
 
-def is_independent(g: GapGraph, mask: VertexMask) -> bool:
-    """Whether no two set bits of the mask index adjacent vertices of g.
+def _adjacency_row(g: GapGraph, i: int) -> int:
+    """The mask of every v_j with ``g.is_edge(i, j)``: bit j-1 for each j != i.
 
-    Tests every pair with ``g.is_edge``, in order, in a plain loop: ``any()``
-    over a generator costs a frame resume per pair.
+    Built here, not on GapGraph, so each ``is_edge`` call crosses from this
+    module into :mod:`fibcubes.graphs`.
+    """
+    row = 0
+    is_edge = g.is_edge
+    for j in range(1, g.n + 1):
+        if j != i and is_edge(i, j):
+            row |= 1 << (j - 1)
+    return row
+
+
+def is_independent(g: GapGraph, mask: VertexMask) -> bool:
+    """Whether no vertex of the mask has a neighbour in the mask.
+
+    Reads the adjacency row of each set vertex v, the mask of every v_j with
+    ``g.is_edge(v, j)``, and stops at the first row that meets the mask.  A
+    row is built the first time its vertex is read, with n - 1 ``is_edge``
+    calls, and kept in a dict on that graph instance, so each vertex of a
+    graph asks ``is_edge`` once, however many masks read it, and a graph
+    keeps rows only for the vertices read.
     """
     if mask.n != g.n:
         raise ValueError(f"mask length {mask.n} does not match graph order {g.n}")
-    for a, b in combinations(mask.vertices(), 2):
-        if g.is_edge(a, b):
+    rows = g._rows
+    if rows is None:
+        rows = {}
+        _set(g, "_rows", rows)
+    bits = mask.bits
+    for v in mask.vertices():
+        row = rows.get(v)
+        if row is None:
+            row = rows[v] = _adjacency_row(g, v)
+        if bits & row:
             return False
     return True
 

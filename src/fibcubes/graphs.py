@@ -65,13 +65,17 @@ class _Value:
 class GapGraph(_Value):
     """The h-power of a path or cycle on n vertices (1-indexed).
 
-    A frozen, slotted value: the fields ``(kind, n, h)`` are all it holds.
-    ``is_edge`` is called once per vertex pair by the independence oracle,
-    so it makes one range check and one distance test, on the distance the
-    short way round for a cycle.
+    A frozen, slotted value with the fields ``(kind, n, h)``.  One more
+    slot, ``_rows``, holds ``None`` until ``enumeration.is_independent``
+    first reads the graph; it then keeps the adjacency rows that function
+    builds from ``is_edge``, one per vertex read.  It is not a field, so ``==``, ``hash``, ``repr``, pickle
+    and copy see only ``(kind, n, h)``, and a copy starts without rows.
+    ``is_edge`` makes one range check and one distance test, on the
+    distance the short way round for a cycle.
     """
 
-    __slots__ = __match_args__ = ("kind", "n", "h")
+    __slots__ = ("kind", "n", "h", "_rows")
+    __match_args__ = ("kind", "n", "h")
 
     def __init__(self, kind: str, n: int, h: int):
         if kind not in (PATH, CYCLE):
@@ -83,6 +87,7 @@ class GapGraph(_Value):
         _set(self, "kind", kind)
         _set(self, "n", n)
         _set(self, "h", h)
+        _set(self, "_rows", None)
 
     def is_edge(self, i: int, j: int) -> bool:
         """Whether v_i ~ v_j.  Irreflexive; indices must be in 1..n."""

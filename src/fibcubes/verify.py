@@ -22,11 +22,20 @@ fresh caches, so nothing in them outlives the run. The per-vertex sums of
 clamped path totals once per (m, h).
 
 Two rows keep their own loops. The independence sweep's n-bits-h order
-lets one mask serve every h. It tallies inline: it compares the routes
-itself, counts the comparisons it made (also when a route raises
-mid-sweep), and records a witness only on a mismatch, instead of a keyword
-call to the tally per comparison. The jump row runs each sequence kind at a
-few indices per h, not an (n, h) grid.
+lets one mask serve every h. It makes its graphs afresh on every run, and
+``is_independent`` keeps on each graph the adjacency row of every vertex it
+reads, so ``is_edge`` is asked once per (vertex, graph) in a run, not once
+per vertex pair of every mask, and a patched ``is_edge`` reaches the next
+run. The sweep tallies inline: it compares the routes itself, counts the
+comparisons it made (also when a route raises mid-sweep), and records a
+witness only on a mismatch, instead of a keyword call to the tally per
+comparison. The jump row runs each sequence kind at a few indices per h,
+not an (n, h) grid.
+
+A witness locates a failure by n, h, k and i. The rows that loop over
+several kinds at one (n, h), the independence sweep and
+``hamming-distance-covers`` (path and cycle) and ``recurrence-jump`` (its
+six sequence kinds), add the kind first.
 """
 
 from __future__ import annotations
@@ -138,26 +147,30 @@ class IdentityReport(_Value):
 
 
 class _Tally:
-    """Collects equality checks and keeps the first few counterexamples."""
+    """Collects equality checks and keeps the first few counterexamples.
+
+    A check given a ``kind`` puts it first in its witness.
+    """
 
     def __init__(self):
         self.checked = 0
         self.failed = 0
         self.failures = []
 
-    def eq(self, expected, actual, n=None, h=None, k=None, i=None):
+    def eq(self, expected, actual, n=None, h=None, k=None, i=None, kind=None):
         self.checked += 1
         if expected != actual:
-            self._fail(expected, actual, n, h, k, i)
+            self._fail(expected, actual, n, h, k, i, kind)
 
     def crash(self, exc: BaseException, n=None, h=None, k=None, i=None):
         self._fail("no exception", repr(exc), n, h, k, i)
 
-    def _fail(self, expected, actual, n, h, k, i):
+    def _fail(self, expected, actual, n, h, k, i, kind=None):
         self.failed += 1
         if len(self.failures) < FAILURE_WITNESS_LIMIT:
-            self.failures.append({"n": n, "h": h, "k": k, "i": i,
-                                  "expected": expected, "actual": actual})
+            witness = {"n": n, "h": h, "k": k, "i": i,
+                       "expected": expected, "actual": actual}
+            self.failures.append(witness if kind is None else {"kind": kind, **witness})
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +246,7 @@ def _run_recurrence_jump(b: Bounds, s: _Tally):
                 ns.append(b.n_max)
             terms = seq.prefix(b.n_max)
             for n in ns:
-                s.eq(terms[n - seq.min_index], seq._jump(n), n=n, h=h)
+                s.eq(terms[n - seq.min_index], seq._jump(n), n=n, h=h, kind=kind)
 
 
 def _exact_arithmetic_sanity(n, h, s):
@@ -266,7 +279,8 @@ def _run_independence_characterizations(b: Bounds, s: _Tally):
     # gap condition == graph independence == substring avoidance (h >= 1),
     # over every bit string, linear and circular. The sweep runs n, then
     # bits, then h: one mask per bit string serves every h, and its vertex
-    # tuple and string are decoded once. Witnesses come in (n, bits, h) order.
+    # tuple and string are decoded once. Witnesses come in (n, bits, h) order
+    # and name the graph kind, path or cycle.
     # Its 720,874 comparisons at the default bounds are tallied inline: s.eq
     # would add a keyword call to each.
     hs = range(b.h(5) + 1)
@@ -282,12 +296,12 @@ def _run_independence_characterizations(b: Bounds, s: _Tally):
                     other = is_independent(g, mask)
                     checked += 1
                     if by_gap != other:
-                        s._fail(by_gap, other, n, h, None, bits)
+                        s._fail(by_gap, other, n, h, None, bits, g.kind)
                     if h >= 1:
                         other = avoids_substrings(mask, h, circular)
                         checked += 1
                         if by_gap != other:
-                            s._fail(by_gap, other, n, h, None, bits)
+                            s._fail(by_gap, other, n, h, None, bits, g.kind)
     finally:
         s.checked += checked
 
@@ -348,7 +362,7 @@ def _cube_counts(kind, count, edges):
 def _hamming_distance_covers(n, h, s):
     for kind in (PATH, CYCLE):
         c = cube.build_cube(GapGraph(kind, n, h))
-        s.eq(len(c.covers), c.hamming_pairs(), n=n, h=h)
+        s.eq(len(c.covers), c.hamming_pairs(), n=n, h=h, kind=kind)
 
 
 def _small_cycle_star_poset(n, h, s):

@@ -9,6 +9,8 @@ tests.
 import copy
 import itertools
 import pickle
+import time
+from collections import Counter
 
 import pytest
 
@@ -138,16 +140,78 @@ def test_is_independent_examples():
     assert is_independent(GapGraph(PATH, 4, 2), VertexMask.from_string("1001"))
 
 
-def test_is_independent_asks_is_edge_for_every_pair(monkeypatch):
-    asked = []
+def test_is_independent_asks_only_is_edge_once_per_pair_and_graph(monkeypatch):
+    # Adjacency comes from is_edge alone: the edge generators must not be
+    # read, and a graph instance asks each ordered pair at most once however
+    # many masks read it. A second instance of an equal graph asks afresh.
+    asked = Counter()
     real = GapGraph.is_edge
-    monkeypatch.setattr(GapGraph, "is_edge", lambda g, i, j: asked.append((i, j)) or real(g, i, j))
+
+    def recorder(g, i, j):
+        asked[id(g), i, j] += 1
+        return real(g, i, j)
+
+    def unused(g):
+        raise AssertionError("adjacency must come from is_edge")
+
+    monkeypatch.setattr(GapGraph, "is_edge", recorder)
+    for name in ("iter_edges", "edges", "edge_count"):
+        monkeypatch.setattr(GapGraph, name, unused)
+    m = VertexMask.from_string("1010101")
+    path, cycle, cycle_twin = GapGraph(PATH, 7, 1), GapGraph(CYCLE, 7, 1), GapGraph(CYCLE, 7, 1)
+    for _ in range(2):
+        assert is_independent(path, m)
+        assert not is_independent(cycle, m)  # v_7 ~ v_1 around the wrap
+        for bits in range(1 << 7):
+            mask = VertexMask(7, bits)
+            assert is_independent(path, mask) == gap_check(mask, 1)
+            assert is_independent(cycle, mask) == gap_check(mask, 1, circular=True)
+    assert not is_independent(cycle_twin, m)
+    assert max(asked.values()) == 1
+    every_pair = {(i, j) for i in range(1, 8) for j in range(1, 8) if i != j}
+    assert {(i, j) for g, i, j in asked if g == id(cycle)} == every_pair
+    assert {(i, j) for g, i, j in asked if g == id(cycle_twin)} == {(1, j) for j in range(2, 8)}
+
+
+def test_a_fake_adjacency_flips_is_independent(monkeypatch):
     m = VertexMask.from_string("1010101")
     assert is_independent(GapGraph(PATH, 7, 1), m)
-    assert asked == [(1, 3), (1, 5), (1, 7), (3, 5), (3, 7), (5, 7)]
-    asked.clear()
-    assert not is_independent(GapGraph(CYCLE, 7, 1), m)  # v_7 ~ v_1 around the wrap
-    assert asked == [(1, 3), (1, 5), (1, 7)]
+    real = GapGraph.is_edge
+    monkeypatch.setattr(GapGraph, "is_edge",
+                        lambda g, i, j: {i, j} == {1, 7} or real(g, i, j))
+    assert not is_independent(GapGraph(PATH, 7, 1), m)
+    assert is_independent(GapGraph(PATH, 7, 1), VertexMask.from_string("1010100"))
+    monkeypatch.setattr(GapGraph, "is_edge", lambda g, i, j: False)
+    assert is_independent(GapGraph(PATH, 7, 1), VertexMask.from_string("1111111"))
+
+
+@pytest.mark.parametrize("kind", [PATH, CYCLE])
+def test_is_independent_matches_the_pairwise_definition(kind):
+    # One graph instance per (n, h) serves every mask, so a row kept stale
+    # or shared between vertices would show on a later mask.
+    for n in range(11):
+        for h in range(6):
+            g = GapGraph(kind, n, h)
+            for bits in range(1 << n):
+                mask = VertexMask(n, bits)
+                pairwise = not any(g.is_edge(a, b)
+                                   for a, b in itertools.combinations(mask.vertices(), 2))
+                assert is_independent(g, mask) == pairwise, (kind, n, h, bits)
+
+
+def test_is_independent_reads_rows_only_for_the_mask_vertices():
+    # A first row costs n - 1 is_edge calls: two rows of a 10^5-vertex graph
+    # stay far under a second, and no other vertex gets a row.
+    n = 10**5
+    g = GapGraph(PATH, n, 2)
+    start = time.perf_counter()
+    assert is_independent(g, VertexMask(n, 1 | 1 << (n - 1)))
+    assert time.perf_counter() - start < 1.0
+    assert g._rows == {1: 0b110, n: 0b11 << (n - 3)}
+    # The scan stops at the first row that meets the mask.
+    g = GapGraph(PATH, n, 2)
+    assert not is_independent(g, VertexMask(n, 0b101 | 1 << (n - 1)))
+    assert list(g._rows) == [1]
 
 
 def test_is_independent_rejects_length_mismatch():

@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+from fibcubes.enumeration import VertexMask, is_independent
 from fibcubes.graphs import (CYCLE, PATH, GapGraph, dot_lines, edgelist_lines, edgelist_text,
                              graph_dot)
 
@@ -56,6 +57,25 @@ def test_gap_graph_value_semantics():
         assert repr(twin) == repr(g) and twin.edges() == g.edges()
         with pytest.raises(AttributeError):
             twin.n = 5
+    # is_independent keeps adjacency rows in a slot that is not a field: a
+    # graph that has them stays equal to a fresh one, and copies drop them.
+    assert g._rows is None
+    assert is_independent(g, VertexMask.from_string("1010"))
+    assert g._rows == {1: 0b0010, 3: 0b1010}
+    fresh = GapGraph(PATH, 4, 1)
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    twins = [pickle.loads(pickle.dumps(g, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*twins, copy.copy(g), copy.deepcopy(g)]:
+        assert type(twin) is GapGraph and twin == g and hash(twin) == hash(g)
+        assert twin._rows is None
+    for name in ("kind", "n", "h", "_rows"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert not hasattr(g, "__dict__")
+    assert g._rows == {1: 0b0010, 3: 0b1010}
 
 
 def test_zero_power_is_edgeless():

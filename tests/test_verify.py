@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import fibcubes.cli as cli
-from fibcubes import counting, verify
+from fibcubes import counting, cube, verify
 from fibcubes.counting import path_count_clamped, path_edges
-from fibcubes.graphs import CYCLE, PATH
+from fibcubes.graphs import CYCLE, PATH, GapGraph
 
 SMALL = dict(n_max=12, h_max=4, oracle_n_max=8)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -237,7 +237,7 @@ def test_independence_sweep_reports_a_single_wrong_answer(monkeypatch):
     bits = 0b001001  # {v1, v4}: independent in the square of P_6
     _, report = _recorded_independence(monkeypatch, wrong=(PATH, 6, 2, bits))
     assert report.failed == 1
-    assert report.failures == [{"n": 6, "h": 2, "k": None, "i": bits,
+    assert report.failures == [{"kind": PATH, "n": 6, "h": 2, "k": None, "i": bits,
                                 "expected": True, "actual": False}]
 
 
@@ -261,6 +261,62 @@ def test_independence_sweep_counts_the_checks_made_before_a_crash(monkeypatch):
     assert report.failures == [{"n": None, "h": None, "k": None, "i": None,
                                 "expected": "no exception",
                                 "actual": "RuntimeError('injected')"}]
+
+
+def _wide_wrap(monkeypatch):
+    # Cycle pairs at distance n - h - 1, just outside the wrap band, counted
+    # as edges.
+    real = GapGraph.is_edge
+    monkeypatch.setattr(GapGraph, "is_edge", lambda g, i, j: real(g, i, j) or (
+        g.kind == CYCLE and abs(i - j) == g.n - g.h - 1))
+
+
+def test_an_is_edge_fault_fails_only_the_independence_sweep(monkeypatch):
+    _wide_wrap(monkeypatch)
+    reports = _suite()
+    assert {r.identity for r in reports if r.failed} == {"independence-characterizations"}
+    failures = _failures(reports, "independence-characterizations")
+    # {v1, v2} on C_2 with h = 0: no gap is violated, but the fault joins them.
+    assert failures[0] == {"kind": CYCLE, "n": 2, "h": 0, "k": None, "i": 0b11,
+                           "expected": True, "actual": False}
+    assert {w["kind"] for w in failures} == {CYCLE}
+
+
+def test_an_is_edge_patch_reaches_the_next_run_and_leaves_with_it(monkeypatch):
+    # The sweep builds its graphs, and so their adjacency rows, on every run.
+    def independence():
+        return next(r for r in _suite() if r.identity == "independence-characterizations")
+
+    assert independence().status == "pass"
+    _wide_wrap(monkeypatch)
+    assert independence().status == "fail"
+    monkeypatch.undo()
+    assert independence().status == "pass"
+
+
+def _misreduced(s, d):
+    # x^k reduced to x^(k-1) + x^(k-h) instead of x^(k-1) + x^(k-h-1).
+    for k in range(len(s) - 1, d - 1, -1):
+        s[k - 1] += s[k]
+        s[k - d + 1] += s[k]
+    del s[d:]
+    return s
+
+
+def test_rows_over_several_kinds_name_the_kind_in_their_witnesses(monkeypatch):
+    monkeypatch.setattr(counting, "_reduce", _misreduced)
+    jump = _failures(_suite(), "recurrence-jump")
+    assert {w["kind"] for w in jump} == {counting.FIBONACCI, counting.LUCAS}
+    assert len({(w["kind"], w["n"], w["h"]) for w in jump}) == len(jump)
+    monkeypatch.undo()
+    real = cube.CubeGraph.hamming_pairs
+    monkeypatch.setattr(cube.CubeGraph, "hamming_pairs",
+                        lambda c: real(c) + (c.source.kind == CYCLE))
+    reports = _suite()
+    assert {r.identity for r in reports if r.failed} == {"hamming-distance-covers"}
+    assert _failures(reports, "hamming-distance-covers")[:2] == [
+        {"kind": CYCLE, "n": 0, "h": 0, "k": None, "i": None, "expected": 0, "actual": 1},
+        {"kind": CYCLE, "n": 1, "h": 0, "k": None, "i": None, "expected": 1, "actual": 2}]
 
 
 def _off_by_one_at(monkeypatch, route, at):
@@ -318,16 +374,8 @@ def test_shared_values_do_not_outlive_a_run(monkeypatch):
 ])
 def test_each_route_fault_fails_its_identity(monkeypatch, identity, route):
     if route == "counting._reduce":
-        # x^k reduced to x^(k-1) + x^(k-h) instead of x^(k-1) + x^(k-h-1):
-        # only far terms take the jump, so exactly the row that forces it fails.
-        def misreduced(s, d):
-            for k in range(len(s) - 1, d - 1, -1):
-                s[k - 1] += s[k]
-                s[k - d + 1] += s[k]
-            del s[d:]
-            return s
-
-        monkeypatch.setattr(counting, "_reduce", misreduced)
+        # Only far terms take the jump, so exactly the row that forces it fails.
+        monkeypatch.setattr(counting, "_reduce", _misreduced)
         reports = _suite()
         assert {r.identity for r in reports if r.failed} == {identity}
         return
