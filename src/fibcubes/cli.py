@@ -4,6 +4,12 @@ and ``verify``.
 ``_COMMANDS`` declares each command once: its handler, its one-line help and
 its arguments.  ``_parse`` reads argv against it and ``--help`` renders it.
 
+Every count comes from ``verify._routes()``, one table keyed by (quantity,
+method): ``count`` takes its dispatch, its ``--route`` choices and its error
+text from it, and ``_TABLE_ROUTES`` names the entry whose row each table but
+``F`` and ``L`` prints.  To add a route, add its entry there and an identity
+that checks it; this module needs no change.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 argv, a negative n, h, k or cap, or output that cannot be written), 3 capacity
 error (beyond the enumeration cap, or out of memory).  All numeric output is
@@ -47,31 +53,9 @@ import sys
 from itertools import chain, count, islice
 from types import SimpleNamespace
 
-from . import cube, enumeration, verify
-from .counting import (
-    EXTENDED_FIBONACCI,
-    EXTENDED_LUCAS,
-    FIBONACCI,
-    LUCAS,
-    HSequence,
-    cycle_count,
-    cycle_count_k,
-    cycle_count_k_rows,
-    cycle_count_rec,
-    cycle_count_row,
-    cycle_edges,
-    cycle_edges_conv,
-    cycle_edges_row,
-    max_subset_size,
-    path_count,
-    path_count_k,
-    path_count_k_rows,
-    path_count_rec,
-    path_count_row,
-    path_edges,
-    path_edges_conv,
-    path_edges_row,
-)
+from . import cube, verify
+from .counting import (EXTENDED_FIBONACCI, EXTENDED_LUCAS, FIBONACCI, LUCAS, HSequence,
+                       max_subset_size)
 from .cube import _chunks, _json_array
 from .enumeration import DEFAULT_CAP, CapacityError
 from .graphs import CYCLE, PATH, GapGraph, dot_lines, edgelist_lines
@@ -98,7 +82,10 @@ PAPER_TABLE_LAYOUTS = {
 }
 PAPER_H_RANGE = (0, 10)
 
-_PER_SIZE_TABLES = ("pk", "ck")
+# table kind -> the verify._routes() entry whose row it prints (F, L: sequences)
+_TABLE_ROUTES = {"pk": ("path-k", "recurrence"), "ck": ("cycle-k", "recurrence"),
+                 "p": ("path", "recurrence"), "c": ("cycle", "recurrence"),
+                 "H": ("path-edges", "conv"), "M": ("cycle-edges", "recurrence")}
 _TABLE_N_MAX = 15  # last column n unless --n-max or --paper-layout sets it
 
 # Sequence-backed output whose largest value is predicted to have at least
@@ -264,7 +251,7 @@ def _render_grid(fmt: str, row_tag: str, rows: range, cols: range, values):
 
 def _cmd_table(args) -> int:
     which, paper = args.which, args.paper_layout
-    per_size = which in _PER_SIZE_TABLES
+    per_size = which in ("pk", "ck")
     if paper:
         if args.n_max is not None or args.k_max is not None:
             raise ValueError("--paper-layout fixes the extents; drop --n-max/--k-max")
@@ -299,25 +286,19 @@ def _cmd_table(args) -> int:
     if not rows:
         raise ValueError(f"empty row range: {row_tag} runs {rows.start}..{rows.stop - 1}")
 
-    # Row h's values; like _COUNT_ROUTES, the lambdas look the row functions
-    # up by name when called.  Every row is one linear pass over its columns:
-    # 0..n_max, except the F and L columns, which run 1..n_max.  The h rows
-    # grow fastest at their first h, and are made from ``unit``.
+    # Every row is one linear pass over its columns: 0..n_max, but 1..n_max
+    # for F and L.  The h rows grow fastest at their first h, and are made
+    # from ``unit``; the k rows are one stream, each made from those above.
     unit, exact = (1, contextlib.nullcontext()) if per_size else _exact_numbers(h, n_max)
-    row_values = {
-        "p": lambda hh: path_count_row(n_max, hh, unit),
-        "c": lambda hh: cycle_count_row(n_max, hh, unit),
-        "F": lambda hh: islice(HSequence(FIBONACCI, hh, unit), n_max),
-        "L": lambda hh: islice(HSequence(LUCAS, hh, unit), n_max),
-        "H": lambda hh: path_edges_row(n_max, hh, unit),
+    if which in _SEQ_KINDS:
+        values = (islice(HSequence(_SEQ_KINDS[which], hh, unit), n_max) for hh in rows)
+    else:
+        row = verify._routes()[_TABLE_ROUTES[which]]["row"]
+        values = row(n_max, h) if per_size else (row(n_max, hh, unit) for hh in rows)
+    if which == "M" and paper:
         # The published edge table prints 0 in the n <= h corner it makes
         # no claim about; the library value there is cycle_edges itself.
-        "M": lambda hh: [0 if paper and n <= hh else e
-                         for n, e in enumerate(cycle_edges_row(n_max, hh, unit))],
-    }
-    # The k rows are one stream, each row made from the rows above it.
-    values = (path_count_k_rows(n_max, h) if which == "pk" else cycle_count_k_rows(n_max, h)
-              if which == "ck" else map(row_values[which], rows))
+        values = ([0 if n <= hh else e for n, e in enumerate(r)] for hh, r in zip(rows, values))
     with exact:
         _emit(_render_grid(args.format, row_tag, rows, cols, values), args.out)
     return EXIT_OK
@@ -351,48 +332,22 @@ def _cmd_graph(args) -> int:
 # count
 # ---------------------------------------------------------------------------
 
-def _oracle_set_count(kind: str, a) -> int:
-    masks = enumeration.iter_masks(GapGraph(kind, a.n, a.h), cap=a.cap)
-    if a.k is None:
-        return len(masks)
-    return sum(1 for m in masks if m.bit_count() == a.k)
-
-
-# (quantity, route) -> value(args); a quantity ending in "-k" is the count of
-# one subset size k.  Entries look functions up by module-level name when
-# called, so names rebound after import (as a call tracer does) take effect.
-_COUNT_ROUTES = {
-    ("path", "closed"): lambda a: path_count(a.n, a.h),
-    ("path", "recurrence"): lambda a: path_count_rec(a.n, a.h),
-    ("path", "oracle"): lambda a: _oracle_set_count(PATH, a),
-    ("path-k", "closed"): lambda a: path_count_k(a.n, a.h, a.k),
-    ("path-k", "oracle"): lambda a: _oracle_set_count(PATH, a),
-    ("cycle", "closed"): lambda a: cycle_count(a.n, a.h),
-    ("cycle", "recurrence"): lambda a: cycle_count_rec(a.n, a.h),
-    ("cycle", "oracle"): lambda a: _oracle_set_count(CYCLE, a),
-    ("cycle-k", "closed"): lambda a: cycle_count_k(a.n, a.h, a.k),
-    ("cycle-k", "oracle"): lambda a: _oracle_set_count(CYCLE, a),
-    ("path-edges", "closed"): lambda a: path_edges(a.n, a.h),
-    ("path-edges", "conv"): lambda a: path_edges_conv(a.n, a.h),
-    ("path-edges", "oracle"): lambda a: cube.cover_count(GapGraph(PATH, a.n, a.h), cap=a.cap),
-    ("cycle-edges", "closed"): lambda a: cycle_edges(a.n, a.h),
-    ("cycle-edges", "conv"): lambda a: cycle_edges_conv(a.n, a.h),
-    ("cycle-edges", "oracle"): lambda a: cube.cover_count(GapGraph(CYCLE, a.n, a.h), cap=a.cap),
-}
-
-
 def _cmd_count(args) -> int:
     # Checked here, not left to the routes: the per-size forms follow the
     # binomial convention, so path_count_k(-1, 2, 0) is 1 and a negative k
     # counts 0 sets.
     if min(args.n, args.h, 0 if args.k is None else args.k) < 0:
         raise ValueError("n, h and k must be nonnegative")
-    quantity = args.quantity if args.k is None else f"{args.quantity}-k"
-    fn = _COUNT_ROUTES.get((quantity, args.route))
-    if fn is None:
+    quantity, nums = ((args.quantity, (args.n, args.h)) if args.k is None
+                      else (f"{args.quantity}-k", (args.n, args.h, args.k)))
+    routes = verify._routes(args.cap)
+    scalar = routes.get((quantity, args.route), {}).get("scalar")
+    if scalar is None:
         sized = "" if args.k is None else " of one subset size"
-        raise ValueError(f"the {args.route} route does not count {args.quantity}{sized}")
-    _emit(f"{fn(args)}\n", args.out)
+        methods = [m for (q, m), r in routes.items() if q == quantity and "scalar" in r]
+        raise ValueError(f"the {args.route} route does not count {args.quantity}{sized} "
+                         f"(routes: {', '.join(methods) or 'none'})")
+    _emit(f"{scalar(*nums)}\n", args.out)
     return EXIT_OK
 
 
@@ -501,8 +456,8 @@ _COMMANDS = {
         _Arg("quantity", choices=("path", "cycle", "path-edges", "cycle-edges"), required=True,
              help="independent-set totals, or inclusion-diagram edges"),
         _N, _H, _Arg("k", int, help="subset size (set counts only)"),
-        _Arg("--route", choices=("closed", "recurrence", "conv", "oracle"), default="closed",
-             help="how the count is computed"),
+        _Arg("--route", choices=tuple(dict.fromkeys(m for _, m in verify._routes())),
+             default="closed", help="how the count is computed"),
         _CAP, _OUT)),
     "seq": (_cmd_seq, "dump a delayed Fibonacci/Lucas sequence", (
         _Arg("kind", choices=tuple(_SEQ_KINDS), required=True,

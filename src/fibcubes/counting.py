@@ -622,9 +622,11 @@ def cycle_edges_closed(n: int, h: int) -> int:
     """cycle_edges as n * F(n-h) with F the delayed-Fibonacci sequence.
 
     Only valid for n > h (each singleton's neighborhood must leave a path).
+    Its method is ``recurrence``, as F runs the delayed recurrence; the name
+    stays because it is public API and names a per-layer benchmark metric.
     """
     if n <= h:
-        raise ValueError(f"closed form needs n > h, got n={n} h={h}")
+        raise ValueError(f"n * F(n-h) needs n > h, got n={n} h={h}")
     return n * h_fibonacci(h, n - h)
 
 

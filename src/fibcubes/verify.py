@@ -5,15 +5,20 @@ recurrence, convolution, exhaustive enumeration) over bounded parameter
 ranges and report witness tuples for any disagreement, so a single failure
 pinpoints the broken convention immediately.
 
-Each identity is one registry row: an id, a description, its sweep ranges,
-and either two routes, which ``_agree`` compares at each (n, h) or
-(n, h, k), or a body ``check(n, h, s)``. One driver, ``_sweep``, runs every
-(h, n) loop and clips the ranges by the suite bounds: h by h_max, n by n_max,
-or by oracle_n_max for enumeration-backed identities. ``_registry`` builds
-the rows on every run, so a row names its routes directly and gets the
-functions bound in this module at that moment: a function rebound here (by
-a test's monkeypatch, or by the benchmark tracer's per-call spans) is the
-one the identity runs.
+Each identity is one registry row: an id, a description, and a runner,
+either ``_agree`` over two routes at each (n, h) or (n, h, k), or ``_sweep``
+over a body ``check(n, h, s)``. ``_sweep`` alone runs the (h, n) loops and
+clips them by the suite bounds: h by h_max, n by n_max, or by oracle_n_max
+for enumeration-backed identities.
+
+The routes are one table, ``_routes``, keyed by (quantity, method). An entry
+holds a scalar, which ``fibcubes count`` runs, a row, which ``fibcubes
+table`` prints, or both, and the two-route rows read it. To add a route, add
+its entry and an identity that compares it with another route of its
+quantity; the CLI needs no change. ``_registry`` builds the table and the
+rows on every run from the functions bound in this module at that moment,
+so a function rebound here (by a test's monkeypatch, or by the benchmark
+tracer's per-call spans) is the one that runs.
 
 Values that two rows read are memoized per run: ``_registry`` wraps them in
 fresh caches, so nothing in them outlives the run. The per-vertex sums of
@@ -21,16 +26,12 @@ fresh caches, so nothing in them outlives the run. The per-vertex sums of
 ``vertex-split-product`` both read, are computed once per (n, h), and the
 clamped path totals once per (m, h).
 
-Two rows keep their own loops. The independence sweep's n-bits-h order
-lets one mask serve every h. It makes its graphs afresh on every run, and
-``is_independent`` keeps on each graph the adjacency row of every vertex it
-reads, so ``is_edge`` is asked once per (vertex, graph) in a run, not once
-per vertex pair of every mask, and a patched ``is_edge`` reaches the next
-run. The sweep tallies inline: it compares the routes itself, counts the
-comparisons it made (also when a route raises mid-sweep), and records a
-witness only on a mismatch, instead of a keyword call to the tally per
-comparison. The jump row runs each sequence kind at a few indices per h,
-not an (n, h) grid.
+Two rows keep their own loops. The independence sweep runs n, bits, then h,
+so that one mask serves every h, and tallies its comparisons inline. It
+makes its graphs afresh on every run, and ``is_independent`` keeps on each
+graph the adjacency rows it reads, so ``is_edge`` is asked once per (vertex,
+graph) and a patched ``is_edge`` reaches the next run. The jump row runs
+each sequence kind at a few indices per h, not an (n, h) grid.
 
 A witness locates a failure by n, h, k and i. The rows that loop over
 several kinds at one (n, h), the independence sweep and
@@ -54,10 +55,13 @@ from .counting import (
     HSequence,
     cycle_count,
     cycle_count_k,
+    cycle_count_k_rows,
     cycle_count_rec,
+    cycle_count_row,
     cycle_edges,
     cycle_edges_closed,
     cycle_edges_conv,
+    cycle_edges_row,
     extended_fib,
     extended_lucas,
     h_fibonacci,
@@ -66,12 +70,15 @@ from .counting import (
     path_count,
     path_count_clamped,
     path_count_k,
+    path_count_k_rows,
     path_count_rec,
+    path_count_row,
     path_edges,
     path_edges_conv,
+    path_edges_row,
     t_count,
 )
-from .enumeration import VertexMask, avoids_substrings, gap_check, is_independent
+from .enumeration import DEFAULT_CAP, VertexMask, avoids_substrings, gap_check, is_independent
 from .graphs import CYCLE, PATH, GapGraph, _set, _Value
 
 __all__ = [
@@ -212,14 +219,6 @@ def _vertex_sums(n, h):
     return [sum(t_count(n, h, k, i) for k in ks) for i in range(1, n + 1)]
 
 
-def _edge_count_by_vertex_sums(vertex_sums):
-    # Summing per-vertex membership counts hits each k-subset k times.
-    def check(n, h, s):
-        total = sum(vertex_sums(n, h))
-        s.eq(path_edges(n, h), total, n=n, h=h)
-    return check
-
-
 def _vertex_split_product(vertex_sums, clamped):
     # All subsets through vertex i = (left-segment total) * (right-segment total).
     def check(n, h, s):
@@ -265,13 +264,16 @@ def _exact_arithmetic_sanity(n, h, s):
 # Enumeration-backed identities (bounded by oracle_n_max)
 # ---------------------------------------------------------------------------
 
-def _oracle_counts(kind, count_k, count_total):
-    # Exhaustive size histogram against the per-size and total closed forms.
+def _oracle_counts(routes, kind):
+    # Exhaustive size histogram against the per-size and total closed forms;
+    # the oracle routes of one (n, h) share one enumeration.
+    total, found = (routes[kind, m]["scalar"] for m in ("closed", "oracle"))
+    count_k, found_k = (routes[f"{kind}-k", m]["scalar"] for m in ("closed", "oracle"))
+
     def check(n, h, s):
-        hist = enumeration.count_by_size(GapGraph(kind, n, h))
-        s.eq(count_total(n, h), sum(hist.values()), n=n, h=h)
+        s.eq(total(n, h), found(n, h), n=n, h=h)
         for k in range(max_subset_size(n, h) + 2):
-            s.eq(count_k(n, h, k), hist.get(k, 0), n=n, h=h, k=k)
+            s.eq(count_k(n, h, k), found_k(n, h, k), n=n, h=h, k=k)
     return check
 
 
@@ -344,13 +346,15 @@ def _vertex_membership_counts(n, h, s):
             s.eq(tally.get((k, i), 0), t_count(n, h, k, i), n=n, h=h, k=k, i=i)
 
 
-def _cube_counts(kind, count, edges):
+def _cube_counts(routes, kind):
     # Diagram vertex and cover counts against the closed forms.
+    count, edges = routes[kind, "closed"]["scalar"], routes[f"{kind}-edges", "closed"]["scalar"]
+    cover_count = routes[f"{kind}-edges", "oracle"]["scalar"]
+
     def check(n, h, s):
-        g = GapGraph(kind, n, h)
-        masks = enumeration.iter_masks(g)
+        masks = enumeration.iter_masks(GapGraph(kind, n, h))
         rank_weight = sum(m.bit_count() for m in masks)
-        covers = cube.cover_count(g)
+        covers = cover_count(n, h)
         # Structural sanity for every n: one cover per element of each set.
         s.eq(rank_weight, covers, n=n, h=h)
         s.eq(count(n, h), len(masks), n=n, h=h)
@@ -377,24 +381,13 @@ def _small_cycle_star_poset(n, h, s):
 # Classical specializations
 # ---------------------------------------------------------------------------
 
-def _classical_fib(n: int) -> int:
-    # F(1) = F(2) = 1, computed locally so the bridge check is independent.
-    a, bb = 1, 1
-    if n <= 0:
-        return 0
+def _classical(n: int, first: int, second: int) -> int:
+    # Term n >= 1 of t(n) = t(n-1) + t(n-2) from t(1), t(2) = first, second:
+    # Fibonacci from 1, 1 and Lucas from 1, 3, computed locally so the bridge
+    # checks are independent.
     for _ in range(n - 1):
-        a, bb = bb, a + bb
-    return a
-
-
-def _classical_lucas(n: int) -> int:
-    # L(1) = 1, L(2) = 3.
-    a, bb = 1, 3
-    if n == 1:
-        return 1
-    for _ in range(n - 2):
-        a, bb = bb, a + bb
-    return bb
+        first, second = second, first + second
+    return first
 
 
 def _hypercube_specialization(n, h, s):
@@ -408,19 +401,58 @@ def _hypercube_specialization(n, h, s):
 
 def _classical_fibonacci_bridge(n, h, s):
     # Classical Fibonacci numbers hold at h = 1 only, so the row fixes h.
-    s.eq(_classical_fib(n + 2), path_count(n, h), n=n, h=h)
-    conv = sum(_classical_fib(i) * _classical_fib(n - i + 1) for i in range(1, n + 1))
+    s.eq(_classical(n + 2, 1, 1), path_count(n, h), n=n, h=h)
+    conv = sum(_classical(i, 1, 1) * _classical(n - i + 1, 1, 1) for i in range(1, n + 1))
     s.eq(conv, path_edges(n, h), n=n, h=h)
 
 
 def _classical_lucas_bridge(n, h, s):
-    s.eq(_classical_lucas(n), cycle_count(n, h), n=n, h=h)
-    s.eq(n * _classical_fib(n - 1), cycle_edges(n, h), n=n, h=h)
+    s.eq(_classical(n, 1, 3), cycle_count(n, h), n=n, h=h)
+    s.eq(n * _classical(n - 1, 1, 1), cycle_edges(n, h), n=n, h=h)
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Routes and registry
 # ---------------------------------------------------------------------------
+
+def _routes(cap: int = DEFAULT_CAP) -> dict:
+    """Every route, keyed by (quantity, method), built anew on every call
+    from the functions bound in this module right now, as ``_registry`` is.
+
+    An entry holds a "scalar", which takes (n, h), or (n, h, k) for a
+    quantity of one subset size k ("path-k", "cycle-k"); a "row", which takes
+    (n_max, h) and gives the values at n = 0..n_max, or for a "-k" quantity
+    yields such rows for k = 0, 1, ...; or both. The oracle routes enumerate
+    under ``cap``; the set counts keep the size histogram of the last graph
+    asked, so asking each k enumerates once."""
+    sizes = functools.lru_cache(1)(
+        lambda kind, n, h: enumeration.count_by_size(GapGraph(kind, n, h), cap))
+
+    def covers(kind):
+        return {"scalar": lambda n, h: cube.cover_count(GapGraph(kind, n, h), cap)}
+
+    return {
+        ("path", "closed"): {"scalar": path_count},
+        ("path-k", "closed"): {"scalar": path_count_k},
+        ("cycle", "closed"): {"scalar": cycle_count},
+        ("cycle-k", "closed"): {"scalar": cycle_count_k},
+        ("path-edges", "closed"): {"scalar": path_edges},
+        ("cycle-edges", "closed"): {"scalar": cycle_edges},
+        ("path", "recurrence"): {"scalar": path_count_rec, "row": path_count_row},
+        ("path-k", "recurrence"): {"row": path_count_k_rows},
+        ("cycle", "recurrence"): {"scalar": cycle_count_rec, "row": cycle_count_row},
+        ("cycle-k", "recurrence"): {"row": cycle_count_k_rows},
+        ("cycle-edges", "recurrence"): {"scalar": cycle_edges_closed, "row": cycle_edges_row},
+        ("path-edges", "conv"): {"scalar": path_edges_conv, "row": path_edges_row},
+        ("cycle-edges", "conv"): {"scalar": cycle_edges_conv},
+        ("path", "oracle"): {"scalar": lambda n, h: sum(sizes(PATH, n, h).values())},
+        ("path-k", "oracle"): {"scalar": lambda n, h, k: sizes(PATH, n, h).get(k, 0)},
+        ("cycle", "oracle"): {"scalar": lambda n, h: sum(sizes(CYCLE, n, h).values())},
+        ("cycle-k", "oracle"): {"scalar": lambda n, h, k: sizes(CYCLE, n, h).get(k, 0)},
+        ("path-edges", "oracle"): covers(PATH),
+        ("cycle-edges", "oracle"): covers(CYCLE),
+    }
+
 
 def _registry():
     """The identity rows (id, description, runner), built anew on every call
@@ -428,13 +460,18 @@ def _registry():
     and the caches of values that rows share start empty."""
     vertex_sums = functools.cache(_vertex_sums)
     clamped = functools.cache(path_count_clamped)
+    routes = _routes()
+
+    def agree(quantity, method, other, **ranges):
+        return _agree(*(routes[quantity, m]["scalar"] for m in (method, other)), **ranges)
+
     return (
         ("path-count-recurrence",
          "path totals: closed-form sum equals delayed recurrence",
-         _agree(path_count, path_count_rec, n_cap=30)),
+         agree("path", "closed", "recurrence", n_cap=30)),
         ("cycle-count-recurrence",
          "cycle totals: closed-form sum equals delayed recurrence",
-         _agree(cycle_count, cycle_count_rec, n_cap=30)),
+         agree("cycle", "closed", "recurrence", n_cap=30)),
         # F(i) equals the path total at i-h-1, with negative indices clamped to 1.
         ("fib-matches-path-counts",
          "delayed Fibonacci terms are shifted path totals",
@@ -447,13 +484,13 @@ def _registry():
                 n_lo=lambda h: h + 2)),
         ("path-edges-convolution",
          "path diagram edges equal Fibonacci self-convolution",
-         _agree(path_edges, path_edges_conv)),
+         agree("path-edges", "closed", "conv")),
         ("cycle-edges-closed-form",
          "cycle diagram edges equal n times a Fibonacci term",
-         _agree(cycle_edges, cycle_edges_closed, n_lo=lambda h: h + 1)),
+         agree("cycle-edges", "closed", "recurrence", n_lo=lambda h: h + 1)),
         ("cycle-edges-convolution",
          "cycle diagram edges equal Fibonacci-Lucas convolution",
-         _agree(cycle_edges, cycle_edges_conv, n_lo=lambda h: h + 1)),
+         agree("cycle-edges", "closed", "conv", n_lo=lambda h: h + 1)),
         # L(n+1) = F(n) + (h+1) F(n-h) for n > h.
         ("lucas-from-fibonacci",
          "Lucas terms decompose into two Fibonacci terms",
@@ -473,7 +510,9 @@ def _registry():
                 n_lo=lambda h: 3 * h + 3)),
         ("edge-count-by-vertex-sums",
          "per-vertex membership counts sum to the edge count",
-         _sweep(_edge_count_by_vertex_sums(vertex_sums), h_cap=5, n_cap=25, n_lo=lambda h: 1)),
+         # Summing per-vertex membership counts hits each k-subset k times.
+         _agree(path_edges, lambda n, h: sum(vertex_sums(n, h)), h_cap=5, n_cap=25,
+                n_lo=lambda h: 1)),
         ("vertex-split-product",
          "membership counts through a vertex factor into segment totals",
          _sweep(_vertex_split_product(vertex_sums, clamped), h_cap=5, n_cap=25, n_lo=lambda h: 1)),
@@ -496,11 +535,10 @@ def _registry():
          _sweep(_exact_arithmetic_sanity)),
         ("oracle-path-counts",
          "exhaustive path enumeration matches closed forms (per size and total)",
-         _sweep(_oracle_counts(PATH, path_count_k, path_count), h_cap=6, n_cap=20, oracle=True)),
+         _sweep(_oracle_counts(routes, PATH), h_cap=6, n_cap=20, oracle=True)),
         ("oracle-cycle-counts",
          "exhaustive cycle enumeration matches closed forms (per size and total)",
-         _sweep(_oracle_counts(CYCLE, cycle_count_k, cycle_count), h_cap=6, n_cap=20,
-                oracle=True)),
+         _sweep(_oracle_counts(routes, CYCLE), h_cap=6, n_cap=20, oracle=True)),
         ("independence-characterizations",
          "gap condition == graph independence == substring avoidance",
          _run_independence_characterizations),
@@ -512,10 +550,10 @@ def _registry():
          _sweep(_vertex_membership_counts, h_cap=4, n_cap=16, n_lo=lambda h: 1, oracle=True)),
         ("cube-path-counts",
          "path diagram vertex/cover counts match closed forms",
-         _sweep(_cube_counts(PATH, path_count, path_edges), h_cap=6, n_cap=20, oracle=True)),
+         _sweep(_cube_counts(routes, PATH), h_cap=6, n_cap=20, oracle=True)),
         ("cube-cycle-counts",
          "cycle diagram vertex/cover counts match closed forms",
-         _sweep(_cube_counts(CYCLE, cycle_count, cycle_edges), h_cap=6, n_cap=20, oracle=True)),
+         _sweep(_cube_counts(routes, CYCLE), h_cap=6, n_cap=20, oracle=True)),
         ("hamming-distance-covers",
          "cover pairs coincide with Hamming-distance-1 pairs",
          _sweep(_hamming_distance_covers, h_cap=6, n_cap=12, oracle=True)),

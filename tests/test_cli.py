@@ -45,6 +45,7 @@ def run(argv, capsys):
     (["count", "path-edges", "6", "1", "--route", "oracle"], "38"),
     (["count", "cycle-edges", "8", "2", "--route", "closed"], "32"),
     (["count", "cycle-edges", "15", "1", "--route", "conv"], "5655"),
+    (["count", "cycle-edges", "15", "1", "--route", "recurrence"], "5655"),  # n * F(n-h)
     (["count", "cycle-edges", "5", "1", "--route", "oracle"], "15"),
     (["count", "cycle-edges", "2", "2"], "2"),
 ])
@@ -58,7 +59,7 @@ def test_count_routes_agree_where_defined(capsys):
     for route in ("closed", "recurrence", "oracle"):
         code, out, _ = run(["count", "cycle", "9", "2", "--route", route], capsys)
         assert code == 0 and out == "31\n"
-    for route in ("closed", "conv", "oracle"):
+    for route in ("closed", "recurrence", "conv", "oracle"):
         code, out, _ = run(["count", "cycle-edges", "9", "2", "--route", route], capsys)
         assert code == 0 and out == "54\n"
 
@@ -81,6 +82,21 @@ def test_count_usage_errors(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["count", "cycle-edges", "2", "2", "--route", "recurrence"],
+     "n * F(n-h) needs n > h, got n=2 h=2"),
+    # A refused route lists the routes that do count the quantity.
+    (["count", "path-edges", "10", "2", "--route", "recurrence"],
+     "the recurrence route does not count path-edges (routes: closed, conv, oracle)"),
+    (["count", "path", "10", "2", "3", "--route", "recurrence"],
+     "the recurrence route does not count path of one subset size (routes: closed, oracle)"),
+    (["count", "cycle-edges", "10", "2", "3"],
+     "the closed route does not count cycle-edges of one subset size (routes: none)"),
+])
+def test_count_usage_errors_say_why(argv, message, capsys):
+    assert run(argv, capsys) == (2, "", f"error: {message}\n")
 
 
 def test_failed_command_leaves_out_file_alone(tmp_path, capsys):
@@ -459,7 +475,7 @@ def test_streamed_output_peaks_below_a_quarter_of_its_size(argv, tmp_path):
 ])
 def test_failure_after_the_first_row_leaves_out_file_alone(fmt, first, tmp_path, monkeypatch,
                                                             capsys):
-    real = cli.path_count_row
+    real = verify.path_count_row
     calls = []
 
     def failing_row(n_max, h, unit):
@@ -468,7 +484,7 @@ def test_failure_after_the_first_row_leaves_out_file_alone(fmt, first, tmp_path,
             raise ValueError("second row failed")
         return real(n_max, h, unit)
 
-    monkeypatch.setattr(cli, "path_count_row", failing_row)
+    monkeypatch.setattr(verify, "path_count_row", failing_row)
     argv = ["table", "p", "--h", "0:1", "--n-max", "2", "--format", fmt]
     # On stdout the first row is out before the second is computed ...
     assert run(argv, capsys) == (2, first, "error: second row failed\n")
@@ -852,7 +868,7 @@ def test_count_prints_values_past_the_digit_limit(capsys):
 def test_seq_and_table_print_values_past_the_digit_limit(monkeypatch, capsys):
     big = 7 * 10 ** 5000 + 3
     monkeypatch.setattr(counting, "_fib_base", lambda h, n: big + n)
-    monkeypatch.setattr(cli, "path_count_row",
+    monkeypatch.setattr(verify, "path_count_row",
                         lambda n_max, h, unit: [-big - n for n in range(n_max + 1)])
     seq_argv = ["seq", "F", "--h", "1", "--n-max", "2"]
     table_argv = ["table", "p", "--h", "0", "--n-max", "1"]

@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fibcubes import counting  # noqa: E402
+from fibcubes import counting, verify  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None)
@@ -26,11 +26,13 @@ def test_routes_agree_at_random_sizes(n, h):
         assert edges == counting.cycle_edges_closed(n, h) == counting.cycle_edges_conv(n, h)
 
 
-# Each table row against its per-cell route; a few cells per row, since the
-# per-cell closed forms are quadratic in n.
-ROWS = [("path_count_row", "path_count"), ("cycle_count_row", "cycle_count"),
-        ("path_edges_row", "path_edges"), ("cycle_edges_row", "cycle_edges")]
-SIZE_ROWS = [("path_count_k_rows", "path_count_k"), ("cycle_count_k_rows", "cycle_count_k")]
+# Each row of the route table against the closed scalar of its quantity; a
+# few cells per row, since the per-cell closed forms are quadratic in n.
+ROUTES = verify._routes()
+_PAIRS = [(quantity, route["row"], ROUTES[quantity, "closed"]["scalar"])
+          for (quantity, _), route in ROUTES.items() if "row" in route]
+ROWS = [(row, cell) for quantity, row, cell in _PAIRS if not quantity.endswith("-k")]
+SIZE_ROWS = [(rows, cell) for quantity, rows, cell in _PAIRS if quantity.endswith("-k")]
 
 
 @settings(max_examples=60, deadline=None)
@@ -38,15 +40,14 @@ SIZE_ROWS = [("path_count_k_rows", "path_count_k"), ("cycle_count_k_rows", "cycl
 def test_rows_match_cells_at_random_sizes(n_max, h, data):
     ns = data.draw(st.lists(st.integers(0, n_max), max_size=3)) + [n_max]
     for row, cell in ROWS:
-        values = getattr(counting, row)(n_max, h)
-        assert len(values) == n_max + 1, row
-        assert [values[n] for n in ns] == [getattr(counting, cell)(n, h) for n in ns], row
+        values = row(n_max, h)
+        assert len(values) == n_max + 1, row.__name__
+        assert [values[n] for n in ns] == [cell(n, h) for n in ns], row.__name__
     sizes = counting.max_subset_size(n_max, h) + 3  # rows k = 0..max_subset_size + 2
     for rows, cell in SIZE_ROWS:
-        for k, values in enumerate(islice(getattr(counting, rows)(n_max, h), sizes)):
-            assert len(values) == n_max + 1, (rows, k)
-            cells = [getattr(counting, cell)(n, h, k) for n in ns]
-            assert [values[n] for n in ns] == cells, (rows, k)
+        for k, values in enumerate(islice(rows(n_max, h), sizes)):
+            assert len(values) == n_max + 1, (rows.__name__, k)
+            assert [values[n] for n in ns] == [cell(n, h, k) for n in ns], (rows.__name__, k)
 
 
 KINDS = (counting.FIBONACCI, counting.LUCAS, counting.EXTENDED_FIBONACCI,

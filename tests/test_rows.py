@@ -10,30 +10,16 @@ from itertools import islice
 
 import pytest
 
-from fibcubes import counting
-from fibcubes.counting import (
-    cycle_count,
-    cycle_count_k,
-    cycle_count_k_rows,
-    cycle_count_row,
-    cycle_edges,
-    cycle_edges_row,
-    max_subset_size,
-    path_count,
-    path_count_k,
-    path_count_k_rows,
-    path_count_row,
-    path_edges,
-    path_edges_row,
-)
+from fibcubes import counting, verify
+from fibcubes.counting import max_subset_size, path_edges_row
 
-TOTAL_ROWS = [
-    (path_count_row, path_count),
-    (cycle_count_row, cycle_count),
-    (path_edges_row, path_edges),
-    (cycle_edges_row, cycle_edges),
-]
-SIZE_ROWS = [(path_count_k_rows, path_count_k), (cycle_count_k_rows, cycle_count_k)]
+# Every row of the route table against the closed scalar of its quantity;
+# a "-k" quantity's rows are the rows k = 0, 1, ... of one size each.
+ROUTES = verify._routes()
+_PAIRS = [(quantity, route["row"], ROUTES[quantity, "closed"]["scalar"])
+          for (quantity, _), route in ROUTES.items() if "row" in route]
+TOTAL_ROWS = [(row, cell) for quantity, row, cell in _PAIRS if not quantity.endswith("-k")]
+SIZE_ROWS = [(rows, cell) for quantity, rows, cell in _PAIRS if quantity.endswith("-k")]
 
 
 def _check_rows(n_max, h):

@@ -383,3 +383,38 @@ def test_each_route_fault_fails_its_identity(monkeypatch, identity, route):
     monkeypatch.setattr(verify, route, lambda *args: original(*args) + 1)
     report = next(r for r in _suite() if r.identity == identity)
     assert report.failed == report.checked > 0
+
+
+# --- the route table --------------------------------------------------------
+
+
+def test_every_quantity_has_two_methods():
+    methods = {}
+    for quantity, method in verify._routes():
+        methods.setdefault(quantity, []).append(method)
+    assert set(methods) == {"path", "path-k", "cycle", "cycle-k", "path-edges", "cycle-edges"}
+    assert all(len(m) >= 2 for m in methods.values()), methods
+
+
+# Every route that count prints takes part in an identity: shifting its
+# scalar by one must fail at least one. A counting function is shifted at
+# its name in verify, which a table bound at import would not see; an oracle
+# route, a closure over the enumeration with no name of its own, is shifted
+# in the table that verify._routes builds.
+@pytest.mark.parametrize("key", [key for key, route in verify._routes().items()
+                                 if "scalar" in route], ids="/".join)
+def test_every_scalar_route_shifted_by_one_fails_an_identity(monkeypatch, key):
+    scalar = verify._routes()[key]["scalar"]
+    if getattr(verify, scalar.__name__, None) is scalar:
+        monkeypatch.setattr(verify, scalar.__name__, lambda *args: scalar(*args) + 1)
+    else:
+        real = verify._routes
+
+        def shifted(*args, **kwargs):
+            table = real(*args, **kwargs)
+            route = table[key]
+            table[key] = {**route, "scalar": lambda *a: route["scalar"](*a) + 1}
+            return table
+
+        monkeypatch.setattr(verify, "_routes", shifted)
+    assert any(r.failed for r in _suite())
