@@ -41,16 +41,20 @@ Conventions used throughout:
   memo: every use runs the recurrence from the seeds with a window of at
   most h+1 terms, so memory stays flat in n.  A single int term far past
   the seeds is instead reached by Fiduccia's jump (C. M. Fiduccia, SIAM J.
-  Comput. 14 (1985)): x^m mod x^(h+1) - x^h - 1 by square and multiply,
-  applied to the last h+1 seeds, in O(h^2 log n) products, taken where a
-  measured cost estimate (:func:`_jump_pays`) says it beats iterating.
-  Rows, prefixes and convolutions keep streaming.
+  Comput. 14 (1985)): x^m mod P(x) = x^(h+1) - x^h - 1 by square and
+  multiply, applied to the last h+1 seeds, in O(h^2 log n) products, taken
+  where a measured cost estimate (:func:`_jump_pays`) says it beats
+  iterating.  Rows and prefixes keep streaming.
 * A convolution a * b of two such sequences is beta * (A / Q): b's short
   numerator beta, taken from b's seeds, applied to the stream U = A / Q,
   which obeys the same delayed recurrence driven by a.  One private
   generator streams u(1), u(2), ... at three big-integer additions per
   index and keeps at most h+1 of its values; :func:`convolve` applies beta
-  once, to the last few, and a row applies it at each index.
+  once, to the last few, and a row applies it at each index.  A single int
+  convolution far enough out (:func:`_conv_jump_pays`) is reached by the
+  same jump instead, under the modulus P(x)^2, as a * b obeys P(E)^2 g = 0
+  past its first few terms; the jump's modulus is one argument, the taps
+  of P^power (:func:`_modulus`), so both jumps share one implementation.
 * The row functions (``path_count_row``, ``cycle_count_row``,
   ``path_edges_row``, ``cycle_edges_row``) give one quantity for
   n = 0..n_max in one linear pass, which is what a table row needs: the
@@ -313,22 +317,58 @@ def _jump_pays(h: int, steps: int) -> bool:
     return steps > 128 + (h + 1) ** 2 * steps.bit_length() // 2
 
 
-def _reduce(s: list[int], d: int) -> list[int]:
-    """s(x) mod x^d - x^(d-1) - 1 for the coefficients s of a polynomial of
-    degree below 2d, in place: x^k = x^(k-1) + x^(k-d) from the top down to
-    x^d, so coefficients that start nonnegative stay so.  At d = 1 the
-    modulus is x - 2 and each step doubles."""
+def _conv_jump_pays(h: int, steps: int) -> bool:
+    """Whether :func:`convolve` reaches the index ``steps`` past the first of
+    its jump's seeds more cheaply by the jump under P^2, of degree d = 2h+2,
+    than by streaming there.  The model, fitted to timed crossovers for
+    h <= 40 on Python 3.11.7: a streamed index costs one unit, the jump 128
+    units plus d(d+10) / 4 per bit of ``steps``, for its d(d+1)/2 products
+    and 5d tap steps per squaring.  Decided from h and ``steps`` alone,
+    before any list of h terms is made; it never jumps at 128 steps or
+    fewer."""
+    d = 2 * h + 2
+    return steps > 128 + d * (d + 10) * steps.bit_length() // 4
+
+
+def _modulus(h: int, power: int) -> tuple[tuple[int, int], ...]:
+    """P(x)^power, P(x) = x^(h+1) - x^h - 1, as the taps (e, c) of its
+    reduction x^k = sum of c * x^(k-e) over the taps, ordered by e; the
+    last e is its degree d = power * (h+1).  P gives (1, 1), (h+1, 1); P^2
+    has signed taps, (1, 2), (2, -1), (h+1, 2), (h+2, -2), (2h+2, -1), of
+    which some coincide and add up at h <= 1: at h = 0, (x - 2)^2 = x^2 -
+    4x + 4 leaves (1, 4), (2, -4)."""
+    p = {0: 1}
+    for _ in range(power):
+        q: dict[int, int] = {}
+        for i, ci in p.items():
+            for j, cj in ((h + 1, 1), (h, -1), (0, -1)):
+                q[i + j] = q.get(i + j, 0) + ci * cj
+        p = q
+    d = power * (h + 1)
+    return tuple((d - j, -c) for j, c in sorted(p.items(), reverse=True) if c and j < d)
+
+
+def _reduce(s: list[int], taps: tuple[tuple[int, int], ...]) -> list[int]:
+    """s(x) mod the modulus of ``taps`` (see :func:`_modulus`), of degree
+    d, for the coefficients s of a polynomial of degree below 2d, in place:
+    x^k = sum of c * x^(k-e) over the taps, from the top down to x^d.  A tap
+    of 1 costs no product.  Under P every tap is positive, so coefficients
+    that start nonnegative stay so; at h = 0, where P = x - 2, each step
+    doubles."""
+    d = taps[-1][0]
     for k in range(len(s) - 1, d - 1, -1):
-        s[k - 1] += s[k]
-        s[k - d] += s[k]
+        v = s[k]
+        for e, c in taps:
+            s[k - e] += v if c == 1 else c * v
     del s[d:]
     return s
 
 
-def _x_power(m: int, d: int) -> list[int]:
-    """Coefficients of x^m mod x^d - x^(d-1) - 1, by square and multiply
-    from the top bits of m; the most leading bits that make an exponent
-    below d give a single 1 without a product."""
+def _x_power(m: int, taps: tuple[tuple[int, int], ...]) -> list[int]:
+    """Coefficients of x^m mod the modulus of ``taps``, of degree d, by
+    square and multiply from the top bits of m; the most leading bits that
+    make an exponent below d give a single 1 without a product."""
+    d = taps[-1][0]
     i = max(m.bit_length() - d.bit_length(), 0)  # m >> i has at most as many bits as d
     if m >> i >= d:
         i += 1
@@ -346,8 +386,27 @@ def _x_power(m: int, d: int) -> list[int]:
                     s[j + k] += cj * c[k]
         if m >> i & 1:
             s.insert(0, 0)
-        c = _reduce(s, d)
+        c = _reduce(s, taps)
     return c
+
+
+def _jump_terms(ts: list[int], m: int, taps: tuple[tuple[int, int], ...]) -> int:
+    """T_m of a sequence that obeys M(E) T = 0 from T_0 on, E the shift and
+    M the modulus of ``taps``, of degree d, given T_0..T_(2d-2) as ``ts``:
+    Fiduccia's jump (C. M. Fiduccia, SIAM J. Comput. 14 (1985)), in
+    O(d^2 log m) products.
+
+    T_m = L(x^m mod M), L the linear map taking x^k to T_k.  Split x^m =
+    x^r * x^(m-r), r = m // 2, with a = x^r mod M and c = x^(m-r) mod M (a,
+    or a times x): T_m = sum_i a_i * u_i, u_i = sum_j c_j T_(i+j) = T_(m -
+    r + i).  Each u_i takes products by small terms only, so the last step
+    multiplies d pairs of big numbers, not the d(d+1)/2 of a last squaring.
+    """
+    d = taps[-1][0]
+    r = m >> 1
+    a = _x_power(r, taps)
+    c = _reduce([0, *a], taps) if m & 1 else a
+    return sum(ai * sum(map(mul, c, ts[i:i + d])) for i, ai in enumerate(a) if ai)
 
 
 class HSequence:
@@ -443,27 +502,14 @@ class HSequence:
         return next(islice(self, n - self.min_index, None))
 
     def _jump(self, n: int) -> int:
-        """t(n) for n >= last - h by Fiduccia's jump, in O(h^2 log n) products.
-
-        From index b = last - h on, the terms obey P(E) t = 0, E the shift
-        and P(x) = x^(h+1) - x^h - 1, so t(b + m) = L(x^m mod P), L the
-        linear map taking x^k to T_k = t(b + k).  Split x^m = x^r * x^(m-r),
-        r = m // 2, with a = x^r mod P and c = x^(m-r) mod P (a, or a times
-        x): t(b + m) = sum_i a_i * u_i, u_i = sum_j c_j T_(i+j) = t(b + m -
-        r + i).  Each u_i takes products by small terms only, so the last
-        step multiplies d = h+1 pairs of big numbers, not the d(d+1)/2 of a
-        last squaring.  T_0..T_2h are the last h+1 seeds and the h terms
-        stepped from them.
+        """t(n) for n >= last - h by :func:`_jump_terms` under P(x) = x^(h+1) -
+        x^h - 1: from index last - h on, the terms obey P(E) t = 0.  Its
+        T_0..T_2h are the last h+1 seeds and the h terms stepped from them.
         """
         h, seed, last = self.h, self._seed, self._last
-        d = h + 1
         ts = [seed(h, j) for j in range(last - h, last + 1)]
         ts[h:] = accumulate(ts[:h], initial=ts[h])  # each step adds a seed
-        m = n - last + h
-        r = m >> 1
-        a = _x_power(r, d)
-        c = _reduce([0, *a], d) if m & 1 else a
-        return sum(ai * sum(map(mul, c, ts[i:i + d])) for i, ai in enumerate(a) if ai)
+        return _jump_terms(ts, n - last + h, _modulus(h, 1))
 
     def prefix(self, n: int) -> list[int]:
         """Terms from ``min_index`` through n inclusive (none if n is below
@@ -536,16 +582,41 @@ def convolve(a: HSequence, b: HSequence, n: int) -> int:
     with u and a read as 0 below index 1.  u is streamed once, driven by
     a's own recurrence, at three big-integer additions per index, and beta
     is applied once, to the last few values of u.
+
+    Far enough out (:func:`_conv_jump_pays`), int sequences take
+    :func:`_conv_jump` instead, in O(h^2 log n) products.
     """
     if a.h != b.h:
         raise ValueError(f"cannot convolve sequences with h={a.h} and h={b.h}")
     if n < 1:
         raise ValueError("convolution index must be >= 1")
+    if a._int and b._int and _conv_jump_pays(a.h, n - _conv_start(a, b)):
+        return _conv_jump(a, b, n)
     beta = b.numerator(n)
     if not beta:  # b vanishes on 1..n
         return 0
     # Every k in beta is below n, so the tail holds u(n-K) .. u(n).
     return _combine(beta, deque(_driven(a, n), maxlen=beta[-1][0] + 1))
+
+
+def _conv_start(a: HSequence, b: HSequence) -> int:
+    """The first index s from which g = a * b obeys P(E)^2 g = 0, P(x) =
+    x^(h+1) - x^h - 1.  As A = alpha / Q too, g's generating function is
+    alpha * beta / Q^2, so g obeys it wherever the order d = 2h+2 outreaches
+    the numerator: alpha has degree at most K_a and beta below K_b, K the
+    larger of the last seeded index and h+1, so s = max(1, K_a + K_b - d),
+    which is 1 for every kind but the cycle totals."""
+    h = a.h
+    return max(1, max(a._last, h + 1) + max(b._last, h + 1) - 2 * h - 2)
+
+
+def _conv_jump(a: HSequence, b: HSequence, n: int) -> int:
+    """g(n) of :func:`convolve` for n >= :func:`_conv_start` by
+    :func:`_jump_terms` under P^2, from g(s..s+2d-2), which the stream
+    gives: O(h^2 log n) products instead of n streamed indices."""
+    s, d = _conv_start(a, b), 2 * a.h + 2
+    ts = [*islice(_convolution(a, b, s + 2 * d - 2), s - 1, None)]
+    return _jump_terms(ts, n - s, _modulus(a.h, 2))
 
 
 def _driven(a: HSequence, n: int) -> Iterator[int]:

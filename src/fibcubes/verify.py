@@ -26,17 +26,19 @@ fresh caches, so nothing in them outlives the run. The per-vertex sums of
 ``vertex-split-product`` both read, are computed once per (n, h), and the
 clamped path totals once per (m, h).
 
-Two rows keep their own loops. The independence sweep runs n, bits, then h,
+Three rows keep their own loops. The independence sweep runs n, bits, then h,
 so that one mask serves every h, and tallies its comparisons inline. It
 makes its graphs afresh on every run, and ``is_independent`` keeps on each
 graph the adjacency rows it reads, so ``is_edge`` is asked once per (vertex,
-graph) and a patched ``is_edge`` reaches the next run. The jump row runs
-each sequence kind at a few indices per h, not an (n, h) grid.
+graph) and a patched ``is_edge`` reaches the next run. The two jump rows
+run each sequence kind, or each convolution pair, at a few indices per h,
+not an (n, h) grid.
 
 A witness locates a failure by n, h, k and i. The rows that loop over
 several kinds at one (n, h), the independence sweep and
-``hamming-distance-covers`` (path and cycle) and ``recurrence-jump`` (its
-six sequence kinds), add the kind first.
+``hamming-distance-covers`` (path and cycle), ``recurrence-jump`` (its six
+sequence kinds) and ``convolution-jump`` (F * F and F * L), add the kind
+first.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ from .counting import (
     FIBONACCI,
     LUCAS,
     HSequence,
+    _conv_jump,
+    _conv_start,
+    _convolution,
     cycle_count,
     cycle_count_k,
     cycle_count_k_rows,
@@ -248,6 +253,24 @@ def _run_recurrence_jump(b: Bounds, s: _Tally):
                 s.eq(terms[n - seq.min_index], seq._jump(n), n=n, h=h, kind=kind)
 
 
+def _run_convolution_jump(b: Bounds, s: _Tally):
+    # convolve jumps only far out, beyond every n swept here, so this row
+    # forces the jump on F * F and F * L and compares it with one streamed
+    # prefix: at the first index it serves, at the two just past its 2d-1
+    # seeds (d = 2h+2), where its last step and then its squarings first
+    # reduce by P^2, and at n_max, each as far as n_max allows.
+    for kind in (FIBONACCI, LUCAS):
+        for h in range(b.h(10) + 1):
+            f, other = HSequence(FIBONACCI, h), HSequence(kind, h)
+            first = _conv_start(f, other)
+            past = first + 4 * h + 3  # first + 2d - 1
+            terms = [*_convolution(f, other, b.n_max)]
+            for n in sorted({first, past, past + 1, b.n_max}):
+                if first <= n <= b.n_max:
+                    s.eq(terms[n - 1], _conv_jump(f, other, n), n=n, h=h,
+                         kind=f"{FIBONACCI}*{kind}")
+
+
 def _exact_arithmetic_sanity(n, h, s):
     # Counts are never negative and the cycle division is always exact.
     for k in range(max_subset_size(n, h) + 3):
@@ -424,9 +447,15 @@ def _routes(cap: int = DEFAULT_CAP) -> dict:
     (n_max, h) and gives the values at n = 0..n_max, or for a "-k" quantity
     yields such rows for k = 0, 1, ...; or both. The oracle routes enumerate
     under ``cap``; the set counts keep the size histogram of the last graph
-    asked, so asking each k enumerates once."""
-    sizes = functools.lru_cache(1)(
-        lambda kind, n, h: enumeration.count_by_size(GapGraph(kind, n, h), cap))
+    asked, so asking each k enumerates once.  Nothing is made for them
+    until one is asked: ``fibcubes count`` builds this table twice (its
+    ``--route`` choices, then its dispatch) for one scalar."""
+    last = [None, None]  # the (kind, n, h) asked last and its size histogram
+
+    def sizes(*graph):
+        if last[0] != graph:
+            last[:] = graph, enumeration.count_by_size(GapGraph(*graph), cap)
+        return last[1]
 
     def covers(kind):
         return {"scalar": lambda n, h: cube.cover_count(GapGraph(kind, n, h), cap)}
@@ -499,6 +528,9 @@ def _registry():
         ("recurrence-jump",
          "delayed recurrences: the square-and-multiply jump equals iteration",
          _run_recurrence_jump),
+        ("convolution-jump",
+         "convolution routes: the square-and-multiply jump equals the driven stream",
+         _run_convolution_jump),
         # Splitting a cycle at a vertex or at a wrap pair leaves path segments:
         # c(n-h-1, k-1) = p(n-2h-1, k-1) + h*p(n-3h-2, k-2) once n > 3h+2.
         ("path-cycle-count-bridge",

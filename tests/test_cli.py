@@ -639,7 +639,7 @@ def test_verify_summary_exit_0(capsys):
     code, out, _ = run(
         ["verify", "--n-max", "8", "--h-max", "2", "--oracle-n-max", "6"], capsys)
     assert code == 0
-    assert "28 identities, 28 passed, 0 failed" in out
+    assert "29 identities, 29 passed, 0 failed" in out
 
 
 def test_verify_json(capsys):
@@ -648,7 +648,7 @@ def test_verify_json(capsys):
          "--format", "json"], capsys)
     assert code == 0
     reports = json.loads(out)
-    assert len(reports) == 28
+    assert len(reports) == 29
     assert all(r["status"] == "pass" for r in reports)
     assert all(r["bounds"] == {"n_max": 6, "h_max": 1, "oracle_n_max": 5}
                for r in reports)
@@ -772,6 +772,20 @@ def test_recurrence_just_past_huge_h_seeds_runs_in_a_small_address_space():
                          preexec_fn=_limit_address_space)
     assert (out.returncode, out.stdout, out.stderr) == (0, f"{path_count(n, h)}\n", "")
     assert out.stdout == "1000000016\n"
+
+
+@needs_rlimit_as
+@pytest.mark.parametrize("argv,expected", [
+    (["count", "path-edges", "5", "1000000000", "--route", "conv"], "5\n"),
+    (["count", "cycle-edges", "1000000005", "1000000000", "--route", "conv"], "1000000005\n"),
+], ids=["path-edges", "cycle-edges"])
+def test_conv_at_huge_h_and_a_small_index_is_quick(argv, expected):
+    # Convolution index 5 at h = 10^9: five streamed terms, in a small
+    # address space; the jump's cost rule declines before any list of h.
+    cmd, env = _python_m_fibcubes(*argv)
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=30,
+                         preexec_fn=_limit_address_space)
+    assert (out.returncode, out.stdout, out.stderr) == (0, expected, "")
 
 
 @needs_rlimit_as

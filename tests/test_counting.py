@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from fibcubes import counting
+from fibcubes import counting, verify
 from fibcubes.counting import (
     binom,
     convolve,
@@ -460,8 +460,9 @@ class _ProductCountingInt(int):
 
 @pytest.mark.parametrize("h", [0, 1, 2, 5])
 def test_cycle_edges_conv_applies_the_numerator_once(monkeypatch, h):
-    # The cost shape without timing: F * L multiplies only to apply L's
-    # numerator beta at the end, never once per index.
+    # The cost shape without timing: streamed, F * L multiplies only to
+    # apply L's numerator beta at the end, never once per index.  At h = 0
+    # this index is past the jump's crossover, so the jump is turned off.
     n = 200
     beta = lucas_sequence(h).numerator(n - h)
     expected = cycle_edges_closed(n, h)
@@ -469,8 +470,23 @@ def test_cycle_edges_conv_applies_the_numerator_once(monkeypatch, h):
     assert 2 * _ProductCountingInt(3) == 6 and _ProductCountingInt.products == 1
     _ProductCountingInt.products = 0
     monkeypatch.setattr(counting, "_fib_base", lambda h, n: _ProductCountingInt(1))
+    monkeypatch.setattr(counting, "_conv_jump_pays", lambda h, steps: False)
     assert cycle_edges_conv(n, h) == expected
     assert _ProductCountingInt.products <= len(beta), (_ProductCountingInt.products, beta)
+
+
+@pytest.mark.parametrize("h", [0, 1, 2, 5])
+@pytest.mark.parametrize("n", [200, 5000])
+def test_conv_jump_multiplies_terms_only_in_its_last_step(monkeypatch, h, n):
+    # The jump's squarings multiply coefficients of x^r mod P^2 alone; only
+    # its last step multiplies streamed values, d per coefficient of x^r,
+    # so at most d^2 = (2h+2)^2 products of terms, whatever n.
+    expected = cycle_edges_closed(n, h)
+    monkeypatch.setattr(counting, "_fib_base", lambda h, n: _ProductCountingInt(1))
+    monkeypatch.setattr(counting, "_conv_jump_pays", lambda h, steps: True)
+    _ProductCountingInt.products = 0
+    assert cycle_edges_conv(n, h) == expected
+    assert 0 < _ProductCountingInt.products <= (2 * h + 2) ** 2, _ProductCountingInt.products
 
 
 @pytest.mark.parametrize("lucas_base", [
@@ -516,6 +532,33 @@ def test_conv_cost_follows_the_index_not_h(fn, n):
     # need five terms, not h+1 seeds (about 8 MB of list slots each).
     peak = _traced_peak(fn, n, 10**6)
     assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+class _Decided(Exception):
+    pass
+
+
+def test_conv_decides_on_the_jump_before_it_allocates(monkeypatch):
+    # At h = 10^9 and index 10^9 + 5 the stream needs a numerator and a
+    # window of h+1 terms and runs out of memory; the jump's cost rule is
+    # asked first, with nothing allocated yet, and declines.
+    decisions = []
+    pays = counting._conv_jump_pays
+
+    def spy(h, steps):
+        decisions.append((tracemalloc.get_traced_memory()[1], pays(h, steps)))
+        raise _Decided
+
+    monkeypatch.setattr(counting, "_conv_jump_pays", spy)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Decided):
+            path_edges_conv(10**9 + 5, 10**9)
+    finally:
+        tracemalloc.stop()
+    [(peak, jumps)] = decisions
+    assert not jumps
+    assert peak < 4 << 10, f"peak {peak} bytes"
 
 
 ALL_KINDS = (counting.FIBONACCI, counting.LUCAS, counting.EXTENDED_FIBONACCI,
@@ -606,6 +649,55 @@ def test_closed_step_cost_follows_the_size_not_h(fn, n, expected):
     finally:
         tracemalloc.stop()
     assert peak < 64 << 10, f"peak {peak} bytes"
+
+
+def _stream_at_most(monkeypatch, limit):
+    # _driven, the one stream under every convolution, may run to ``limit``.
+    real = counting._driven
+
+    def driven(a, n):
+        assert n <= limit, f"streamed to {n}, past {limit}"
+        return real(a, n)
+    monkeypatch.setattr(counting, "_driven", driven)
+
+
+@pytest.mark.parametrize("kind_a,kind_b,h", [
+    (kind_a, kind_b, h) for kind_a, kind_b in [(counting.FIBONACCI, counting.FIBONACCI),
+                                              (counting.FIBONACCI, counting.LUCAS),
+                                              (counting.EXTENDED_LUCAS, counting._CYCLE_TOTALS)]
+    for h in (0, 3, 10) if h >= 2 or "extended" not in kind_a])
+def test_convolve_jumps_only_past_the_crossover(kind_a, kind_b, h, monkeypatch):
+    a, b = counting.HSequence(kind_a, h), counting.HSequence(kind_b, h)
+    start, d = counting._conv_start(a, b), 2 * h + 2
+    crossover = next(s for s in range(1, 1 << 16) if counting._conv_jump_pays(h, s))
+    far, near = start + crossover, start + crossover - 1
+    stream = list(counting._convolution(a, b, far + 1000))
+    # Past the crossover only the jump's 2d-1 seeds are streamed.
+    _stream_at_most(monkeypatch, start + 2 * d - 2)
+    assert convolve(a, b, far) == stream[far - 1]
+    assert convolve(a, b, far + 1000) == stream[far + 999]
+    monkeypatch.undo()
+    monkeypatch.setattr(counting, "_conv_jump", _refuse)
+    for n in (near, start + 2 * d, start, 1):
+        assert convolve(a, b, n) == stream[n - 1], n
+
+
+def test_convolve_never_jumps_where_verify_and_table_reach(monkeypatch):
+    # verify and table stop at n = 40; the crossover is past 128 steps, and
+    # the rows stream whatever their length.
+    monkeypatch.setattr(counting, "_conv_jump", _refuse)
+    monkeypatch.setattr(counting, "_jump_terms", _refuse)
+    for h in range(41):
+        f, lucas = fibonacci_sequence(h), lucas_sequence(h)
+        for b in (f, lucas):
+            assert [convolve(f, b, n) for n in range(1, 41)] == [
+                *counting._convolution(f, b, 40)], h
+    rows = [route["row"] for route in verify._routes().values() if "row" in route]
+    for h in range(41):
+        for row in rows:
+            list(itertools.islice(row(40, h), 50))
+    assert counting.path_edges_row(3000, 2)[3000] == path_edges(3000, 2)
+    assert not any(counting._conv_jump_pays(h, s) for h in range(100) for s in range(129))
 
 
 def test_convolve_rejects_mixed_h_and_bad_index():

@@ -4,6 +4,7 @@ The sweeps in test_counting.py stop at small n; here n reaches 10^4, where
 only the closed forms, the recurrences and the convolutions are cheap.
 """
 
+import collections
 from itertools import islice
 
 import pytest
@@ -67,3 +68,23 @@ def test_jump_equals_iteration(kind, h, n):
     seq = counting.HSequence(kind, h)
     n = max(n, seq._last - h)
     assert seq._jump(n) == seq._iterate(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind_a=st.sampled_from(KINDS), kind_b=st.sampled_from(KINDS), h=st.integers(0, 12),
+       n=st.integers(1, 3000))
+@example(kind_a=counting.FIBONACCI, kind_b=counting.FIBONACCI, h=0, n=3000)  # (x - 2)^2
+@example(kind_a=counting.FIBONACCI, kind_b=counting.LUCAS, h=0, n=2999)
+@example(kind_a=counting.EXTENDED_LUCAS, kind_b=counting.EXTENDED_LUCAS, h=2, n=1)  # first index
+@example(kind_a=counting.FIBONACCI, kind_b=counting.LUCAS, h=12, n=3000)
+@example(kind_a=counting._CYCLE_TOTALS, kind_b=counting.EXTENDED_LUCAS, h=12, n=3000)
+def test_conv_jump_equals_iteration(kind_a, kind_b, h, n):
+    # Every pair of kinds that convolve accepts: equal h, and h >= 2 for
+    # the extended kinds.  The jump serves from the first index where the
+    # convolution obeys P(E)^2 g = 0; below that it is not defined.
+    if "extended" in kind_a or "extended" in kind_b:
+        h = max(h, 2)
+    a, b = counting.HSequence(kind_a, h), counting.HSequence(kind_b, h)
+    n = max(n, counting._conv_start(a, b))
+    streamed = collections.deque(counting._convolution(a, b, n), maxlen=1)
+    assert counting._conv_jump(a, b, n) == streamed[0]

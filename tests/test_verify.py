@@ -26,6 +26,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED_IDENTITIES = (
     "classical-fibonacci-bridge",
     "classical-lucas-bridge",
+    "convolution-jump",
     "cube-cycle-counts",
     "cube-path-counts",
     "cycle-count-recurrence",
@@ -294,20 +295,41 @@ def test_an_is_edge_patch_reaches_the_next_run_and_leaves_with_it(monkeypatch):
     assert independence().status == "pass"
 
 
-def _misreduced(s, d):
-    # x^k reduced to x^(k-1) + x^(k-h) instead of x^(k-1) + x^(k-h-1).
+def _misreduced(s, taps):
+    # The deepest tap one step short: under P = x^(h+1) - x^h - 1, x^k
+    # reduced to x^(k-1) + x^(k-h) instead of x^(k-1) + x^(k-h-1).
+    d = taps[-1][0]
     for k in range(len(s) - 1, d - 1, -1):
-        s[k - 1] += s[k]
-        s[k - d + 1] += s[k]
+        v = s[k]
+        for e, c in taps:
+            s[k - e + (e == d)] += c * v
     del s[d:]
     return s
 
 
+def _flip_deepest_tap(monkeypatch, power):
+    # P^power with the sign of its deepest tap flipped: a modulus of the
+    # right degree that misreduces.  Every other power stays right.
+    real = counting._modulus
+
+    def modulus(h, m):
+        *taps, (d, c) = real(h, m)
+        return (*taps, (d, -c if m == power else c))
+    monkeypatch.setattr(counting, "_modulus", modulus)
+
+
 def test_rows_over_several_kinds_name_the_kind_in_their_witnesses(monkeypatch):
+    # Both jumps reduce through one _reduce, so both jump rows fail.
     monkeypatch.setattr(counting, "_reduce", _misreduced)
-    jump = _failures(_suite(), "recurrence-jump")
+    reports = _suite()
+    assert {r.identity for r in reports if r.failed} == {"recurrence-jump", "convolution-jump"}
+    jump = _failures(reports, "recurrence-jump")
     assert {w["kind"] for w in jump} == {counting.FIBONACCI, counting.LUCAS}
     assert len({(w["kind"], w["n"], w["h"]) for w in jump}) == len(jump)
+    conv = _failures(reports, "convolution-jump")
+    assert {w["kind"] for w in conv} == {"fibonacci*fibonacci", "fibonacci*lucas"}
+    assert all(list(w)[0] == "kind" for w in conv)
+    assert len({(w["kind"], w["n"], w["h"]) for w in conv}) == len(conv)
     monkeypatch.undo()
     real = cube.CubeGraph.hamming_pairs
     monkeypatch.setattr(cube.CubeGraph, "hamming_pairs",
@@ -369,13 +391,15 @@ def test_shared_values_do_not_outlive_a_run(monkeypatch):
     ("edge-count-by-vertex-sums", "t_count"),
     # path-count-shift-symmetry has no case: both of its routes are
     # path_count_k at shifted arguments, so one shift moves both sides.
-    # The jump is no verify route; its case breaks the jump's reduction.
-    ("recurrence-jump", "counting._reduce"),
+    # The jumps are no verify routes; each case misreduces one modulus,
+    # P for the sequence jump and P^2 for the convolution jump.
+    ("recurrence-jump", "counting._modulus(h, 1)"),
+    ("convolution-jump", "counting._modulus(h, 2)"),
 ])
 def test_each_route_fault_fails_its_identity(monkeypatch, identity, route):
-    if route == "counting._reduce":
-        # Only far terms take the jump, so exactly the row that forces it fails.
-        monkeypatch.setattr(counting, "_reduce", _misreduced)
+    if route.startswith("counting._modulus"):
+        # Only far terms take a jump, so exactly the row that forces it fails.
+        _flip_deepest_tap(monkeypatch, int(route[-2]))
         reports = _suite()
         assert {r.identity for r in reports if r.failed} == {identity}
         return
