@@ -38,9 +38,10 @@ concatenate to the whole text, and the slices ``_emit`` writes.  Every usage
 check runs before the first byte is written.  ``--out`` to a regular file
 writes beside it and renames over it once the output is whole, so a command
 that fails midway leaves an existing file untouched.  JSON is the
-``json.dumps(..., indent=2)`` layout, written directly; ``json`` is imported
-only for JSON output, as ``decimal`` only for Decimal values, so neither
-adds to the start-up of a command that does not use it.
+``json.dumps(..., indent=2)`` layout, written directly; outside ``verify``
+its strings are fixed ASCII names and bit strings, quoted as they are.  Only
+``verify``'s JSON imports ``json``, and only Decimal values ``decimal``, so
+neither adds to the start-up of a command that does not use it.
 """
 
 from __future__ import annotations
@@ -228,9 +229,7 @@ def _render_grid(fmt: str, row_tag: str, rows: range, cols: range, values):
     row at a time; ``values`` yields each row's values, one int per column,
     and is read only as far as ``rows`` runs, a row when its chunk is wanted."""
     if fmt == "json":  # json.dumps(payload, indent=2) + "\n", written directly
-        import json  # only here, so output other than JSON never loads it
-
-        yield f'{{\n  "row": {json.dumps(row_tag)},\n  "rows": '
+        yield f'{{\n  "row": "{row_tag}",\n  "rows": '
         yield from _chunks(_json_array(map(str, rows), 1))
         yield (f',\n  "col": "n",\n  "cols": {"".join(_json_array(map(str, cols), 1))},\n'
                f'  "values": ')
@@ -365,9 +364,7 @@ def _cmd_seq(args) -> int:
     start = seq.min_index
     terms = islice(seq, max(args.n_max - start + 1, 0))  # through n_max
     if args.format == "json":  # json.dumps(payload, indent=2) + "\n", written directly
-        import json  # only here, so output other than JSON never loads it
-
-        head = (f'{{\n  "kind": {json.dumps(args.kind)},\n  "h": {args.h},\n'
+        head = (f'{{\n  "kind": "{args.kind}",\n  "h": {args.h},\n'
                 f'  "start": {start},\n  "values": ')
         text = chain([head], _chunks(_json_array(map(str, terms), 1)), ["\n}\n"])
     else:

@@ -8,16 +8,17 @@ Hamming distance 1.
 
 Vertices stay integer masks (b_1 the low bit), in one rank-ordered list,
 from enumeration to the exported text; :class:`VertexMask` objects are made
-only when a caller indexes or iterates ``CubeGraph.vertices``.  Covers are
-rows, one per lower vertex, in two ``array('I')``: V+1 row offsets and the
-upper indices, row after row, so a cover costs 4 bytes.  ``covers`` reads
-(lower, upper) pairs from them on access.  An export is one join of chunks
-of about ``_CHUNK_CHARS`` characters, which ``_chunks`` makes from one
-string per label or row and which concatenate to the whole.
+only when a caller indexes or iterates ``CubeGraph.vertices``.
 
-``build_cube`` places the covers one rank at a time, through a
-``{mask: row}`` map of the rank below alone; no map of the whole cube is
-ever held, not even while building.
+Covers are generated where they are read, by one walk over the ranks that
+places each cover through a ``{mask: row}`` map of the rank below alone; no
+map of the whole cube is ever held.  The walk labels each row with what its
+reader wants: the exporters take decimal strings, formatted a rank at a
+time, and ``covers`` takes indices, which it keeps, on first read, in two
+``array('I')``: V+1 row offsets and the upper indices, row after row, so a
+cover costs 4 bytes.  An export is one join of chunks of about
+``_CHUNK_CHARS`` characters, which ``_chunks`` makes from one string per
+label or row and which concatenate to the whole.
 
 For h = 0 this is the Boolean lattice (the n-cube); for h = 1 on paths and
 cycles it is the classic Fibonacci and Lucas cube.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from operator import eq
 
 from .enumeration import DEFAULT_CAP, VertexMask, _bit_string, iter_masks
@@ -65,6 +66,31 @@ def _json_array(items, depth: int):
         yield lead + item
         lead = "," + pad
     yield "[]" if lead[0] == "[" else "\n" + "  " * depth + "]"
+
+
+def _place_covers(lower: Iterable[int], upper: Iterable[int], names: Iterable) -> list[list]:
+    """For each vertex of the rank ``lower``, the names of its covers in the
+    next rank ``upper``, which ``names`` labels, ascending.
+
+    Clearing any set bit of an upper vertex yields a subset, which
+    down-closure guarantees is in ``lower`` (raising if it is not).  The
+    uppers are visited in ascending index, so each row fills in order: no
+    pair tuples, no sort.
+    """
+    # One pass: making the rows first and zipping them into the map raised
+    # the VmHWM of ``cube cycle 29 2 --format dot`` by about 2 MB.
+    row_of = {m: [] for m in lower}
+    rows = list(row_of.values())
+    try:
+        for name, bits in zip(names, upper):
+            rest = bits
+            while rest:
+                low = rest & -rest
+                row_of[bits ^ low].append(name)
+                rest ^= low
+    except KeyError:
+        raise ArithmeticError(f"family not subset-closed at mask 0x{bits:x}") from None
+    return rows
 
 
 class _Vertices(Sequence):
@@ -130,25 +156,23 @@ class CubeGraph:
     bisects it on (rank, value).  ``vertices`` is a read-only sequence of
     :class:`VertexMask` whose items are made on access.
 
-    The covers of lower vertex ``lo`` are the ascending upper indices
-    ``_uppers[_starts[lo]:_starts[lo + 1]]``.  ``covers`` is a read-only
-    sequence of the (lower, upper) pairs, sorted lexicographically, whose
-    items are made on access.
+    ``covers`` is a read-only sequence of the (lower, upper) pairs, sorted
+    lexicographically, whose items are made on access.  Its cover rows are
+    a cache filled on first read: the covers of lower vertex ``lo`` are the
+    ascending upper indices ``_uppers[_starts[lo]:_starts[lo + 1]]``.  The
+    exports never fill it.
     """
 
-    def __init__(self, source: GapGraph, masks: list[int],
-                 starts: Sequence[int], uppers: Sequence[int]):
+    def __init__(self, source: GapGraph, masks: list[int]):
         self.source = source
         self.masks = masks
         self.vertices = _Vertices(source.n, masks)
-        self._starts = starts
-        self._uppers = uppers
-        self.covers = _Covers(starts, uppers)
+        self._covers = None
 
     def __repr__(self) -> str:
         g = self.source
         return (f"CubeGraph({g.kind} n={g.n} h={g.h}: "
-                f"{len(self.masks)} vertices, {len(self.covers)} covers)")
+                f"{len(self.masks)} vertices, {self.cover_count} covers)")
 
     @property
     def vertex_count(self) -> int:
@@ -156,7 +180,29 @@ class CubeGraph:
 
     @property
     def cover_count(self) -> int:
-        return len(self.covers)
+        """Σ|T| over the vertices T: one cover below T per element, so the
+        number of covers of a subset-closed family, without generating them."""
+        return sum(map(int.bit_count, self.masks))
+
+    @property
+    def covers(self) -> _Covers:
+        if self._covers is None:
+            from array import array  # here, so that commands reading no covers never load it
+
+            starts, uppers = array("I", [0]), array("I")
+            for _, row in self._rows(lambda indices: indices):
+                uppers.extend(row)
+                starts.append(len(uppers))
+            self._covers = _Covers(starts, uppers)
+        return self._covers
+
+    @property
+    def _starts(self):
+        return self.covers._starts
+
+    @property
+    def _uppers(self):
+        return self.covers._uppers
 
     def index_of(self, mask: VertexMask) -> int:
         """The index of ``mask`` in vertex order; KeyError if it is no vertex."""
@@ -168,14 +214,28 @@ class CubeGraph:
             raise KeyError(bits)
         return i
 
+    def _rows(self, label):
+        """Yield ``(label of lo, labels of its uppers)`` for every vertex
+        ``lo`` in index order, the uppers ascending; ``label(indices)`` gives
+        the labels of one rank's range of indices.  Only the labels of the
+        two ranks in hand and the rows of the lower one are held.
+        """
+        masks = self.masks
+        # Rank k spans bounds[k]:bounds[k + 1], up to the empty rank above
+        # the top one, so that the top rank's (empty) rows are yielded too.
+        top = masks[-1].bit_count()
+        bounds = [bisect_left(masks, k, key=int.bit_count) for k in range(top + 3)]
+        names = label(range(bounds[0], bounds[1]))
+        for a, b, c in zip(bounds, bounds[1:], bounds[2:]):
+            lower_names, names = names, label(range(b, c))
+            lower, upper = itertools.islice(masks, a, b), itertools.islice(masks, b, c)
+            yield from zip(lower_names, _place_covers(lower, upper, names))
+
     def _cover_rows(self, row, sep: str = ""):
         """Chunks of the ``sep``-joined ``row(lower_name, upper_names)`` over the
         nonempty rows; each index is formatted once, not at every cover."""
-        s = list(map(str, range(len(self.masks))))
-        name = s.__getitem__
-        starts, uppers = self._starts, self._uppers
-        return _chunks((row(lo, map(name, uppers[a:b]))
-                        for lo, a, b in zip(s, starts, starts[1:]) if a != b), sep)
+        rows = self._rows(lambda indices: list(map(str, indices)))
+        return _chunks((row(lo, his) for lo, his in rows if his), sep)
 
     def _rank_blocks(self):
         # Masks are in rank order and a down-closed family skips no rank.
@@ -235,18 +295,17 @@ class CubeGraph:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written directly."""
-        import json  # only here, so output other than JSON never loads it
-
         g = self.source
         n = g.n
         ranks = ("".join(_json_array((f'"{_bit_string(n, m)}"' for m in block), 2))
                  for block in self._rank_blocks())
-        head = f'{{\n  "kind": {json.dumps(g.kind)},\n  "n": {n},\n  "h": {g.h},\n  "ranks": '
+        head = f'{{\n  "kind": "{g.kind}",\n  "n": {n},\n  "h": {g.h},\n  "ranks": '
         covers = self._cover_rows(
             lambda lo, his: (f"[\n      {lo},\n      "
                              + f"\n    ],\n    [\n      {lo},\n      ".join(his) + "\n    ]"),
             ",\n    ")
-        opening, closing = ("[\n    ", "\n  ]") if self.cover_count else ("[", "]")
+        # The top vertex is nonzero exactly when some vertex has a cover below it.
+        opening, closing = ("[\n    ", "\n  ]") if self.masks[-1] else ("[", "]")
         return "".join(itertools.chain((head,), _chunks(_json_array(ranks, 1)),
                                        (',\n  "covers": ' + opening,), covers, (closing + "\n}\n",)))
 
@@ -255,43 +314,12 @@ class CubeGraph:
 
 
 def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:
-    """Construct the inclusion diagram of g's independent sets.
-
-    Covers come from bit deletion: clearing any set bit of a vertex yields a
-    subset, which down-closure guarantees is a vertex of the rank below
-    (raising if it is not), found in a ``{mask: row}`` map of that rank.
-    The uppers of one rank are visited in ascending index, so the rows of
-    the rank below fill in ascending order and are written out, in
-    lower-index order, once that rank is done: no pair tuples, no sort.
-    """
-    # One bucket per rank, plus an always-empty one above the top, so that
-    # the top rank's (empty) rows are written too.
-    by_rank: list[list[int]] = [[] for _ in range(g.n + 2)]
-    for m in iter_masks(g, cap):  # ascending, so each bucket is too
-        by_rank[m.bit_count()].append(m)
-    masks = list(itertools.chain.from_iterable(by_rank))
-    from array import array  # here, so that commands building no cube never load it
-
-    starts = array("I", [0])
-    uppers = array("I")
-    first = 0  # index of the upper rank's first vertex
-    for lower, upper in itertools.pairwise(by_rank):
-        first += len(lower)
-        row_of = {m: r for r, m in enumerate(lower)}
-        rows: list[list[int]] = [[] for _ in lower]
-        try:
-            for hi, bits in enumerate(upper, first):
-                rest = bits
-                while rest:
-                    low = rest & -rest
-                    rows[row_of[bits ^ low]].append(hi)
-                    rest ^= low
-        except KeyError:
-            raise ArithmeticError(f"family not subset-closed at mask 0x{bits:x}") from None
-        for row in rows:
-            uppers.extend(row)
-            starts.append(len(uppers))
-    return CubeGraph(g, masks, starts, uppers)
+    """Construct the inclusion diagram of g's independent sets: its masks
+    in vertex order.  Covers are generated when they are read, and a family
+    that is not subset-closed raises ArithmeticError then."""
+    masks = iter_masks(g, cap)
+    masks.sort(key=int.bit_count)  # stable: each rank stays ascending
+    return CubeGraph(g, masks)
 
 
 def cover_count(g: GapGraph, cap: int = DEFAULT_CAP) -> int:

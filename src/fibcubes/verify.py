@@ -397,7 +397,7 @@ def _small_cycle_star_poset(n, h, s):
     if n <= 2 * h + 1:
         c = cube.build_cube(GapGraph(CYCLE, n, h))
         s.eq(n + 1, c.vertex_count, n=n, h=h)
-        s.eq(n, c.cover_count, n=n, h=h)
+        s.eq(n, len(c.covers), n=n, h=h)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,33 @@ def test_cli_leaves_argparse_gettext_and_locale_unloaded():
     assert out.stdout == "60\n[]\n"
 
 
+def test_json_output_of_table_seq_and_cube_leaves_json_unloaded():
+    # Their only strings are fixed ASCII names and bit strings, quoted as
+    # they are; importing json for them took about 2.9 ms of each command.
+    code = """if True:
+        import io, sys
+        from contextlib import redirect_stderr, redirect_stdout
+        if "json" in sys.modules:
+            print("preloaded")
+            raise SystemExit
+        from fibcubes import cli
+        loaded = []
+        for argv in (["table", "pk", "--h", "1", "--paper-layout", "--format", "json"],
+                     ["seq", "F-ext", "--h", "2", "--n-max", "9", "--format", "json"],
+                     ["cube", "cycle", "7", "2", "--format", "json"]):
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+                rc = cli.main(argv)
+            loaded.append((rc, out.getvalue()[:1], "json" in sys.modules))
+        print(loaded)
+    """
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    if out.stdout == "preloaded\n":
+        pytest.skip("site loaded json before the program")
+    assert out.stdout == "[(0, '{', False), (0, '{', False), (0, '{', False)]\n"
+
+
 def test_cli_leaves_re_unloaded_without_site():
     # The two argv patterns are string tests, not regexes; re, with enum
     # behind it, was the largest import left on the start-up path.  -S,

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from fibcubes import cube
+from fibcubes import cli, cube
 from fibcubes.counting import cycle_count, cycle_edges, path_count, path_edges, t_count
 from fibcubes.cube import build_cube, cover_count
 from fibcubes.enumeration import CapacityError, VertexMask
@@ -19,20 +19,20 @@ from fibcubes.graphs import CYCLE, PATH, GapGraph
 def test_small_path_cube_shape():
     c = build_cube(GapGraph(PATH, 4, 2))
     assert c.vertex_count == 6
-    assert c.cover_count == 6
+    assert len(c.covers) == c.cover_count == 6
 
 
 def test_small_cycle_cube_shape():
     c = build_cube(GapGraph(CYCLE, 4, 1))
     assert c.vertex_count == 7
-    assert c.cover_count == 8
+    assert len(c.covers) == c.cover_count == 8
 
 
 def test_zero_gap_gives_boolean_lattice():
     for n in range(8):
         c = build_cube(GapGraph(PATH, n, 0))
         assert c.vertex_count == 2 ** n
-        assert c.cover_count == (n * 2 ** (n - 1) if n else 0)
+        assert len(c.covers) == c.cover_count == (n * 2 ** (n - 1) if n else 0)
 
 
 def test_vertices_grouped_by_rank_then_numeric():
@@ -66,7 +66,7 @@ def test_hamming_pairs_equal_covers():
         for h in range(4):
             for n in range(11):
                 c = build_cube(GapGraph(kind, n, h))
-                assert c.hamming_pairs() == c.cover_count, (kind, n, h)
+                assert c.hamming_pairs() == len(c.covers), (kind, n, h)
 
 
 def test_vertex_filter_count():
@@ -89,10 +89,10 @@ def test_counts_match_closed_forms():
         for n in range(12):
             cp = build_cube(GapGraph(PATH, n, h))
             assert cp.vertex_count == path_count(n, h)
-            assert cp.cover_count == path_edges(n, h)
+            assert len(cp.covers) == cp.cover_count == path_edges(n, h)
             cc = build_cube(GapGraph(CYCLE, n, h))
             assert cc.vertex_count == cycle_count(n, h)
-            assert cc.cover_count == cycle_edges(n, h)
+            assert len(cc.covers) == cc.cover_count == cycle_edges(n, h)
 
 
 def test_complete_cycle_powers_give_stars():
@@ -100,7 +100,7 @@ def test_complete_cycle_powers_give_stars():
         for n in range(2 * h + 2):
             c = build_cube(GapGraph(CYCLE, n, h))
             assert c.vertex_count == n + 1
-            assert c.cover_count == n
+            assert len(c.covers) == c.cover_count == n
 
 
 def test_capacity_error_propagates():
@@ -115,7 +115,7 @@ def test_cover_count_streams_same_totals():
         for h in range(4):
             for n in range(12):
                 g = GapGraph(kind, n, h)
-                assert cover_count(g) == build_cube(g).cover_count
+                assert cover_count(g) == len(build_cube(g).covers)
 
 
 def test_cover_count_raises_on_family_not_subset_closed(monkeypatch):
@@ -125,11 +125,17 @@ def test_cover_count_raises_on_family_not_subset_closed(monkeypatch):
         cover_count(GapGraph(PATH, 2, 0))
 
 
-def test_build_cube_raises_on_family_not_subset_closed(monkeypatch):
+@pytest.mark.parametrize("read", [
+    lambda c: c.covers, lambda c: c._starts, lambda c: c._uppers,
+    cube.CubeGraph.to_dot, cube.CubeGraph.to_json, cube.CubeGraph.to_edgelist_text],
+    ids=["covers", "_starts", "_uppers", "to_dot", "to_json", "to_edgelist_text"])
+def test_covers_and_exports_raise_on_family_not_subset_closed(monkeypatch, read):
     # {0, 0b11} lacks 0b01 and 0b10, so deleting a bit of 0b11 leaves it.
+    # Covers are generated where they are read, so the check runs there.
     monkeypatch.setattr(cube, "iter_masks", lambda g, cap: [0, 0b11])
-    with pytest.raises(ArithmeticError, match="not subset-closed at mask 0x3"):
-        build_cube(GapGraph(PATH, 2, 0))
+    c = build_cube(GapGraph(PATH, 2, 0))
+    with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
+        read(c)
 
 
 def test_index_of():
@@ -163,14 +169,16 @@ def test_index_of_raises_key_error_for_a_non_vertex():
 
 
 def test_built_cube_holds_under_100_bytes_per_vertex():
-    # The masks, the two cover arrays and the int objects: about 73 bytes a
-    # vertex for path 14 0 (16,384 vertices, 7 covers each); a {mask: index}
-    # map kept beside the masks took it to about 136.
+    # The masks, the two cover arrays, filled when covers is first read, and
+    # the int objects: about 73 bytes a vertex for path 14 0 (16,384
+    # vertices, 7 covers each); a {mask: index} map kept beside the masks
+    # took it to about 136.
     g = GapGraph(PATH, 14, 0)
-    build_cube(GapGraph(PATH, 2, 0))  # loads array before tracing starts
+    build_cube(GapGraph(PATH, 2, 0)).covers  # loads array before tracing starts
     tracemalloc.start()
     try:
         c = build_cube(g)
+        c.covers
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -179,15 +187,18 @@ def test_built_cube_holds_under_100_bytes_per_vertex():
 
 
 def test_building_a_cube_peaks_under_160_bytes_per_vertex():
-    # At its peak the build holds the rank buckets, the masks, the cover
-    # arrays, one rank's {mask: row} map and that rank's rows: about 138
-    # bytes a vertex for path 16 0 (65,536 vertices). A {mask: index} map of
-    # the whole cube, as covers were once placed, took it to about 187.
+    # Building the cube and reading its covers. At its peak this holds the
+    # masks, the cover arrays, one rank's {mask: row} map, that rank's rows
+    # and a slice of the masks of each of the two ranks in hand: about 133
+    # bytes a vertex for path 16 0 (65,536 vertices), against about 56 for
+    # the build alone. A {mask: index} map of the whole cube, as covers were
+    # once placed, took it to about 187.
     g = GapGraph(PATH, 16, 0)
-    build_cube(GapGraph(PATH, 2, 0))  # loads array before tracing starts
+    build_cube(GapGraph(PATH, 2, 0)).covers  # loads array before tracing starts
     tracemalloc.start()
     try:
         c = build_cube(g)
+        c.covers
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -378,12 +389,51 @@ def test_cover_count_reads_no_pairs(monkeypatch):
     c.to_dot(), c.to_json(), c.to_edgelist_text()
 
 
+def test_exported_covers_are_the_covers_view():
+    # The exports and the cover arrays are the two readers of one generator
+    # of cover rows; they must list the same pairs in the same order.
+    for c in _cubes_up_to(9, 3):
+        pairs = [list(p) for p in c.covers]
+        dot = [line for line in c.to_dot().splitlines() if " -- " in line]
+        assert [list(map(int, line.strip(" ;").split(" -- "))) for line in dot] == pairs, c
+        edges = [list(map(int, line.split())) for line in c.to_edgelist_text().splitlines()]
+        assert edges == pairs, c
+        assert json.loads(c.to_json())["covers"] == pairs, c
+
+
+EXPORTS = {"dot": "to_dot", "json": "to_json", "edgelist": "to_edgelist_text"}
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("fmt", list(EXPORTS))
+def test_cube_command_builds_no_cover_arrays(fmt, monkeypatch, tmp_path, capsys):
+    def boom(self):
+        raise AssertionError("the cover arrays were built")
+
+    want = getattr(build_cube(GapGraph(CYCLE, 9, 1)), EXPORTS[fmt])()
+    monkeypatch.setattr(cube.CubeGraph, "covers", property(boom))
+    out = tmp_path / "cube.out"
+    assert cli.main(["cube", "cycle", "9", "1", "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == want
+    assert capsys.readouterr().err == f"76 vertices, {cycle_edges(9, 1)} edges\n"
+
+
+@pytest.mark.parametrize("args", [("path", "9", "1"), ("cycle", "10", "2")])
+@pytest.mark.parametrize("fmt,ext", [("dot", "dot"), ("json", "json"), ("edgelist", "txt")])
+def test_cube_exports_match_the_goldens(args, fmt, ext, tmp_path):
+    out = tmp_path / f"cube.{ext}"
+    assert cli.main(["cube", *args, "--format", fmt, "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, f"cube_{'_'.join(args)}.{ext}"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_edgelist_export_peak_memory(tmp_path):
     # Peak memory of the export of path 16 0 (65,536 vertices, 524,288
     # covers) above that of path 1 0, both in this interpreter, so that its
     # own footprint cancels: about 91 MB when covers were a list of pair
-    # tuples, about 25 MB as row arrays (Python 3.10 and 3.11).
+    # tuples, about 25 MB as row arrays (Python 3.10 and 3.11), about 16 MB
+    # with each row formatted as it is generated (Python 3.11).
     code = textwrap.dedent("""
         import sys
         from fibcubes.cli import main
