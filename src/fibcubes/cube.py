@@ -6,9 +6,9 @@ taking subsets, deleting any single bit of a vertex lands on another vertex,
 which is how covers are generated, and cover pairs coincide with pairs at
 Hamming distance 1.
 
-Vertices stay integer masks (b_1 the low bit), in one rank-ordered list,
-from enumeration to the exported text; :class:`VertexMask` objects are made
-only when a caller indexes or iterates ``CubeGraph.vertices``.
+Vertices stay integer masks (b_1 the low bit), in one list split by rank
+once, from enumeration to the exported text; :class:`VertexMask` objects
+are made only when a caller indexes or iterates ``CubeGraph.vertices``.
 
 Covers are generated where they are read, by one walk over the ranks that
 places each cover through a ``{mask: row}`` map of the rank below alone; no
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from operator import eq
 
@@ -152,8 +151,9 @@ class CubeGraph:
 
     Vertex order is (rank, numeric mask value): all size-0 sets first, then
     size-1, and so on, each block ascending.  ``masks`` lists the integer
-    masks in that order, the only per-vertex table kept; ``index_of``
-    bisects it on (rank, value).  ``vertices`` is a read-only sequence of
+    masks in that order, the only per-vertex table kept; rank k spans
+    ``_ranks[k]:_ranks[k + 1]`` of it, for k = 0..n + 1, which every
+    question by rank reads.  ``vertices`` is a read-only sequence of
     :class:`VertexMask` whose items are made on access.
 
     ``covers`` is a read-only sequence of the (lower, upper) pairs, sorted
@@ -168,6 +168,8 @@ class CubeGraph:
         self.masks = masks
         self.vertices = _Vertices(source.n, masks)
         self._covers = None
+        # Rank n + 1 is empty, and so is any rank that a family not down-closed skips.
+        self._ranks = [bisect_left(masks, k, key=int.bit_count) for k in range(source.n + 3)]
 
     def __repr__(self) -> str:
         g = self.source
@@ -180,9 +182,9 @@ class CubeGraph:
 
     @property
     def cover_count(self) -> int:
-        """Σ|T| over the vertices T: one cover below T per element, so the
-        number of covers of a subset-closed family, without generating them."""
-        return sum(map(int.bit_count, self.masks))
+        """Σ_k k·|rank k|: one cover below a vertex per element, so the number
+        of covers of a subset-closed family, without generating them."""
+        return sum(k * (b - a) for k, (a, b) in enumerate(itertools.pairwise(self._ranks)))
 
     @property
     def covers(self) -> _Covers:
@@ -209,7 +211,8 @@ class CubeGraph:
         if mask.n != self.source.n:
             raise ValueError(f"mask length {mask.n} does not match graph order {self.source.n}")
         bits = mask.bits
-        i = bisect_left(self.masks, (bits.bit_count(), bits), key=lambda m: (m.bit_count(), m))
+        k = bits.bit_count()  # at most n, so that its rank has both offsets
+        i = bisect_left(self.masks, bits, *self._ranks[k:k + 2])
         if self.masks[i:i + 1] != [bits]:
             raise KeyError(bits)
         return i
@@ -220,11 +223,7 @@ class CubeGraph:
         the labels of one rank's range of indices.  Only the labels of the
         two ranks in hand and the rows of the lower one are held.
         """
-        masks = self.masks
-        # Rank k spans bounds[k]:bounds[k + 1], up to the empty rank above
-        # the top one, so that the top rank's (empty) rows are yielded too.
-        top = masks[-1].bit_count()
-        bounds = [bisect_left(masks, k, key=int.bit_count) for k in range(top + 3)]
+        masks, bounds = self.masks, self._ranks  # rank n + 1 is empty: the top rank's rows too
         names = label(range(bounds[0], bounds[1]))
         for a, b, c in zip(bounds, bounds[1:], bounds[2:]):
             lower_names, names = names, label(range(b, c))
@@ -238,12 +237,12 @@ class CubeGraph:
         return _chunks((row(lo, his) for lo, his in rows if his), sep)
 
     def _rank_blocks(self):
-        # Masks are in rank order and a down-closed family skips no rank.
-        return (block for _, block in itertools.groupby(self.masks, int.bit_count))
+        masks = self.masks
+        return (itertools.islice(masks, a, b) for a, b in itertools.pairwise(self._ranks) if b > a)
 
     def rank_profile(self) -> dict[int, int]:
-        """Vertex counts by rank (= subset size)."""
-        return dict(Counter(map(int.bit_count, self.masks)))
+        """Vertex counts by rank (= subset size), over the nonempty ranks."""
+        return {k: b - a for k, (a, b) in enumerate(itertools.pairwise(self._ranks)) if b > a}
 
     def hamming_pairs(self) -> int:
         """Vertex pairs at Hamming distance exactly 1.
@@ -269,7 +268,8 @@ class CubeGraph:
         if not 1 <= contains <= n:
             raise ValueError(f"vertex index {contains} out of range 1..{n}")
         want = 1 << (contains - 1)
-        return sum(1 for m in self.masks if m & want and m.bit_count() == rank)
+        a, b = self._ranks[rank:rank + 2] if 0 <= rank <= n else (0, 0)
+        return sum(1 for m in itertools.islice(self.masks, a, b) if m & want)
 
     # -- exports ------------------------------------------------------------
     # A row of covers is one string: its lower name is repeated through the

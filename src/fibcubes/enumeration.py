@@ -260,9 +260,11 @@ def _gap_pattern(gap: int) -> str:
     return "1" + "0" * (gap - 1) + "1"
 
 
-# "11", "101", ..., the pattern of each gap up to the enumeration cap; longer
-# ones are made when asked for.
-_GAP_PATTERNS = tuple(map(_gap_pattern, range(1, DEFAULT_CAP + 1)))
+# "11", "101", ..., the pattern of each gap up to _CACHED_GAPS, which covers
+# every graph that enumeration admits by default; longer ones are made when
+# asked for.
+_CACHED_GAPS = 24
+_GAP_PATTERNS = tuple(map(_gap_pattern, range(1, _CACHED_GAPS + 1)))
 
 
 def avoids_substrings(mask: VertexMask, h: int, circular: bool = False) -> bool:
@@ -282,7 +284,7 @@ def avoids_substrings(mask: VertexMask, h: int, circular: bool = False) -> bool:
     # run past its end are the wrapped ones, and those wholly in the
     # appended prefix are windows of s.
     top = h if h < n else max(n - 1, 0)
-    patterns = (_GAP_PATTERNS[:top] if top <= DEFAULT_CAP
+    patterns = (_GAP_PATTERNS[:top] if top <= _CACHED_GAPS
                 else map(_gap_pattern, range(1, top + 1)))
     if circular:
         s += s[:h]

@@ -1,11 +1,13 @@
 """Inclusion diagrams: construction, rank structure, and exports."""
 
+import itertools
 import json
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -82,6 +84,49 @@ def test_vertex_filter_count_matches_membership_formula():
     for k in range(1, 4):
         for i in range(1, 10):
             assert c.vertex_filter_count(k, i) == t_count(9, 2, k, i)
+
+
+def test_rank_readers_match_a_scan_of_the_masks():
+    # Every reader of the rank split against popcounts of the masks: the
+    # blocks, the profile, the cover total, index_of and vertex_filter_count.
+    for c in _cubes_up_to(10, 3):
+        n, masks = c.source.n, c.masks
+        sizes = Counter(map(int.bit_count, masks))
+        top = max(sizes)
+        assert masks == sorted(masks, key=lambda m: (m.bit_count(), m))
+        starts = list(itertools.accumulate((sizes[k] for k in range(top + 1)), initial=0))
+        assert [list(b) for b in c._rank_blocks()] == [masks[a:b] for a, b in itertools.pairwise(starts)]
+        assert c.rank_profile() == dict(sizes)
+        assert c.cover_count == sum(k * v for k, v in sizes.items())
+        for i, m in enumerate(masks):
+            assert c.index_of(VertexMask(n, m)) == i
+        members = set(masks)
+        for k in range(min(top + 1, n) + 1):
+            outside = next((b for b in range(1 << n) if b.bit_count() == k and b not in members), None)
+            if outside is not None:
+                with pytest.raises(KeyError):
+                    c.index_of(VertexMask(n, outside))
+        for k in range(-1, top + 2):
+            for i in range(1, n + 1):
+                want = sum(1 for m in masks if m.bit_count() == k and m >> (i - 1) & 1)
+                assert c.vertex_filter_count(k, i) == want, (c, k, i)
+
+
+def test_rank_readers_on_a_family_that_skips_a_rank(monkeypatch):
+    # {0, 0b11} has no rank 1: the profile has no entry for it, the other
+    # readers see the two vertices, and covers still fail at the closure.
+    monkeypatch.setattr(cube, "iter_masks", lambda g, cap: [0, 0b11])
+    c = build_cube(GapGraph(PATH, 2, 0))
+    assert c.rank_profile() == {0: 1, 2: 1}
+    assert c.cover_count == 2
+    assert [c.index_of(VertexMask(2, m)) for m in (0, 0b11)] == [0, 1]
+    for m in (0b01, 0b10):
+        with pytest.raises(KeyError):
+            c.index_of(VertexMask(2, m))
+    assert [c.vertex_filter_count(k, 1) for k in range(-1, 4)] == [0, 0, 0, 1, 0]
+    for read in (lambda: c.covers, c.to_dot, c.to_json, c.to_json_dict, c.to_edgelist_text):
+        with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
+            read()
 
 
 def test_counts_match_closed_forms():

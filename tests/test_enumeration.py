@@ -17,6 +17,7 @@ import pytest
 from fibcubes.counting import path_count, path_count_k
 from fibcubes.enumeration import (
     DEFAULT_CAP,
+    _CACHED_GAPS,
     CapacityError,
     VertexMask,
     avoids_substrings,
@@ -434,13 +435,13 @@ def test_avoids_substrings_with_patterns_as_long_as_the_string():
 
 
 def test_avoids_substrings_with_patterns_past_the_enumeration_cap():
-    # Gaps above DEFAULT_CAP have no precomputed pattern; two set bits d
-    # apart on 30 vertices reach gaps up to 29, both ways round.
-    n = 30
+    # Gaps above _CACHED_GAPS have no cached pattern; two set bits d apart
+    # on n vertices reach gaps up to n - 1, both ways round.
+    n = _CACHED_GAPS + 6
     for d in range(1, n):
         for start in (0, n - 1 - d):
             m = VertexMask(n, 1 << start | 1 << (start + d))
-            for h in (DEFAULT_CAP - 1, DEFAULT_CAP, DEFAULT_CAP + 1, n - 2, n - 1, n):
+            for h in (_CACHED_GAPS - 1, _CACHED_GAPS, _CACHED_GAPS + 1, n - 2, n - 1, n):
                 for circular in (False, True):
                     got = avoids_substrings(m, h, circular)
                     assert got == _avoids_substrings_reference(m.to_string(), h, circular)
