@@ -6,9 +6,13 @@ taking subsets, deleting any single bit of a vertex lands on another vertex,
 which is how covers are generated, and cover pairs coincide with pairs at
 Hamming distance 1.
 
-Vertices stay integer masks (b_1 the low bit), in one list split by rank
-once, from enumeration to the exported text; :class:`VertexMask` objects
-are made only when a caller indexes or iterates ``CubeGraph.vertices``.
+Vertices stay integer masks (b_1 the low bit) from construction to the
+exported text.  ``build_cube`` makes them a rank at a time, each rank from
+the one below (a set is its top element plus a set of the rank below that
+lies more than h under it), so they come in vertex order with no path list
+and no sort; they are kept in one list, split by rank once.
+:class:`VertexMask` objects are made only when a caller indexes or iterates
+``CubeGraph.vertices``.
 
 Covers are generated where they are read, by one walk over the ranks that
 places each cover through a ``{mask: row}`` map of the rank below alone; no
@@ -31,8 +35,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from operator import eq
 
-from .enumeration import DEFAULT_CAP, VertexMask, _bit_string, iter_masks
-from .graphs import GapGraph
+from .enumeration import DEFAULT_CAP, VertexMask, _bit_string, _check_cap, iter_masks
+from .graphs import CYCLE, GapGraph
 
 __all__ = ["CubeGraph", "build_cube", "cover_count"]
 
@@ -313,12 +317,57 @@ class CubeGraph:
         return "".join(self._cover_rows(lambda lo, his: f"{lo} " + f"\n{lo} ".join(his) + "\n"))
 
 
+def _ranks(n: int, h: int, cycle: bool):
+    """Yield the gap-valid masks of length n, one list per rank, each
+    ascending, from rank 0 to the top rank.
+
+    A set of rank k >= 2 is its top element t plus a set of rank k - 1
+    lying more than h below it: rank k is, for each t in turn, 1 << t OR-ed
+    onto the prefix of rank k - 1 below 1 << (t - h), found by bisection.
+    So each rank comes out ascending, and nothing is sorted.  On a cycle the
+    wrap from t round to the lowest element must be more than h too, so
+    there only the sets whose lowest bit is at least t - n + h + 1 are kept;
+    such a set is a cycle set already, so no path list is made.
+    """
+    lower = rank = []
+    try:
+        yield [0]
+        rank = [1 << t for t in range(n)]  # any single vertex
+        while rank:
+            yield rank
+            lower, rank = rank, []
+            for t in range(h + 1, n):
+                top = 1 << t
+                below = itertools.islice(lower, bisect_left(lower, top >> h))
+                low = t - n + h + 1
+                if cycle and low > 0:
+                    clear = (1 << low) - 1
+                    rank += [top | m for m in below if not m & clear]
+                else:
+                    rank += map(top.__or__, below)
+    except MemoryError:
+        # As in enumeration._path_mask_ints, free the partial lists before
+        # the error unwinds.  Emptied in place, not deleted, because frames
+        # that the traceback keeps refer to them too: the caller's loop
+        # variable holds the rank yielded last.
+        lower.clear()
+        rank.clear()
+        raise
+
+
 def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:
     """Construct the inclusion diagram of g's independent sets: its masks
-    in vertex order.  Covers are generated when they are read, and a family
-    that is not subset-closed raises ArithmeticError then."""
-    masks = iter_masks(g, cap)
-    masks.sort(key=int.bit_count)  # stable: each rank stays ascending
+    in vertex order, made rank by rank.  Covers are generated when they are
+    read, and a family that is not subset-closed raises ArithmeticError
+    then."""
+    _check_cap(g, cap)
+    masks = []
+    try:
+        for rank in _ranks(g.n, g.h, g.kind == CYCLE):
+            masks += rank
+    except MemoryError:
+        del masks
+        raise
     return CubeGraph(g, masks)
 
 

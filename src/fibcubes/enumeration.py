@@ -39,7 +39,9 @@ class CapacityError(Exception):
 
 def _bit_string(n: int, bits: int) -> str:
     """The b_1..b_n string of a length-n mask: b_1, the low bit, first."""
-    return format(bits, f"0{n}b")[::-1] if n else ""
+    # The bit above b_n keeps the leading zeros; the reversed slice drops
+    # it with the "0b", in one call and with no format spec built per mask.
+    return bin(bits | 1 << n)[:2:-1]
 
 
 class VertexMask(_Value):
@@ -204,14 +206,18 @@ def _wraps_ok(bits: int, n: int, h: int) -> bool:
     return n - span > h
 
 
+def _check_cap(g: GapGraph, cap: int) -> None:
+    if g.n > cap:
+        raise CapacityError(f"refusing to enumerate n={g.n} (cap {cap})")
+
+
 def iter_masks(g: GapGraph, cap: int = DEFAULT_CAP) -> list[int]:
     """Integer encodings of all independent sets of g, ascending.
 
     Paths are enumerated by gap-pruned construction; cycles additionally
     filter on the wrap-around gap.  Raises CapacityError above the cap.
     """
-    if g.n > cap:
-        raise CapacityError(f"refusing to enumerate n={g.n} (cap {cap})")
+    _check_cap(g, cap)
     masks = _path_mask_ints(g.n, g.h)
     if g.kind == CYCLE:
         n, h = g.n, g.h

@@ -865,6 +865,22 @@ def test_enumeration_out_of_memory_frees_its_partial_list():
 
 
 @needs_rlimit_as
+def test_cube_build_out_of_memory_frees_its_partial_lists():
+    # As above, for the ranks that build_cube collects and the two that its
+    # generator holds.
+    code = ("from fibcubes.cube import build_cube; from fibcubes.graphs import GapGraph\n"
+            "try:\n"
+            "    build_cube(GapGraph('path', 30, 0), cap=30)\n"
+            "except MemoryError as exc:\n"
+            "    print(len(bytearray(200 << 20)) >> 20, exc.__traceback__ is not None)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120,
+                         preexec_fn=_limit_address_space)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "200 True\n", "")
+
+
+@needs_rlimit_as
 def test_mask_of_huge_length_is_checked_in_a_small_address_space():
     # The range check reads the bits' length: a bound of 1 << n would take
     # n / 8 bytes, 1.25 GB here.

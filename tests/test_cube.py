@@ -14,7 +14,7 @@ import pytest
 from fibcubes import cli, cube
 from fibcubes.counting import cycle_count, cycle_edges, path_count, path_edges, t_count
 from fibcubes.cube import build_cube, cover_count
-from fibcubes.enumeration import CapacityError, VertexMask
+from fibcubes.enumeration import CapacityError, VertexMask, gap_check, iter_masks
 from fibcubes.graphs import CYCLE, PATH, GapGraph
 
 
@@ -112,11 +112,10 @@ def test_rank_readers_match_a_scan_of_the_masks():
                 assert c.vertex_filter_count(k, i) == want, (c, k, i)
 
 
-def test_rank_readers_on_a_family_that_skips_a_rank(monkeypatch):
+def test_rank_readers_on_a_family_that_skips_a_rank():
     # {0, 0b11} has no rank 1: the profile has no entry for it, the other
     # readers see the two vertices, and covers still fail at the closure.
-    monkeypatch.setattr(cube, "iter_masks", lambda g, cap: [0, 0b11])
-    c = build_cube(GapGraph(PATH, 2, 0))
+    c = cube.CubeGraph(GapGraph(PATH, 2, 0), [0, 0b11])
     assert c.rank_profile() == {0: 1, 2: 1}
     assert c.cover_count == 2
     assert [c.index_of(VertexMask(2, m)) for m in (0, 0b11)] == [0, 1]
@@ -127,6 +126,48 @@ def test_rank_readers_on_a_family_that_skips_a_rank(monkeypatch):
     for read in (lambda: c.covers, c.to_dot, c.to_json, c.to_json_dict, c.to_edgelist_text):
         with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
             read()
+
+
+def _ranked(g):
+    return list(cube._ranks(g.n, g.h, g.kind == CYCLE))
+
+
+def test_rank_generator_gives_the_enumeration_in_vertex_order():
+    # Each yielded list is one rank, ascending, with no rank skipped, and
+    # together they are iter_masks sorted by (size, value); build_cube keeps
+    # them as they come.
+    for kind in (PATH, CYCLE):
+        for n in range(15):
+            for h in range(6):
+                g = GapGraph(kind, n, h)
+                ranks = _ranked(g)
+                assert all(rank and {m.bit_count() for m in rank} == {k}
+                           for k, rank in enumerate(ranks)), (kind, n, h)
+                masks = [m for rank in ranks for m in rank]
+                assert masks == sorted(iter_masks(g), key=lambda m: (m.bit_count(), m)), (kind, n, h)
+                assert build_cube(g).masks == masks
+
+
+def test_rank_generator_matches_a_filter_of_all_masks():
+    # The gap rule read off every length-n string, independently of any
+    # enumeration.
+    for kind in (PATH, CYCLE):
+        for n in range(11):
+            for h in range(6):
+                g = GapGraph(kind, n, h)
+                valid = [b for b in range(1 << n) if gap_check(VertexMask(n, b), h, kind == CYCLE)]
+                assert [m for rank in _ranked(g) for m in rank] == sorted(
+                    valid, key=lambda m: (m.bit_count(), m)), (kind, n, h)
+
+
+def test_build_cube_checks_the_cap_before_generating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cube, "_ranks", lambda n, h, cycle: calls.append(n) or iter([[0]]))
+    with pytest.raises(CapacityError, match=r"^refusing to enumerate n=31 \(cap 30\)$"):
+        build_cube(GapGraph(PATH, 31, 0), cap=30)
+    assert calls == []
+    build_cube(GapGraph(CYCLE, 30, 0), cap=30)  # n = cap is built
+    assert calls == [30]
 
 
 def test_counts_match_closed_forms():
@@ -174,11 +215,10 @@ def test_cover_count_raises_on_family_not_subset_closed(monkeypatch):
     lambda c: c.covers, lambda c: c._starts, lambda c: c._uppers,
     cube.CubeGraph.to_dot, cube.CubeGraph.to_json, cube.CubeGraph.to_edgelist_text],
     ids=["covers", "_starts", "_uppers", "to_dot", "to_json", "to_edgelist_text"])
-def test_covers_and_exports_raise_on_family_not_subset_closed(monkeypatch, read):
+def test_covers_and_exports_raise_on_family_not_subset_closed(read):
     # {0, 0b11} lacks 0b01 and 0b10, so deleting a bit of 0b11 leaves it.
     # Covers are generated where they are read, so the check runs there.
-    monkeypatch.setattr(cube, "iter_masks", lambda g, cap: [0, 0b11])
-    c = build_cube(GapGraph(PATH, 2, 0))
+    c = cube.CubeGraph(GapGraph(PATH, 2, 0), [0, 0b11])
     with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
         read(c)
 

@@ -18,6 +18,7 @@ from fibcubes.counting import path_count, path_count_k
 from fibcubes.enumeration import (
     DEFAULT_CAP,
     _CACHED_GAPS,
+    _bit_string,
     CapacityError,
     VertexMask,
     avoids_substrings,
@@ -130,6 +131,13 @@ def test_mask_strings_and_vertex_tuples_roundtrip_exhaustively():
             assert VertexMask.from_string(s) == m
             assert list(m.vertices()) == _literal_vertices(n, bits)
             assert VertexMask.from_vertices(n, m.vertices()) == m
+
+
+def test_bit_string_is_the_reversed_padded_binary():
+    assert _bit_string(0, 0) == ""
+    for n in range(1, 13):
+        for bits in range(1 << n):
+            assert _bit_string(n, bits) == format(bits, f"0{n}b")[::-1]
 
 
 # --- independence predicates ----------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import fibcubes.cli as cli
-from fibcubes import counting, cube, verify
+from fibcubes import counting, cube, enumeration, verify
 from fibcubes.counting import path_count_clamped, path_edges
 from fibcubes.graphs import CYCLE, PATH, GapGraph
 
@@ -442,3 +442,39 @@ def test_every_scalar_route_shifted_by_one_fails_an_identity(monkeypatch, key):
 
         monkeypatch.setattr(verify, "_routes", shifted)
     assert any(r.failed for r in _suite())
+
+
+# The first check of each cube row compares the literal enumeration's size
+# histogram with the profile of the cube built rank by rank: a vertex
+# missing from either side fails it.
+def test_a_vertex_missing_from_the_rank_built_cube_fails_cube_path_counts(monkeypatch):
+    # The top vertex of P_6^1 left out: the family stays down-closed, so its
+    # covers and Hamming pairs still agree, and only this check sees it.
+    real = cube._ranks
+
+    def ranks(n, h, cycle):
+        ranks = list(real(n, h, cycle))
+        if (n, h, cycle) == (6, 1, False):
+            ranks[-1] = ranks[-1][:-1]
+        yield from ranks
+
+    monkeypatch.setattr(cube, "_ranks", ranks)
+    reports = _suite()
+    assert {r.identity for r in reports if r.failed} == {"cube-path-counts"}
+    assert _failures(reports, "cube-path-counts") == [
+        {"n": 6, "h": 1, "k": None, "i": None,
+         "expected": {0: 1, 1: 6, 2: 10, 3: 4}, "actual": {0: 1, 1: 6, 2: 10, 3: 3}}]
+
+
+def test_a_vertex_missing_from_the_enumeration_fails_cube_cycle_counts(monkeypatch):
+    # {v4, v7}, the last independent set of C_7^2, left out.
+    real = enumeration.iter_masks
+
+    def iter_masks(g, cap=enumeration.DEFAULT_CAP):
+        masks = real(g, cap)
+        return masks[:-1] if (g.kind, g.n, g.h) == (CYCLE, 7, 2) else masks
+
+    monkeypatch.setattr(enumeration, "iter_masks", iter_masks)
+    failures = _failures(_suite(), "cube-cycle-counts")
+    assert failures[0] == {"n": 7, "h": 2, "k": None, "i": None,
+                           "expected": {0: 1, 1: 7, 2: 6}, "actual": {0: 1, 1: 7, 2: 7}}
