@@ -163,8 +163,8 @@ class CubeGraph:
     ``covers`` is a read-only sequence of the (lower, upper) pairs, sorted
     lexicographically, whose items are made on access.  Its cover rows are
     a cache filled on first read: the covers of lower vertex ``lo`` are the
-    ascending upper indices ``_uppers[_starts[lo]:_starts[lo + 1]]``.  The
-    exports never fill it.
+    upper indices ``covers._uppers[covers._starts[lo]:covers._starts[lo + 1]]``,
+    ascending.  The exports never fill it.
     """
 
     def __init__(self, source: GapGraph, masks: list[int]):
@@ -201,14 +201,6 @@ class CubeGraph:
                 starts.append(len(uppers))
             self._covers = _Covers(starts, uppers)
         return self._covers
-
-    @property
-    def _starts(self):
-        return self.covers._starts
-
-    @property
-    def _uppers(self):
-        return self.covers._uppers
 
     def index_of(self, mask: VertexMask) -> int:
         """The index of ``mask`` in vertex order; KeyError if it is no vertex."""
@@ -266,15 +258,6 @@ class CubeGraph:
             raise ArithmeticError(f"odd Hamming pair count {hits}")
         return hits // 2
 
-    def vertex_filter_count(self, rank: int, contains: int) -> int:
-        """Vertices of the given rank whose set includes vertex ``contains``."""
-        n = self.source.n
-        if not 1 <= contains <= n:
-            raise ValueError(f"vertex index {contains} out of range 1..{n}")
-        want = 1 << (contains - 1)
-        a, b = self._ranks[rank:rank + 2] if 0 <= rank <= n else (0, 0)
-        return sum(1 for m in itertools.islice(self.masks, a, b) if m & want)
-
     # -- exports ------------------------------------------------------------
     # A row of covers is one string: its lower name is repeated through the
     # separator of one join over its upper names.  An export is one join.
@@ -308,8 +291,9 @@ class CubeGraph:
             lambda lo, his: (f"[\n      {lo},\n      "
                              + f"\n    ],\n    [\n      {lo},\n      ".join(his) + "\n    ]"),
             ",\n    ")
-        # The top vertex is nonzero exactly when some vertex has a cover below it.
-        opening, closing = ("[\n    ", "\n  ]") if self.masks[-1] else ("[", "]")
+        # The top vertex is nonzero exactly when some vertex has a cover below
+        # it; a family with no vertex has none.
+        opening, closing = ("[\n    ", "\n  ]") if any(self.masks[-1:]) else ("[", "]")
         return "".join(itertools.chain((head,), _chunks(_json_array(ranks, 1)),
                                        (',\n  "covers": ' + opening,), covers, (closing + "\n}\n",)))
 
@@ -347,28 +331,22 @@ def _ranks(n: int, h: int, cycle: bool):
                     rank += map(top.__or__, below)
     except MemoryError:
         # As in enumeration._path_mask_ints, free the partial lists before
-        # the error unwinds.  Emptied in place, not deleted, because frames
-        # that the traceback keeps refer to them too: the caller's loop
-        # variable holds the rank yielded last.
+        # the error unwinds: the traceback keeps this frame.  Emptied in
+        # place, not deleted, in case a consumer still holds the rank
+        # yielded last; build_cube's chain holds none.
         lower.clear()
         rank.clear()
         raise
 
 
 def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:
-    """Construct the inclusion diagram of g's independent sets: its masks
-    in vertex order, made rank by rank.  Covers are generated when they are
-    read, and a family that is not subset-closed raises ArithmeticError
-    then."""
+    """Construct the inclusion diagram of g's independent sets: the ranks
+    of ``_ranks`` joined into one mask list in vertex order.  The list is
+    partial only inside ``list()``, which frees it if memory runs out.
+    Covers are generated when they are read, and a family that is not
+    subset-closed raises ArithmeticError then."""
     _check_cap(g, cap)
-    masks = []
-    try:
-        for rank in _ranks(g.n, g.h, g.kind == CYCLE):
-            masks += rank
-    except MemoryError:
-        del masks
-        raise
-    return CubeGraph(g, masks)
+    return CubeGraph(g, list(itertools.chain.from_iterable(_ranks(g.n, g.h, g.kind == CYCLE))))
 
 
 def cover_count(g: GapGraph, cap: int = DEFAULT_CAP) -> int:

@@ -120,9 +120,6 @@ class GapGraph(_Value):
         """The pairs of :meth:`iter_edges` as a list."""
         return list(self.iter_edges())
 
-    def edge_count(self) -> int:
-        return sum(1 for _ in self.iter_edges())
-
 
 def edgelist_lines(g: GapGraph) -> Iterator[str]:
     """The lines of :func:`edgelist_text`, one per edge, made as they are wanted."""

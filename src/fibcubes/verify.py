@@ -451,12 +451,9 @@ def _routes(cap: int = DEFAULT_CAP) -> dict:
     asked, so asking each k enumerates once.  Nothing is made for them
     until one is asked: ``fibcubes count`` builds this table twice (its
     ``--route`` choices, then its dispatch) for one scalar."""
-    last = [None, None]  # the (kind, n, h) asked last and its size histogram
-
+    @functools.lru_cache(maxsize=1)
     def sizes(*graph):
-        if last[0] != graph:
-            last[:] = graph, enumeration.count_by_size(GapGraph(*graph), cap)
-        return last[1]
+        return enumeration.count_by_size(GapGraph(*graph), cap)
 
     def covers(kind):
         return {"scalar": lambda n, h: cube.cover_count(GapGraph(kind, n, h), cap)}

@@ -866,8 +866,8 @@ def test_enumeration_out_of_memory_frees_its_partial_list():
 
 @needs_rlimit_as
 def test_cube_build_out_of_memory_frees_its_partial_lists():
-    # As above, for the ranks that build_cube collects and the two that its
-    # generator holds.
+    # As above, for the mask list that build_cube collects and the two ranks
+    # that its generator holds.
     code = ("from fibcubes.cube import build_cube; from fibcubes.graphs import GapGraph\n"
             "try:\n"
             "    build_cube(GapGraph('path', 30, 0), cap=30)\n"

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from fibcubes import cli, cube
-from fibcubes.counting import cycle_count, cycle_edges, path_count, path_edges, t_count
+from fibcubes.counting import cycle_count, cycle_edges, path_count, path_edges
 from fibcubes.cube import build_cube, cover_count
 from fibcubes.enumeration import CapacityError, VertexMask, gap_check, iter_masks
 from fibcubes.graphs import CYCLE, PATH, GapGraph
@@ -71,24 +71,9 @@ def test_hamming_pairs_equal_covers():
                 assert c.hamming_pairs() == len(c.covers), (kind, n, h)
 
 
-def test_vertex_filter_count():
-    c = build_cube(GapGraph(PATH, 5, 1))
-    assert c.vertex_filter_count(2, 1) == 3  # {1,3}, {1,4}, {1,5}
-    assert c.vertex_filter_count(1, 4) == 1
-    with pytest.raises(ValueError):
-        c.vertex_filter_count(1, 6)
-
-
-def test_vertex_filter_count_matches_membership_formula():
-    c = build_cube(GapGraph(PATH, 9, 2))
-    for k in range(1, 4):
-        for i in range(1, 10):
-            assert c.vertex_filter_count(k, i) == t_count(9, 2, k, i)
-
-
 def test_rank_readers_match_a_scan_of_the_masks():
     # Every reader of the rank split against popcounts of the masks: the
-    # blocks, the profile, the cover total, index_of and vertex_filter_count.
+    # blocks, the profile, the cover total and index_of.
     for c in _cubes_up_to(10, 3):
         n, masks = c.source.n, c.masks
         sizes = Counter(map(int.bit_count, masks))
@@ -106,10 +91,6 @@ def test_rank_readers_match_a_scan_of_the_masks():
             if outside is not None:
                 with pytest.raises(KeyError):
                     c.index_of(VertexMask(n, outside))
-        for k in range(-1, top + 2):
-            for i in range(1, n + 1):
-                want = sum(1 for m in masks if m.bit_count() == k and m >> (i - 1) & 1)
-                assert c.vertex_filter_count(k, i) == want, (c, k, i)
 
 
 def test_rank_readers_on_a_family_that_skips_a_rank():
@@ -122,7 +103,6 @@ def test_rank_readers_on_a_family_that_skips_a_rank():
     for m in (0b01, 0b10):
         with pytest.raises(KeyError):
             c.index_of(VertexMask(2, m))
-    assert [c.vertex_filter_count(k, 1) for k in range(-1, 4)] == [0, 0, 0, 1, 0]
     for read in (lambda: c.covers, c.to_dot, c.to_json, c.to_json_dict, c.to_edgelist_text):
         with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
             read()
@@ -212,9 +192,9 @@ def test_cover_count_raises_on_family_not_subset_closed(monkeypatch):
 
 
 @pytest.mark.parametrize("read", [
-    lambda c: c.covers, lambda c: c._starts, lambda c: c._uppers,
-    cube.CubeGraph.to_dot, cube.CubeGraph.to_json, cube.CubeGraph.to_edgelist_text],
-    ids=["covers", "_starts", "_uppers", "to_dot", "to_json", "to_edgelist_text"])
+    lambda c: c.covers, cube.CubeGraph.to_dot, cube.CubeGraph.to_json,
+    cube.CubeGraph.to_edgelist_text],
+    ids=["covers", "to_dot", "to_json", "to_edgelist_text"])
 def test_covers_and_exports_raise_on_family_not_subset_closed(read):
     # {0, 0b11} lacks 0b01 and 0b10, so deleting a bit of 0b11 leaves it.
     # Covers are generated where they are read, so the check runs there.
@@ -331,7 +311,9 @@ def _cubes_up_to(n_max, h_max):
 
 
 def test_json_export_is_the_indented_json_dumps_layout():
-    for c in _cubes_up_to(9, 3):
+    # The built cubes, and families of path 1 with no vertex, no cover and one cover.
+    families = [cube.CubeGraph(GapGraph(PATH, 1, 0), masks) for masks in ([], [0], [0, 1])]
+    for c in itertools.chain(_cubes_up_to(9, 3), families):
         assert c.to_json() == json.dumps(c.to_json_dict(), indent=2) + "\n", c
     empty = build_cube(GapGraph(CYCLE, 0, 2)).to_json()
     assert '\n  "covers": []\n' in empty
@@ -382,7 +364,7 @@ def _literal_covers(c):
 
 def test_cover_rows_are_ascending_and_complete():
     for c in _cubes_up_to(9, 3):
-        starts, uppers = c._starts, c._uppers
+        starts, uppers = c.covers._starts, c.covers._uppers
         assert starts.typecode == uppers.typecode == "I"
         assert len(starts) == c.vertex_count + 1
         assert starts[0] == 0 and starts[-1] == len(uppers) == c.cover_count
@@ -426,7 +408,7 @@ def test_covers_view_inequality():
 def test_covers_view_of_the_empty_and_star_diagrams():
     for kind in (PATH, CYCLE):
         c = build_cube(GapGraph(kind, 0, 2))
-        assert list(c._starts) == [0, 0] and len(c._uppers) == 0
+        assert list(c.covers._starts) == [0, 0] and len(c.covers._uppers) == 0
         assert len(c.covers) == 0 and list(c.covers) == [] and c.covers == []
         assert c.covers[:] == [] and c.covers[-5:] == []
         with pytest.raises(IndexError):
@@ -437,7 +419,7 @@ def test_covers_view_of_the_empty_and_star_diagrams():
             star = [(0, i) for i in range(1, n + 1)]
             assert c.covers == star and list(c.covers) == star
             assert c.covers[-1] == (0, n) and c.covers[1:] == star[1:]
-            assert list(c._starts) == [0] + [n] * (n + 1)
+            assert list(c.covers._starts) == [0] + [n] * (n + 1)
 
 
 def test_exports_do_not_depend_on_the_chunk_size(monkeypatch):

@@ -164,7 +164,7 @@ def test_is_independent_asks_only_is_edge_once_per_pair_and_graph(monkeypatch):
         raise AssertionError("adjacency must come from is_edge")
 
     monkeypatch.setattr(GapGraph, "is_edge", recorder)
-    for name in ("iter_edges", "edges", "edge_count"):
+    for name in ("iter_edges", "edges"):
         monkeypatch.setattr(GapGraph, name, unused)
     m = VertexMask.from_string("1010101")
     path, cycle, cycle_twin = GapGraph(PATH, 7, 1), GapGraph(CYCLE, 7, 1), GapGraph(CYCLE, 7, 1)

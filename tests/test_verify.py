@@ -420,6 +420,29 @@ def test_every_quantity_has_two_methods():
     assert all(len(m) >= 2 for m in methods.values()), methods
 
 
+def test_oracle_set_counts_enumerate_each_graph_once(monkeypatch):
+    # The oracle set counts keep the size histogram of the graph asked last:
+    # the total and every k of one graph enumerate it once, and each other
+    # graph once more.
+    asked = []
+    real = enumeration.count_by_size
+
+    def counted(g, cap=enumeration.DEFAULT_CAP):
+        asked.append((g.kind, g.n, g.h))
+        return real(g, cap)
+
+    monkeypatch.setattr(enumeration, "count_by_size", counted)
+    routes = {key: route["scalar"] for key, route in verify._routes().items() if key[1] == "oracle"}
+    assert routes["path", "oracle"](8, 1) == 55
+    assert sum(routes["path-k", "oracle"](8, 1, k) for k in range(10)) == 55
+    assert asked == [(PATH, 8, 1)]
+    assert routes["path", "oracle"](9, 1) == 89
+    assert asked == [(PATH, 8, 1), (PATH, 9, 1)]
+    assert routes["cycle", "oracle"](8, 1) == sum(routes["cycle-k", "oracle"](8, 1, k)
+                                                  for k in range(10)) == 47
+    assert asked == [(PATH, 8, 1), (PATH, 9, 1), (CYCLE, 8, 1)]
+
+
 # Every route that count prints takes part in an identity: shifting its
 # scalar by one must fail at least one. A counting function is shifted at
 # its name in verify, which a table bound at import would not see; an oracle
