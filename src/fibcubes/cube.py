@@ -247,13 +247,11 @@ class CubeGraph:
         independently of how the covers were generated; on a subset-closed
         family this must equal the number of covers.
         """
-        members = set(self.masks)
-        n = self.source.n
-        hits = 0
-        for bits in self.masks:
-            for b in range(n):
-                if bits ^ (1 << b) in members:
-                    hits += 1
+        masks = self.masks
+        members = set(masks)
+        # One C-level pass per bit b: flip b in every vertex, test membership.
+        hits = sum(sum(map(members.__contains__, map((1 << b).__xor__, masks)))
+                   for b in range(self.source.n))
         if hits % 2:
             raise ArithmeticError(f"odd Hamming pair count {hits}")
         return hits // 2

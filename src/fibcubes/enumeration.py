@@ -4,6 +4,14 @@ Everything counting-related in :mod:`fibcubes.counting` can be re-derived
 here by exhaustion, which is the whole point: this module is the oracle the
 closed forms are checked against, so it stays as literal as possible.
 
+The three independence predicates are compared with one another by
+``verify``, so each keeps its own mechanism: ``gap_check`` tests one shift
+per distance (and the wrap), ``is_independent`` reads adjacency rows built
+from ``GapGraph.is_edge``, and ``avoids_substrings`` searches the string for
+gap patterns.  A kernel may shed per-call overhead, such as reading a
+mask's decoded vertices or string from its slot once filled, or taking its
+patterns from a table built at import, but never borrows another's test.
+
 Bit convention: an independent set of v_1..v_n is a length-n binary string
 b_1..b_n with b_i = 1 iff v_i is in the set.  In the integer encoding b_1 is
 the least significant bit, so "numeric order" of masks is well defined and
@@ -139,6 +147,11 @@ def is_independent(g: GapGraph, mask: VertexMask) -> bool:
     calls, and kept in a dict on that graph instance, so each vertex of a
     graph asks ``is_edge`` once, however many masks read it, and a graph
     keeps rows only for the vertices read.
+
+    ``g._rows`` is that dict, keyed by vertex: a list of n + 1 slots would
+    hold a slot for every vertex, read or not, 80 MB of pointers on a
+    10^7-vertex graph.  The mask's vertex tuple is read from its slot once
+    ``vertices()`` has filled it.
     """
     if mask.n != g.n:
         raise ValueError(f"mask length {mask.n} does not match graph order {g.n}")
@@ -147,9 +160,13 @@ def is_independent(g: GapGraph, mask: VertexMask) -> bool:
         rows = {}
         _set(g, "_rows", rows)
     bits = mask.bits
-    for v in mask.vertices():
-        row = rows.get(v)
-        if row is None:
+    vs = mask._vertices
+    if vs is None:
+        vs = mask.vertices()
+    for v in vs:
+        try:
+            row = rows[v]
+        except KeyError:
             row = rows[v] = _adjacency_row(g, v)
         if bits & row:
             return False
@@ -268,9 +285,11 @@ def _gap_pattern(gap: int) -> str:
 
 # "11", "101", ..., the pattern of each gap up to _CACHED_GAPS, which covers
 # every graph that enumeration admits by default; longer ones are made when
-# asked for.
+# asked for.  _PATTERNS_UP_TO[top] holds the gaps 1..top, as slices of the one
+# tuple, so the table adds no strings.
 _CACHED_GAPS = 24
 _GAP_PATTERNS = tuple(map(_gap_pattern, range(1, _CACHED_GAPS + 1)))
+_PATTERNS_UP_TO = tuple(_GAP_PATTERNS[:top] for top in range(_CACHED_GAPS + 1))
 
 
 def avoids_substrings(mask: VertexMask, h: int, circular: bool = False) -> bool:
@@ -282,7 +301,9 @@ def avoids_substrings(mask: VertexMask, h: int, circular: bool = False) -> bool:
     """
     if h < 1:
         raise ValueError("substring characterization needs h >= 1")
-    s = mask.to_string()
+    s = mask._string
+    if s is None:
+        s = mask.to_string()
     n = mask.n
     # A pattern of gap n or more is longer than the string, so only gaps up
     # to n - 1 are tested, one ``in`` each. Around the wrap, the text is s
@@ -290,7 +311,7 @@ def avoids_substrings(mask: VertexMask, h: int, circular: bool = False) -> bool:
     # run past its end are the wrapped ones, and those wholly in the
     # appended prefix are windows of s.
     top = h if h < n else max(n - 1, 0)
-    patterns = (_GAP_PATTERNS[:top] if top <= _CACHED_GAPS
+    patterns = (_PATTERNS_UP_TO[top] if top <= _CACHED_GAPS
                 else map(_gap_pattern, range(1, top + 1)))
     if circular:
         s += s[:h]

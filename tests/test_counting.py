@@ -9,6 +9,7 @@ convolution) are swept exhaustively over small ranges.
 import collections
 import itertools
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -805,22 +806,30 @@ def _literal_t_count(n, h, k, i):
 
 
 def test_t_count_matches_its_literal_definition():
-    # Covers h = 0, sizes past the structural bound and vertices whose
-    # segments leave no room for the other k-1 members.
+    # Covers h = 0, sizes past the structural bound (where both read 0) and
+    # vertices whose segments leave no room for the other k-1 members.
     for n in range(1, 31):
         for h in range(8):
-            for k in range(1, max_subset_size(n, h) + 3):
+            top = max_subset_size(n, h)
+            for k in range(1, top + 3):
                 for i in range(1, n + 1):
-                    assert t_count(n, h, k, i) == _literal_t_count(n, h, k, i), (n, h, k, i)
+                    want = _literal_t_count(n, h, k, i)
+                    assert t_count(n, h, k, i) == want, (n, h, k, i)
+                    assert k <= top or want == 0, (n, h, k, i)
 
 
 def test_t_count_rejects_bad_vertex_or_size():
-    with pytest.raises(ValueError):
-        t_count(5, 1, 2, 0)
-    with pytest.raises(ValueError):
-        t_count(5, 1, 2, 6)
-    with pytest.raises(ValueError):
-        t_count(5, 1, 0, 3)
+    # The vertex is checked first, then the size, then h.
+    for args, message in [
+        ((5, 1, 2, 0), "vertex index 0 out of range 1..5"),
+        ((5, 1, 2, 6), "vertex index 6 out of range 1..5"),
+        ((5, 1, 0, 3), "subset size k must be >= 1"),
+        ((5, -1, 2, 3), "h must be nonnegative, got h=-1"),
+        ((5, -1, 0, 6), "vertex index 6 out of range 1..5"),
+        ((5, -1, 0, 3), "subset size k must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            t_count(*args)
 
 
 # --- sequence / count bridges ---------------------------------------------------------

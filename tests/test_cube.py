@@ -71,6 +71,25 @@ def test_hamming_pairs_equal_covers():
                 assert c.hamming_pairs() == len(c.covers), (kind, n, h)
 
 
+def _hamming_pairs_reference(masks):
+    return sum(1 for a, b in itertools.combinations(masks, 2) if (a ^ b).bit_count() == 1)
+
+
+def test_hamming_pairs_match_the_pairwise_definition():
+    for kind in (PATH, CYCLE):
+        for h in range(4):
+            for n in range(10):
+                c = build_cube(GapGraph(kind, n, h))
+                assert c.hamming_pairs() == _hamming_pairs_reference(c.masks), (kind, n, h)
+    # Families that are not down-closed: no pair, then one.
+    for masks, pairs in (([0, 0b11], 0), ([0b01, 0b11], 1)):
+        assert cube.CubeGraph(GapGraph(PATH, 2, 0), masks).hamming_pairs() == pairs
+    # A repeated mask counts its pairs once per copy, so the flips no
+    # longer pair up.
+    with pytest.raises(ArithmeticError, match="^odd Hamming pair count 3$"):
+        cube.CubeGraph(GapGraph(PATH, 1, 0), [0, 1, 1]).hamming_pairs()
+
+
 def test_rank_readers_match_a_scan_of_the_masks():
     # Every reader of the rank split against popcounts of the masks: the
     # blocks, the profile, the cover total and index_of.

@@ -268,13 +268,18 @@ def _gap_check_reference(n, bits, h, circular):
 
 
 def test_gap_check_matches_pair_loop_reference():
+    # Substring avoidance is held to the same definition, for h >= 1.  The
+    # sweep reaches h >= n and n = 0, 1, where the shift loop and the
+    # pattern list are empty, and rows 0 to 11 of the pattern table.
     for n in range(13):
-        for h in range(n + 2):
+        for h in range(max(n + 2, 13)):
             for bits in range(1 << n):
                 m = VertexMask(n, bits)
                 for circular in (False, True):
-                    assert gap_check(m, h, circular) == _gap_check_reference(
-                        n, bits, h, circular), (n, h, bits, circular)
+                    want = _gap_check_reference(n, bits, h, circular)
+                    assert gap_check(m, h, circular) == want, (n, h, bits, circular)
+                    if h:
+                        assert avoids_substrings(m, h, circular) == want, (n, h, bits, circular)
 
 
 # --- enumeration -----------------------------------------------------------------
