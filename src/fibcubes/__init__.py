@@ -20,10 +20,8 @@ from .counting import (
     cycle_edges_conv,
     extended_fib,
     extended_lucas,
-    fibonacci_sequence,
     h_fibonacci,
     h_lucas,
-    lucas_sequence,
     max_subset_size,
     path_count,
     path_count_k,
@@ -64,8 +62,6 @@ __all__ = [
     "h_lucas",
     "extended_fib",
     "extended_lucas",
-    "fibonacci_sequence",
-    "lucas_sequence",
     "HSequence",
     "convolve",
     "path_edges",

@@ -5,10 +5,11 @@ and ``verify``.
 its arguments.  ``_parse`` reads argv against it and ``--help`` renders it.
 
 Every count comes from ``verify._routes()``, one table keyed by (quantity,
-method): ``count`` takes its dispatch, its ``--route`` choices and its error
-text from it, and ``_TABLE_ROUTES`` names the entry whose row each table but
-``F`` and ``L`` prints.  To add a route, add its entry there and an identity
-that checks it; this module needs no change.
+method): ``count`` takes its dispatch and its error text from it and its
+``--route`` choices from ``verify._METHODS``, and ``_TABLE_ROUTES`` names
+the entry whose row each table but ``F`` and ``L`` prints.  To add a route,
+add its entry there and an identity that checks it; this module needs no
+change.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 argv, a negative n, h, k or cap, or output that cannot be written), 3 capacity
@@ -453,7 +454,7 @@ _COMMANDS = {
         _Arg("quantity", choices=("path", "cycle", "path-edges", "cycle-edges"), required=True,
              help="independent-set totals, or inclusion-diagram edges"),
         _N, _H, _Arg("k", int, help="subset size (set counts only)"),
-        _Arg("--route", choices=tuple(dict.fromkeys(m for _, m in verify._routes())),
+        _Arg("--route", choices=verify._METHODS,
              default="closed", help="how the count is computed"),
         _CAP, _OUT)),
     "seq": (_cmd_seq, "dump a delayed Fibonacci/Lucas sequence", (

@@ -87,8 +87,6 @@ __all__ = [
     "LUCAS",
     "EXTENDED_FIBONACCI",
     "EXTENDED_LUCAS",
-    "fibonacci_sequence",
-    "lucas_sequence",
     "h_fibonacci",
     "h_lucas",
     "extended_fib",
@@ -532,16 +530,6 @@ class HSequence:
         t = [0, *islice(self, one, one + size)]  # t(0) read as 0, t(1..size)
         beta = (t[k + 1] - t[k] - (t[k - h] if k > h else 0) for k in range(size))
         return tuple((k, int(v)) for k, v in enumerate(beta) if v)
-
-
-def fibonacci_sequence(h: int) -> HSequence:
-    """The delayed-Fibonacci sequence for gap h."""
-    return HSequence(FIBONACCI, h)
-
-
-def lucas_sequence(h: int) -> HSequence:
-    """The delayed-Lucas sequence for gap h."""
-    return HSequence(LUCAS, h)
 
 
 def h_fibonacci(h: int, n: int) -> int:

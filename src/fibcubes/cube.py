@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from operator import eq
+from operator import eq, le
 
 from .enumeration import DEFAULT_CAP, VertexMask, _bit_string, _check_cap, iter_masks
 from .graphs import CYCLE, GapGraph
@@ -94,6 +94,20 @@ def _place_covers(lower: Iterable[int], upper: Iterable[int], names: Iterable) -
     except KeyError:
         raise ArithmeticError(f"family not subset-closed at mask 0x{bits:x}") from None
     return rows
+
+
+def _rank_sizes(masks: list[int], n: int) -> list[int]:
+    """The number of masks of each rank 0..top; ValueError unless every mask
+    has length n and they are non-decreasing in (rank, value)."""
+    if masks and (min(masks) < 0 or max(masks) >> n):
+        raise ValueError(f"masks out of range for length {n}")
+    ranks = list(map(int.bit_count, masks))
+    # Tuples compare by rank, then value; non-decreasing, not strict, so that
+    # a repeated mask reaches the checks of the readers.
+    if not all(map(le, zip(ranks, masks), zip(ranks[1:], masks[1:]))):
+        raise ValueError("masks are not in vertex order: (rank, value) must not decrease")
+    top = ranks[-1] if ranks else -1
+    return [bisect_right(ranks, k) - bisect_left(ranks, k) for k in range(top + 1)]
 
 
 class _Vertices(Sequence):
@@ -165,15 +179,24 @@ class CubeGraph:
     a cache filled on first read: the covers of lower vertex ``lo`` are the
     upper indices ``covers._uppers[covers._starts[lo]:covers._starts[lo + 1]]``,
     ascending.  The exports never fill it.
+
+    The masks must have length n and come in vertex order, non-decreasing,
+    or ValueError is raised: that costs a pass over them, which
+    ``build_cube`` skips by handing over the size of each rank it made, as
+    ``_sizes``.
     """
 
-    def __init__(self, source: GapGraph, masks: list[int]):
+    def __init__(self, source: GapGraph, masks: list[int], _sizes: list[int] | None = None):
+        n = source.n
+        if _sizes is None:
+            _sizes = _rank_sizes(masks, n)
         self.source = source
         self.masks = masks
-        self.vertices = _Vertices(source.n, masks)
+        self.vertices = _Vertices(n, masks)
         self._covers = None
-        # Rank n + 1 is empty, and so is any rank that a family not down-closed skips.
-        self._ranks = [bisect_left(masks, k, key=int.bit_count) for k in range(source.n + 3)]
+        # Rank n + 1 is empty, and so is any rank past the top or that a
+        # family not down-closed skips.
+        self._ranks = list(itertools.accumulate(_sizes + [0] * (n + 2 - len(_sizes)), initial=0))
 
     def __repr__(self) -> str:
         g = self.source
@@ -339,12 +362,20 @@ def _ranks(n: int, h: int, cycle: bool):
 
 def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:
     """Construct the inclusion diagram of g's independent sets: the ranks
-    of ``_ranks`` joined into one mask list in vertex order.  The list is
-    partial only inside ``list()``, which frees it if memory runs out.
-    Covers are generated when they are read, and a family that is not
-    subset-closed raises ArithmeticError then."""
+    of ``_ranks`` joined into one mask list in vertex order, with the size
+    of each rank noted as it passes.  The list is partial only inside
+    ``list()``, which frees it if memory runs out.  Covers are generated
+    when they are read, and a family that is not subset-closed raises
+    ArithmeticError then."""
     _check_cap(g, cap)
-    return CubeGraph(g, list(itertools.chain.from_iterable(_ranks(g.n, g.h, g.kind == CYCLE))))
+    sizes = []
+
+    def tally(rank):
+        sizes.append(len(rank))
+        return rank
+
+    masks = list(itertools.chain.from_iterable(map(tally, _ranks(g.n, g.h, g.kind == CYCLE))))
+    return CubeGraph(g, masks, sizes)
 
 
 def cover_count(g: GapGraph, cap: int = DEFAULT_CAP) -> int:

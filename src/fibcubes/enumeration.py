@@ -87,16 +87,6 @@ class VertexMask(_Value):
                 raise ValueError(f"invalid mask character {ch!r}")
         return cls(len(s), bits)
 
-    @classmethod
-    def from_vertices(cls, n: int, vertices) -> "VertexMask":
-        """Build from 1-based vertex indices."""
-        bits = 0
-        for v in vertices:
-            if not 1 <= v <= n:
-                raise ValueError(f"vertex {v} out of range 1..{n}")
-            bits |= 1 << (v - 1)
-        return cls(n, bits)
-
     def to_string(self) -> str:
         s = self._string
         if s is None:
@@ -119,9 +109,6 @@ class VertexMask(_Value):
             vs = tuple(out)
             _set(self, "_vertices", vs)
         return vs
-
-    def size(self) -> int:
-        return self.bits.bit_count()
 
 
 def _adjacency_row(g: GapGraph, i: int) -> int:

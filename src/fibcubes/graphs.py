@@ -11,8 +11,7 @@ from collections.abc import Iterator
 from itertools import chain
 from operator import attrgetter
 
-__all__ = ["PATH", "CYCLE", "GapGraph", "edgelist_lines", "edgelist_text", "dot_lines",
-           "graph_dot"]
+__all__ = ["PATH", "CYCLE", "GapGraph", "edgelist_lines", "dot_lines"]
 
 PATH = "path"
 CYCLE = "cycle"
@@ -116,29 +115,18 @@ class GapGraph(_Value):
             )
         )
 
-    def edges(self) -> list[tuple[int, int]]:
-        """The pairs of :meth:`iter_edges` as a list."""
-        return list(self.iter_edges())
-
 
 def edgelist_lines(g: GapGraph) -> Iterator[str]:
-    """The lines of :func:`edgelist_text`, one per edge, made as they are wanted."""
+    """The plain-text edge list: one "i j" line per edge of :meth:`GapGraph.iter_edges`,
+    in its order, made as they are wanted."""
     return (f"{i} {j}\n" for i, j in g.iter_edges())
 
 
 def dot_lines(g: GapGraph) -> Iterator[str]:
-    """The lines of :func:`graph_dot`, made as they are wanted."""
+    """Undirected DOT with vertices labeled v1..vn: the header, one line per
+    vertex, one line per edge of :meth:`GapGraph.iter_edges`, and the closing
+    brace, made as they are wanted."""
     return chain([f"graph {g.kind}_{g.n}_{g.h} {{\n"],
                  (f"  v{i};\n" for i in range(1, g.n + 1)),
                  (f"  v{i} -- v{j};\n" for i, j in g.iter_edges()),
                  ["}\n"])
-
-
-def edgelist_text(g: GapGraph) -> str:
-    """Plain-text edge list, one "i j" pair per line."""
-    return "".join(edgelist_lines(g))
-
-
-def graph_dot(g: GapGraph) -> str:
-    """Undirected DOT with vertices labeled v1..vn."""
-    return "".join(dot_lines(g))

@@ -14,11 +14,12 @@ for enumeration-backed identities.
 The routes are one table, ``_routes``, keyed by (quantity, method). An entry
 holds a scalar, which ``fibcubes count`` runs, a row, which ``fibcubes
 table`` prints, or both, and the two-route rows read it. To add a route, add
-its entry and an identity that compares it with another route of its
-quantity; the CLI needs no change. ``_registry`` builds the table and the
-rows on every run from the functions bound in this module at that moment,
-so a function rebound here (by a test's monkeypatch, or by the benchmark
-tracer's per-call spans) is the one that runs.
+its entry (and a new method to ``_METHODS``) and an identity that compares
+it with another route of its quantity; the CLI needs no change.
+``_registry`` builds the table and the rows on every run from the functions
+bound in this module at that moment, so a function rebound here (by a
+test's monkeypatch, or by the benchmark tracer's per-call spans) is the one
+that runs.
 
 Values that two rows read are memoized per run: ``_registry`` wraps them in
 fresh caches, so nothing in them outlives the run. The per-vertex sums of
@@ -439,6 +440,11 @@ def _classical_lucas_bridge(n, h, s):
 # Routes and registry
 # ---------------------------------------------------------------------------
 
+# The methods of ``_routes()`` in the order they first appear there, which is
+# the order of ``fibcubes count --route``'s choices; a test keeps the two in step.
+_METHODS = ("closed", "recurrence", "conv", "oracle")
+
+
 def _routes(cap: int = DEFAULT_CAP) -> dict:
     """Every route, keyed by (quantity, method), built anew on every call
     from the functions bound in this module right now, as ``_registry`` is.
@@ -449,8 +455,8 @@ def _routes(cap: int = DEFAULT_CAP) -> dict:
     yields such rows for k = 0, 1, ...; or both. The oracle routes enumerate
     under ``cap``; the set counts keep the size histogram of the last graph
     asked, so asking each k enumerates once.  Nothing is made for them
-    until one is asked: ``fibcubes count`` builds this table twice (its
-    ``--route`` choices, then its dispatch) for one scalar."""
+    until one is asked: ``fibcubes count`` builds this table once, to
+    dispatch one scalar, and takes its ``--route`` choices from ``_METHODS``."""
     @functools.lru_cache(maxsize=1)
     def sizes(*graph):
         return enumeration.count_by_size(GapGraph(*graph), cap)

@@ -885,7 +885,7 @@ def test_mask_of_huge_length_is_checked_in_a_small_address_space():
     # The range check reads the bits' length: a bound of 1 << n would take
     # n / 8 bytes, 1.25 GB here.
     code = ("from fibcubes.enumeration import VertexMask; "
-            "m = VertexMask(10**10, 5); print(m.vertices(), m.size())")
+            "m = VertexMask(10**10, 5); print(m.vertices(), m.bits.bit_count())")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=60,

@@ -19,6 +19,9 @@ import pytest
 
 from fibcubes import counting, verify
 from fibcubes.counting import (
+    FIBONACCI,
+    LUCAS,
+    HSequence,
     binom,
     convolve,
     cycle_count,
@@ -29,10 +32,8 @@ from fibcubes.counting import (
     cycle_edges_conv,
     extended_fib,
     extended_lucas,
-    fibonacci_sequence,
     h_fibonacci,
     h_lucas,
-    lucas_sequence,
     max_subset_size,
     path_count,
     path_count_k,
@@ -304,8 +305,8 @@ def test_h_lucas_values(h, n, expected):
 
 
 def test_sequence_prefixes():
-    assert fibonacci_sequence(1).prefix(10) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
-    assert lucas_sequence(2).prefix(8) == [3, 1, 1, 4, 5, 6, 10, 15]
+    assert HSequence(FIBONACCI, 1).prefix(10) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    assert HSequence(LUCAS, 2).prefix(8) == [3, 1, 1, 4, 5, 6, 10, 15]
 
 
 def test_sequence_rejects_indices_before_start():
@@ -400,11 +401,11 @@ def test_extended_sequences_reject_small_h_and_deep_indices():
 
 
 def test_convolve_values():
-    f1 = fibonacci_sequence(1)
+    f1 = HSequence(FIBONACCI, 1)
     assert convolve(f1, f1, 6) == 38
-    f5 = fibonacci_sequence(5)
+    f5 = HSequence(FIBONACCI, 5)
     assert convolve(f5, f5, 1) == 1
-    assert convolve(fibonacci_sequence(2), lucas_sequence(2), 6) == 32
+    assert convolve(HSequence(FIBONACCI, 2), HSequence(LUCAS, 2), 6) == 32
 
 
 _KINDS = (counting.FIBONACCI, counting.LUCAS, counting.EXTENDED_FIBONACCI,
@@ -465,7 +466,7 @@ def test_cycle_edges_conv_applies_the_numerator_once(monkeypatch, h):
     # apply L's numerator beta at the end, never once per index.  At h = 0
     # this index is past the jump's crossover, so the jump is turned off.
     n = 200
-    beta = lucas_sequence(h).numerator(n - h)
+    beta = HSequence(LUCAS, h).numerator(n - h)
     expected = cycle_edges_closed(n, h)
     _ProductCountingInt.products = 0
     assert 2 * _ProductCountingInt(3) == 6 and _ProductCountingInt.products == 1
@@ -689,7 +690,7 @@ def test_convolve_never_jumps_where_verify_and_table_reach(monkeypatch):
     monkeypatch.setattr(counting, "_conv_jump", _refuse)
     monkeypatch.setattr(counting, "_jump_terms", _refuse)
     for h in range(41):
-        f, lucas = fibonacci_sequence(h), lucas_sequence(h)
+        f, lucas = HSequence(FIBONACCI, h), HSequence(LUCAS, h)
         for b in (f, lucas):
             assert [convolve(f, b, n) for n in range(1, 41)] == [
                 *counting._convolution(f, b, 40)], h
@@ -703,9 +704,9 @@ def test_convolve_never_jumps_where_verify_and_table_reach(monkeypatch):
 
 def test_convolve_rejects_mixed_h_and_bad_index():
     with pytest.raises(ValueError):
-        convolve(fibonacci_sequence(1), fibonacci_sequence(2), 4)
+        convolve(HSequence(FIBONACCI, 1), HSequence(FIBONACCI, 2), 4)
     with pytest.raises(ValueError):
-        convolve(fibonacci_sequence(1), fibonacci_sequence(1), 0)
+        convolve(HSequence(FIBONACCI, 1), HSequence(FIBONACCI, 1), 0)
 
 
 # --- diagram edge counts -----------------------------------------------------------

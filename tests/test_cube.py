@@ -39,7 +39,7 @@ def test_zero_gap_gives_boolean_lattice():
 
 def test_vertices_grouped_by_rank_then_numeric():
     c = build_cube(GapGraph(PATH, 5, 1))
-    keys = [(v.size(), v.bits) for v in c.vertices]
+    keys = [(v.bits.bit_count(), v.bits) for v in c.vertices]
     assert keys == sorted(keys)
 
 
@@ -49,7 +49,7 @@ def test_covers_differ_in_exactly_one_bit():
         assert c.covers == sorted(set(c.covers))
         for lo, hi in c.covers:
             a, b = c.vertices[lo], c.vertices[hi]
-            assert a.size() + 1 == b.size()
+            assert a.bits.bit_count() + 1 == b.bits.bit_count()
             assert a.bits & b.bits == a.bits  # proper subset
             assert (a.bits ^ b.bits).bit_count() == 1
 
@@ -125,6 +125,27 @@ def test_rank_readers_on_a_family_that_skips_a_rank():
     for read in (lambda: c.covers, c.to_dot, c.to_json, c.to_json_dict, c.to_edgelist_text):
         with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
             read()
+
+
+def test_constructor_rejects_masks_out_of_vertex_order():
+    # Each of these once gave silent wrong answers: [2, 1, 0] a profile of
+    # {1: 3}, [0b11, 0, 1, 2] the edge list "1 2\n1 3\n", and the value
+    # order of path 3 0 a profile of {0: 1, 1: 4, 2: 2, 3: 1} and 11 covers.
+    for n, masks in ((2, [2, 1, 0]), (2, [0b11, 0, 1, 2]), (3, iter_masks(GapGraph(PATH, 3, 0)))):
+        with pytest.raises(ValueError, match="not in vertex order"):
+            cube.CubeGraph(GapGraph(PATH, n, 0), masks)
+    # A mask longer than n, or negative, would be exported with a wrong label.
+    for masks in ([0, 0b10], [0, 0b11], [-1, 0]):
+        with pytest.raises(ValueError, match="^masks out of range for length 1$"):
+            cube.CubeGraph(GapGraph(PATH, 1, 0), masks)
+    # The families built elsewhere in these tests, a repeated mask among
+    # them, still construct, with the rank offsets that a scan gives.
+    for n, masks in ((1, []), (1, [0]), (1, [0, 1]), (1, [0, 1, 1]), (2, [0, 0b11]),
+                     (2, [0b01, 0b11])):
+        c = cube.CubeGraph(GapGraph(PATH, n, 0), masks)
+        assert c._ranks == [sum(m.bit_count() < k for m in masks) for k in range(n + 3)]
+    for c in _cubes_up_to(8, 3):
+        assert cube.CubeGraph(c.source, c.masks)._ranks == c._ranks
 
 
 def _ranked(g):

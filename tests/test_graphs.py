@@ -13,26 +13,24 @@ import tracemalloc
 import pytest
 
 from fibcubes.enumeration import VertexMask, is_independent
-from fibcubes.graphs import (CYCLE, PATH, GapGraph, dot_lines, edgelist_lines, edgelist_text,
-                             graph_dot)
+from fibcubes.graphs import CYCLE, PATH, GapGraph, dot_lines, edgelist_lines
 
 
 def test_small_path_power_edges():
     g = GapGraph(PATH, 4, 2)
-    assert g.edges() == [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
-    assert sum(1 for _ in g.iter_edges()) == 5
+    assert list(g.iter_edges()) == [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
 
 
 @pytest.mark.parametrize("kind", [PATH, CYCLE])
 def test_edges_match_double_loop_over_is_edge(kind):
-    # edges() generates the window and wrap pairs directly; is_edge is the
+    # iter_edges() generates the window and wrap pairs directly; is_edge is the
     # literal definition.
     for n in range(31):
         for h in range(n + 2):
             g = GapGraph(kind, n, h)
             literal = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
                        if g.is_edge(i, j)]
-            assert g.edges() == literal, (n, h)
+            assert list(g.iter_edges()) == literal, (n, h)
 
 
 def test_gap_graph_value_semantics():
@@ -54,7 +52,7 @@ def test_gap_graph_value_semantics():
              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in [*twins, copy.copy(g), copy.deepcopy(g)]:
         assert type(twin) is GapGraph and twin == g and hash(twin) == hash(g)
-        assert repr(twin) == repr(g) and twin.edges() == g.edges()
+        assert repr(twin) == repr(g) and list(twin.iter_edges()) == list(g.iter_edges())
         with pytest.raises(AttributeError):
             twin.n = 5
     # is_independent keeps adjacency rows in a slot that is not a field: a
@@ -79,12 +77,12 @@ def test_gap_graph_value_semantics():
 
 
 def test_zero_power_is_edgeless():
-    assert GapGraph(PATH, 7, 0).edges() == []
-    assert GapGraph(CYCLE, 7, 0).edges() == []
+    assert list(GapGraph(PATH, 7, 0).iter_edges()) == []
+    assert list(GapGraph(CYCLE, 7, 0).iter_edges()) == []
 
 
 def test_plain_cycle():
-    assert GapGraph(CYCLE, 5, 1).edges() == [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)]
+    assert list(GapGraph(CYCLE, 5, 1).iter_edges()) == [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)]
 
 
 def test_wrap_adjacency_only_on_cycles():
@@ -143,14 +141,14 @@ def test_cycle_adjacency_is_circular_distance():
 def test_path_edges_subset_of_cycle_edges():
     for h in range(6):
         for n in range(26):
-            p = set(GapGraph(PATH, n, h).edges())
-            c = set(GapGraph(CYCLE, n, h).edges())
+            p = set(GapGraph(PATH, n, h).iter_edges())
+            c = set(GapGraph(CYCLE, n, h).iter_edges())
             assert p <= c, (n, h)
 
 
 def test_edges_sorted_without_duplicates():
     for g in (GapGraph(PATH, 9, 3), GapGraph(CYCLE, 9, 3)):
-        es = g.edges()
+        es = list(g.iter_edges())
         assert es == sorted(set(es))
         assert all(i < j for i, j in es)
 
@@ -159,12 +157,12 @@ def test_edges_sorted_without_duplicates():
 
 
 def test_edgelist_text():
-    assert edgelist_text(GapGraph(PATH, 3, 1)) == "1 2\n2 3\n"
-    assert edgelist_text(GapGraph(PATH, 2, 0)) == ""
+    assert list(edgelist_lines(GapGraph(PATH, 3, 1))) == ["1 2\n", "2 3\n"]
+    assert list(edgelist_lines(GapGraph(PATH, 2, 0))) == []
 
 
 def test_graph_dot():
-    dot = graph_dot(GapGraph(CYCLE, 3, 1))
+    dot = "".join(dot_lines(GapGraph(CYCLE, 3, 1)))
     assert dot == (
         "graph cycle_3_1 {\n"
         "  v1;\n  v2;\n  v3;\n"
@@ -185,9 +183,14 @@ def test_text_exports_join_their_lines(kind):
     for n in range(7):
         for h in range(4):
             g = GapGraph(kind, n, h)
-            assert list(g.iter_edges()) == g.edges()
-            assert edgelist_text(g) == "".join(edgelist_lines(g))
-            assert graph_dot(g) == "".join(dot_lines(g))
+            edges = list(g.iter_edges())
+            lines = list(edgelist_lines(g))
+            assert "".join(lines).splitlines(keepends=True) == lines
+            assert [tuple(map(int, line.split())) for line in lines] == edges
+            lines = list(dot_lines(g))
+            assert "".join(lines).splitlines(keepends=True) == lines
+            assert lines[1:n + 1] == [f"  v{i};\n" for i in range(1, n + 1)]
+            assert lines[n + 1:-1] == [f"  v{i} -- v{j};\n" for i, j in edges]
 
 
 def test_edge_count_lists_no_edges():

@@ -420,6 +420,12 @@ def test_every_quantity_has_two_methods():
     assert all(len(m) >= 2 for m in methods.values()), methods
 
 
+def test_methods_list_the_route_table_in_first_appearance_order():
+    # count's --route choices come from _METHODS, not from a table built to
+    # read them; the table and its --help must not drift apart.
+    assert verify._METHODS == tuple(dict.fromkeys(m for _, m in verify._routes()))
+
+
 def test_oracle_set_counts_enumerate_each_graph_once(monkeypatch):
     # The oracle set counts keep the size histogram of the graph asked last:
     # the total and every k of one graph enumerate it once, and each other
