@@ -39,7 +39,6 @@ from .enumeration import (
     bijection_f,
     bijection_f_inv,
     count_by_size,
-    enumerate_independent,
     gap_check,
     is_independent,
     iter_masks,
@@ -80,7 +79,6 @@ __all__ = [
     "is_independent",
     "gap_check",
     "iter_masks",
-    "enumerate_independent",
     "count_by_size",
     "bijection_f",
     "bijection_f_inv",

@@ -14,15 +14,14 @@ and no sort; they are kept in one list, split by rank once.
 :class:`VertexMask` objects are made only when a caller indexes or iterates
 ``CubeGraph.vertices``.
 
-Covers are generated where they are read, by one walk over the ranks that
-places each cover through a ``{mask: row}`` map of the rank below alone; no
-map of the whole cube is ever held.  The walk labels each row with what its
-reader wants: the exporters take decimal strings, formatted a rank at a
-time, and ``covers`` takes indices, which it keeps, on first read, in two
-``array('I')``: V+1 row offsets and the upper indices, row after row, so a
-cover costs 4 bytes.  An export is one join of chunks of about
-``_CHUNK_CHARS`` characters, which ``_chunks`` makes from one string per
-label or row and which concatenate to the whole.
+Covers are never stored.  They are generated where they are read, by one
+walk over the ranks that places each cover through a ``{mask: row}`` map of
+the rank below alone; no map of the whole cube is ever held.  The walk
+labels each row with what its reader wants: the exporters take decimal
+strings, formatted a rank at a time, and ``covers`` takes indices, which it
+yields as pairs.  An export is one join of chunks of about ``_CHUNK_CHARS``
+characters, which ``_chunks`` makes from one string per label or row and
+which concatenate to the whole.
 
 For h = 0 this is the Boolean lattice (the n-cube); for h = 1 on paths and
 cycles it is the classic Fibonacci and Lucas cube.
@@ -33,7 +32,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from operator import eq, le
+from operator import le
 
 from .enumeration import DEFAULT_CAP, VertexMask, _bit_string, _check_cap, iter_masks
 from .graphs import CYCLE, GapGraph
@@ -128,44 +127,30 @@ class _Vertices(Sequence):
         return VertexMask(self._n, self._masks[i])
 
 
-class _Covers(Sequence):
+class _Covers:
     """The (lower, upper) pairs of the cover rows, in lexicographic order.
 
-    Pairs are made on access and ``len`` builds nothing.  Equal to any
-    sequence of the same pairs, such as a list of tuples.
+    ``len`` is the cover count and builds nothing; each iteration walks the
+    ranks afresh, holding two, and raises ArithmeticError on a family that
+    is not subset-closed.  Not indexable: ``list(c.covers)`` is the list.
     """
 
-    __slots__ = ("_starts", "_uppers")
+    __slots__ = ("_cube",)
 
-    def __init__(self, starts: Sequence[int], uppers: Sequence[int]):
-        self._starts = starts
-        self._uppers = uppers
+    def __init__(self, cube: CubeGraph):
+        self._cube = cube
 
     def __len__(self) -> int:
-        return len(self._uppers)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]  # checks the bounds, resolves a negative index
-        # Empty rows repeat an offset; the last row starting at or before i
-        # is the one holding it.
-        return bisect_right(self._starts, i) - 1, self._uppers[i]
+        return self._cube.cover_count
 
     def __iter__(self):
-        uppers = self._uppers
-        for lo, (a, b) in enumerate(itertools.pairwise(self._starts)):
-            for hi in uppers[a:b]:
+        for lo, row in self._cube._rows(lambda indices: indices):
+            for hi in row:
                 yield lo, hi
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
 
 class CubeGraph:
-    """Ranked vertex masks plus cover rows; built once, then immutable.
+    """Ranked vertex masks, their covers generated on read; built once, then immutable.
 
     Vertex order is (rank, numeric mask value): all size-0 sets first, then
     size-1, and so on, each block ascending.  ``masks`` lists the integer
@@ -174,11 +159,9 @@ class CubeGraph:
     question by rank reads.  ``vertices`` is a read-only sequence of
     :class:`VertexMask` whose items are made on access.
 
-    ``covers`` is a read-only sequence of the (lower, upper) pairs, sorted
-    lexicographically, whose items are made on access.  Its cover rows are
-    a cache filled on first read: the covers of lower vertex ``lo`` are the
-    upper indices ``covers._uppers[covers._starts[lo]:covers._starts[lo + 1]]``,
-    ascending.  The exports never fill it.
+    ``covers`` walks the (lower, upper) pairs, sorted lexicographically; it
+    is sized and iterable but keeps nothing, so each iteration generates
+    them again.  The exports read the same walk, labelled with strings.
 
     The masks must have length n and come in vertex order, non-decreasing,
     or ValueError is raised: that costs a pass over them, which
@@ -193,7 +176,6 @@ class CubeGraph:
         self.source = source
         self.masks = masks
         self.vertices = _Vertices(n, masks)
-        self._covers = None
         # Rank n + 1 is empty, and so is any rank past the top or that a
         # family not down-closed skips.
         self._ranks = list(itertools.accumulate(_sizes + [0] * (n + 2 - len(_sizes)), initial=0))
@@ -215,15 +197,7 @@ class CubeGraph:
 
     @property
     def covers(self) -> _Covers:
-        if self._covers is None:
-            from array import array  # here, so that commands reading no covers never load it
-
-            starts, uppers = array("I", [0]), array("I")
-            for _, row in self._rows(lambda indices: indices):
-                uppers.extend(row)
-                starts.append(len(uppers))
-            self._covers = _Covers(starts, uppers)
-        return self._covers
+        return _Covers(self)
 
     def index_of(self, mask: VertexMask) -> int:
         """The index of ``mask`` in vertex order; KeyError if it is no vertex."""
@@ -291,18 +265,10 @@ class CubeGraph:
         head = f"graph cube_{g.kind}_{n}_{g.h} {{\n"
         return "".join(itertools.chain((head,), labels, covers, ("}\n",)))
 
-    def to_json_dict(self) -> dict:
-        n = self.source.n
-        return {
-            "kind": self.source.kind,
-            "n": n,
-            "h": self.source.h,
-            "ranks": [[_bit_string(n, m) for m in block] for block in self._rank_blocks()],
-            "covers": [list(c) for c in self.covers],
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written directly."""
+        """``json.dumps(..., indent=2) + "\\n"`` of ``{"kind", "n", "h", "ranks",
+        "covers"}``, written directly: the vertex strings rank by rank, and
+        the ``[lower, upper]`` index pairs of ``covers``."""
         g = self.source
         n = g.n
         ranks = ("".join(_json_array((f'"{_bit_string(n, m)}"' for m in block), 2))

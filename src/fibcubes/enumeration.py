@@ -31,7 +31,6 @@ __all__ = [
     "is_independent",
     "gap_check",
     "iter_masks",
-    "enumerate_independent",
     "count_by_size",
     "bijection_f",
     "bijection_f_inv",
@@ -227,11 +226,6 @@ def iter_masks(g: GapGraph, cap: int = DEFAULT_CAP) -> list[int]:
         n, h = g.n, g.h
         masks = [m for m in masks if _wraps_ok(m, n, h)]
     return masks
-
-
-def enumerate_independent(g: GapGraph, cap: int = DEFAULT_CAP) -> list[VertexMask]:
-    """All independent sets of g as VertexMasks, in ascending numeric order."""
-    return [VertexMask(g.n, bits) for bits in iter_masks(g, cap)]
 
 
 def count_by_size(g: GapGraph, cap: int = DEFAULT_CAP) -> dict[int, int]:

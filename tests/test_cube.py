@@ -7,7 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -21,20 +21,20 @@ from fibcubes.graphs import CYCLE, PATH, GapGraph
 def test_small_path_cube_shape():
     c = build_cube(GapGraph(PATH, 4, 2))
     assert c.vertex_count == 6
-    assert len(c.covers) == c.cover_count == 6
+    assert len(list(c.covers)) == c.cover_count == 6
 
 
 def test_small_cycle_cube_shape():
     c = build_cube(GapGraph(CYCLE, 4, 1))
     assert c.vertex_count == 7
-    assert len(c.covers) == c.cover_count == 8
+    assert len(list(c.covers)) == c.cover_count == 8
 
 
 def test_zero_gap_gives_boolean_lattice():
     for n in range(8):
         c = build_cube(GapGraph(PATH, n, 0))
         assert c.vertex_count == 2 ** n
-        assert len(c.covers) == c.cover_count == (n * 2 ** (n - 1) if n else 0)
+        assert len(list(c.covers)) == c.cover_count == (n * 2 ** (n - 1) if n else 0)
 
 
 def test_vertices_grouped_by_rank_then_numeric():
@@ -46,8 +46,9 @@ def test_vertices_grouped_by_rank_then_numeric():
 def test_covers_differ_in_exactly_one_bit():
     for g in (GapGraph(PATH, 8, 1), GapGraph(CYCLE, 9, 2)):
         c = build_cube(g)
-        assert c.covers == sorted(set(c.covers))
-        for lo, hi in c.covers:
+        pairs = list(c.covers)
+        assert pairs == sorted(set(pairs))
+        for lo, hi in pairs:
             a, b = c.vertices[lo], c.vertices[hi]
             assert a.bits.bit_count() + 1 == b.bits.bit_count()
             assert a.bits & b.bits == a.bits  # proper subset
@@ -68,7 +69,7 @@ def test_hamming_pairs_equal_covers():
         for h in range(4):
             for n in range(11):
                 c = build_cube(GapGraph(kind, n, h))
-                assert c.hamming_pairs() == len(c.covers), (kind, n, h)
+                assert c.hamming_pairs() == len(list(c.covers)), (kind, n, h)
 
 
 def _hamming_pairs_reference(masks):
@@ -114,15 +115,16 @@ def test_rank_readers_match_a_scan_of_the_masks():
 
 def test_rank_readers_on_a_family_that_skips_a_rank():
     # {0, 0b11} has no rank 1: the profile has no entry for it, the other
-    # readers see the two vertices, and covers still fail at the closure.
+    # readers see the two vertices, and covers still fail at the closure,
+    # though their len, the rank sum, answers.
     c = cube.CubeGraph(GapGraph(PATH, 2, 0), [0, 0b11])
     assert c.rank_profile() == {0: 1, 2: 1}
-    assert c.cover_count == 2
+    assert len(c.covers) == c.cover_count == 2
     assert [c.index_of(VertexMask(2, m)) for m in (0, 0b11)] == [0, 1]
     for m in (0b01, 0b10):
         with pytest.raises(KeyError):
             c.index_of(VertexMask(2, m))
-    for read in (lambda: c.covers, c.to_dot, c.to_json, c.to_json_dict, c.to_edgelist_text):
+    for read in (lambda: list(c.covers), c.to_dot, c.to_json, c.to_edgelist_text):
         with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
             read()
 
@@ -195,10 +197,10 @@ def test_counts_match_closed_forms():
         for n in range(12):
             cp = build_cube(GapGraph(PATH, n, h))
             assert cp.vertex_count == path_count(n, h)
-            assert len(cp.covers) == cp.cover_count == path_edges(n, h)
+            assert len(list(cp.covers)) == cp.cover_count == path_edges(n, h)
             cc = build_cube(GapGraph(CYCLE, n, h))
             assert cc.vertex_count == cycle_count(n, h)
-            assert len(cc.covers) == cc.cover_count == cycle_edges(n, h)
+            assert len(list(cc.covers)) == cc.cover_count == cycle_edges(n, h)
 
 
 def test_complete_cycle_powers_give_stars():
@@ -206,7 +208,7 @@ def test_complete_cycle_powers_give_stars():
         for n in range(2 * h + 2):
             c = build_cube(GapGraph(CYCLE, n, h))
             assert c.vertex_count == n + 1
-            assert len(c.covers) == c.cover_count == n
+            assert len(list(c.covers)) == c.cover_count == n
 
 
 def test_capacity_error_propagates():
@@ -221,7 +223,7 @@ def test_cover_count_streams_same_totals():
         for h in range(4):
             for n in range(12):
                 g = GapGraph(kind, n, h)
-                assert cover_count(g) == len(build_cube(g).covers)
+                assert cover_count(g) == len(list(build_cube(g).covers))
 
 
 def test_cover_count_raises_on_family_not_subset_closed(monkeypatch):
@@ -232,12 +234,12 @@ def test_cover_count_raises_on_family_not_subset_closed(monkeypatch):
 
 
 @pytest.mark.parametrize("read", [
-    lambda c: c.covers, cube.CubeGraph.to_dot, cube.CubeGraph.to_json,
+    lambda c: list(c.covers), cube.CubeGraph.to_dot, cube.CubeGraph.to_json,
     cube.CubeGraph.to_edgelist_text],
     ids=["covers", "to_dot", "to_json", "to_edgelist_text"])
 def test_covers_and_exports_raise_on_family_not_subset_closed(read):
     # {0, 0b11} lacks 0b01 and 0b10, so deleting a bit of 0b11 leaves it.
-    # Covers are generated where they are read, so the check runs there.
+    # Covers are generated where they are walked, so the check runs there.
     c = cube.CubeGraph(GapGraph(PATH, 2, 0), [0, 0b11])
     with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
         read(c)
@@ -274,16 +276,16 @@ def test_index_of_raises_key_error_for_a_non_vertex():
 
 
 def test_built_cube_holds_under_100_bytes_per_vertex():
-    # The masks, the two cover arrays, filled when covers is first read, and
-    # the int objects: about 73 bytes a vertex for path 14 0 (16,384
-    # vertices, 7 covers each); a {mask: index} map kept beside the masks
-    # took it to about 136.
+    # What the cube keeps after its covers have been walked to the end: the
+    # masks list and the int objects, about 40 bytes a vertex for path 14 0
+    # (16,384 vertices, 7 covers each) on Python 3.11. Two cover arrays
+    # kept on first read took it to about 72; a {mask: index} map kept
+    # beside the masks, to about 136.
     g = GapGraph(PATH, 14, 0)
-    build_cube(GapGraph(PATH, 2, 0)).covers  # loads array before tracing starts
     tracemalloc.start()
     try:
         c = build_cube(g)
-        c.covers
+        deque(c.covers, maxlen=0)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -292,18 +294,18 @@ def test_built_cube_holds_under_100_bytes_per_vertex():
 
 
 def test_building_a_cube_peaks_under_160_bytes_per_vertex():
-    # Building the cube and reading its covers. At its peak this holds the
-    # masks, the cover arrays, one rank's {mask: row} map, that rank's rows
-    # and a slice of the masks of each of the two ranks in hand: about 133
-    # bytes a vertex for path 16 0 (65,536 vertices), against about 56 for
-    # the build alone. A {mask: index} map of the whole cube, as covers were
-    # once placed, took it to about 187.
+    # Building the cube and walking its covers to the end. At its peak this
+    # holds the masks, one rank's {mask: row} map, that rank's rows and a
+    # slice of the masks of each of the two ranks in hand: about 89 bytes a
+    # vertex for path 16 0 (65,536 vertices) on Python 3.11, against about
+    # 41 for the build alone. Two cover arrays kept beside them took it to
+    # about 102; a {mask: index} map of the whole cube, as covers were once
+    # placed, to about 187.
     g = GapGraph(PATH, 16, 0)
-    build_cube(GapGraph(PATH, 2, 0)).covers  # loads array before tracing starts
     tracemalloc.start()
     try:
         c = build_cube(g)
-        c.covers
+        deque(c.covers, maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -354,7 +356,15 @@ def test_json_export_is_the_indented_json_dumps_layout():
     # The built cubes, and families of path 1 with no vertex, no cover and one cover.
     families = [cube.CubeGraph(GapGraph(PATH, 1, 0), masks) for masks in ([], [0], [0, 1])]
     for c in itertools.chain(_cubes_up_to(9, 3), families):
-        assert c.to_json() == json.dumps(c.to_json_dict(), indent=2) + "\n", c
+        g = c.source
+        layout = {
+            "kind": g.kind,
+            "n": g.n,
+            "h": g.h,
+            "ranks": [[VertexMask(g.n, m).to_string() for m in block] for block in c._rank_blocks()],
+            "covers": [list(p) for p in c.covers],
+        }
+        assert c.to_json() == json.dumps(layout, indent=2) + "\n", c
     empty = build_cube(GapGraph(CYCLE, 0, 2)).to_json()
     assert '\n  "covers": []\n' in empty
     assert json.loads(empty)["ranks"] == [[""]]
@@ -392,7 +402,7 @@ def test_vertices_are_made_on_access(monkeypatch):
     assert made == [c.masks[5]]
 
 
-# --- the cover rows and the covers view ---------------------------------------
+# --- the cover rows and the covers walk ---------------------------------------
 
 
 def _literal_covers(c):
@@ -404,11 +414,11 @@ def _literal_covers(c):
 
 def test_cover_rows_are_ascending_and_complete():
     for c in _cubes_up_to(9, 3):
-        starts, uppers = c.covers._starts, c.covers._uppers
-        assert starts.typecode == uppers.typecode == "I"
-        assert len(starts) == c.vertex_count + 1
-        assert starts[0] == 0 and starts[-1] == len(uppers) == c.cover_count
-        rows = [list(uppers[a:b]) for a, b in zip(starts, starts[1:])]
+        pairs = list(c.covers)
+        assert len(pairs) == c.cover_count
+        rows = [[] for _ in range(c.vertex_count)]
+        for lo, hi in pairs:
+            rows[lo].append(hi)
         assert all(row == sorted(set(row)) for row in rows), c
         assert [(lo, hi) for lo, row in enumerate(rows) for hi in row] == _literal_covers(c)
 
@@ -419,47 +429,40 @@ def test_covers_view_is_the_sorted_pair_list():
         covers = c.covers
         assert len(covers) == len(pairs) == c.cover_count
         assert list(covers) == pairs  # iteration is lexicographic
-        assert covers == pairs and pairs == covers and covers == tuple(pairs)
-        assert covers == covers[:]
-        for i in range(len(pairs)):
-            assert covers[i] == pairs[i]
-            assert covers[-1 - i] == pairs[-1 - i]
-        m = len(pairs)
-        for a, b, step in ((0, m // 2, 1), (m // 3, None, 1), (-3, None, 1),
-                           (None, None, 2), (None, None, -1), (m - 1, 0, -3), (5, 2, 1)):
-            assert covers[a:b:step] == pairs[a:b:step], (c, a, b, step)
-        for i in (m, -m - 1):
-            with pytest.raises(IndexError):
-                covers[i]
+
+
+def test_covers_are_walked_afresh_on_every_iteration():
+    for c in _cubes_up_to(9, 3):
+        covers = c.covers
+        first = list(covers)
+        assert list(covers) == first == _literal_covers(c), c
+        assert list(c.covers) == first, c
+        # Two walks in step do not share a position.
+        a, b = iter(covers), iter(covers)
+        assert list(zip(a, b)) == [(p, p) for p in first], c
 
 
 def test_covers_view_inequality():
+    # The view keeps no pairs, so it neither indexes nor compares equal to
+    # them: a caller that wants a sequence takes list(c.covers).
     c = build_cube(GapGraph(PATH, 4, 1))
     pairs = list(c.covers)
-    assert c.covers != pairs[:-1]
-    assert c.covers != [list(p) for p in pairs]
-    assert c.covers != pairs[:-1] + [(pairs[-1][0], pairs[-1][1] + 1)]
-    assert c.covers != 5 and c.covers != "covers"
-    assert c.covers == build_cube(GapGraph(PATH, 4, 1)).covers
+    assert c.covers != pairs and c.covers != tuple(pairs)
+    assert pairs == list(build_cube(GapGraph(PATH, 4, 1)).covers)
+    assert pairs != list(build_cube(GapGraph(PATH, 4, 2)).covers)
     with pytest.raises(TypeError):
-        hash(c.covers)
+        c.covers[0]
 
 
 def test_covers_view_of_the_empty_and_star_diagrams():
     for kind in (PATH, CYCLE):
         c = build_cube(GapGraph(kind, 0, 2))
-        assert list(c.covers._starts) == [0, 0] and len(c.covers._uppers) == 0
-        assert len(c.covers) == 0 and list(c.covers) == [] and c.covers == []
-        assert c.covers[:] == [] and c.covers[-5:] == []
-        with pytest.raises(IndexError):
-            c.covers[0]
+        assert len(c.covers) == 0 and list(c.covers) == []
     for h in range(5):
         for n in range(1, 2 * h + 2):
             c = build_cube(GapGraph(CYCLE, n, h))
             star = [(0, i) for i in range(1, n + 1)]
-            assert c.covers == star and list(c.covers) == star
-            assert c.covers[-1] == (0, n) and c.covers[1:] == star[1:]
-            assert list(c.covers._starts) == [0] + [n] * (n + 1)
+            assert len(c.covers) == n and list(c.covers) == star
 
 
 def test_exports_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -491,13 +494,24 @@ def test_cover_count_reads_no_pairs(monkeypatch):
         raise AssertionError("a cover pair was made")
 
     monkeypatch.setattr(cube._Covers, "__iter__", boom)
-    monkeypatch.setattr(cube._Covers, "__getitem__", boom)
     assert len(c.covers) == c.cover_count == cycle_edges(9, 1)
     c.to_dot(), c.to_json(), c.to_edgelist_text()
 
 
+def test_covers_len_walks_no_rank(monkeypatch):
+    c = build_cube(GapGraph(PATH, 10, 2))
+
+    def boom(*args):
+        raise AssertionError("the covers were walked")
+
+    monkeypatch.setattr(cube.CubeGraph, "_rows", boom)
+    assert len(c.covers) == c.cover_count == path_edges(10, 2)
+    with pytest.raises(AssertionError, match="walked"):
+        list(c.covers)
+
+
 def test_exported_covers_are_the_covers_view():
-    # The exports and the cover arrays are the two readers of one generator
+    # The exports and the covers view are the two readers of one generator
     # of cover rows; they must list the same pairs in the same order.
     for c in _cubes_up_to(9, 3):
         pairs = [list(p) for p in c.covers]
@@ -515,7 +529,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 @pytest.mark.parametrize("fmt", list(EXPORTS))
 def test_cube_command_builds_no_cover_arrays(fmt, monkeypatch, tmp_path, capsys):
     def boom(self):
-        raise AssertionError("the cover arrays were built")
+        raise AssertionError("covers was read")
 
     want = getattr(build_cube(GapGraph(CYCLE, 9, 1)), EXPORTS[fmt])()
     monkeypatch.setattr(cube.CubeGraph, "covers", property(boom))
