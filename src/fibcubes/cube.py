@@ -7,7 +7,7 @@ which is how covers are generated, and cover pairs coincide with pairs at
 Hamming distance 1.
 
 Vertices stay integer masks (b_1 the low bit) from construction to the
-exported text.  ``build_cube`` makes them a rank at a time, each rank from
+exported text.  A cube makes them itself, a rank at a time, each rank from
 the one below (a set is its top element plus a set of the rank below that
 lies more than h under it), so they come in vertex order with no path list
 and no sort; they are kept in one list, split by rank once.
@@ -30,9 +30,8 @@ cycles it is the classic Fibonacci and Lucas cube.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from operator import le
 
 from .enumeration import DEFAULT_CAP, VertexMask, _bit_string, _check_cap, iter_masks
 from .graphs import CYCLE, GapGraph
@@ -95,20 +94,6 @@ def _place_covers(lower: Iterable[int], upper: Iterable[int], names: Iterable) -
     return rows
 
 
-def _rank_sizes(masks: list[int], n: int) -> list[int]:
-    """The number of masks of each rank 0..top; ValueError unless every mask
-    has length n and they are non-decreasing in (rank, value)."""
-    if masks and (min(masks) < 0 or max(masks) >> n):
-        raise ValueError(f"masks out of range for length {n}")
-    ranks = list(map(int.bit_count, masks))
-    # Tuples compare by rank, then value; non-decreasing, not strict, so that
-    # a repeated mask reaches the checks of the readers.
-    if not all(map(le, zip(ranks, masks), zip(ranks[1:], masks[1:]))):
-        raise ValueError("masks are not in vertex order: (rank, value) must not decrease")
-    top = ranks[-1] if ranks else -1
-    return [bisect_right(ranks, k) - bisect_left(ranks, k) for k in range(top + 1)]
-
-
 class _Vertices(Sequence):
     """The cube's masks as VertexMasks, each made when it is accessed."""
 
@@ -150,7 +135,13 @@ class _Covers:
 
 
 class CubeGraph:
-    """Ranked vertex masks, their covers generated on read; built once, then immutable.
+    """The inclusion diagram of ``source``'s independent sets: ranked vertex
+    masks, their covers generated on read; built once, then immutable.
+
+    The cube makes its own masks, a rank at a time by ``_ranks``, after
+    ``_check_cap``; no mask list is taken, so every cube is the down-closed
+    family of a gap graph, holding the empty set.  The list is partial only
+    inside ``list()``, which frees it if memory runs out.
 
     Vertex order is (rank, numeric mask value): all size-0 sets first, then
     size-1, and so on, each block ascending.  ``masks`` lists the integer
@@ -162,23 +153,23 @@ class CubeGraph:
     ``covers`` walks the (lower, upper) pairs, sorted lexicographically; it
     is sized and iterable but keeps nothing, so each iteration generates
     them again.  The exports read the same walk, labelled with strings.
-
-    The masks must have length n and come in vertex order, non-decreasing,
-    or ValueError is raised: that costs a pass over them, which
-    ``build_cube`` skips by handing over the size of each rank it made, as
-    ``_sizes``.
     """
 
-    def __init__(self, source: GapGraph, masks: list[int], _sizes: list[int] | None = None):
+    def __init__(self, source: GapGraph, *, cap: int = DEFAULT_CAP):
+        _check_cap(source, cap)
         n = source.n
-        if _sizes is None:
-            _sizes = _rank_sizes(masks, n)
+        sizes = []
+
+        def tally(rank):
+            sizes.append(len(rank))
+            return rank
+
+        masks = list(itertools.chain.from_iterable(map(tally, _ranks(n, source.h, source.kind == CYCLE))))
         self.source = source
         self.masks = masks
         self.vertices = _Vertices(n, masks)
-        # Rank n + 1 is empty, and so is any rank past the top or that a
-        # family not down-closed skips.
-        self._ranks = list(itertools.accumulate(_sizes + [0] * (n + 2 - len(_sizes)), initial=0))
+        # The ranks above the top one, rank n + 1 among them, are empty.
+        self._ranks = list(itertools.accumulate(sizes + [0] * (n + 2 - len(sizes)), initial=0))
 
     def __repr__(self) -> str:
         g = self.source
@@ -278,9 +269,8 @@ class CubeGraph:
             lambda lo, his: (f"[\n      {lo},\n      "
                              + f"\n    ],\n    [\n      {lo},\n      ".join(his) + "\n    ]"),
             ",\n    ")
-        # The top vertex is nonzero exactly when some vertex has a cover below
-        # it; a family with no vertex has none.
-        opening, closing = ("[\n    ", "\n  ]") if any(self.masks[-1:]) else ("[", "]")
+        # The top vertex is nonzero exactly when some vertex has a cover below it.
+        opening, closing = ("[\n    ", "\n  ]") if self.masks[-1] else ("[", "]")
         return "".join(itertools.chain((head,), _chunks(_json_array(ranks, 1)),
                                        (',\n  "covers": ' + opening,), covers, (closing + "\n}\n",)))
 
@@ -320,28 +310,18 @@ def _ranks(n: int, h: int, cycle: bool):
         # As in enumeration._path_mask_ints, free the partial lists before
         # the error unwinds: the traceback keeps this frame.  Emptied in
         # place, not deleted, in case a consumer still holds the rank
-        # yielded last; build_cube's chain holds none.
+        # yielded last; the chain in CubeGraph holds none.
         lower.clear()
         rank.clear()
         raise
 
 
 def build_cube(g: GapGraph, cap: int = DEFAULT_CAP) -> CubeGraph:
-    """Construct the inclusion diagram of g's independent sets: the ranks
-    of ``_ranks`` joined into one mask list in vertex order, with the size
-    of each rank noted as it passes.  The list is partial only inside
-    ``list()``, which frees it if memory runs out.  Covers are generated
-    when they are read, and a family that is not subset-closed raises
+    """Construct the inclusion diagram of g's independent sets, refusing an
+    order above ``cap``.  Covers are generated when they are read; should
+    ``_ranks`` ever yield a family that is not subset-closed, that raises
     ArithmeticError then."""
-    _check_cap(g, cap)
-    sizes = []
-
-    def tally(rank):
-        sizes.append(len(rank))
-        return rank
-
-    masks = list(itertools.chain.from_iterable(map(tally, _ranks(g.n, g.h, g.kind == CYCLE))))
-    return CubeGraph(g, masks, sizes)
+    return CubeGraph(g, cap=cap)
 
 
 def cover_count(g: GapGraph, cap: int = DEFAULT_CAP) -> int:

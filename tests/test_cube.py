@@ -72,6 +72,15 @@ def test_hamming_pairs_equal_covers():
                 assert c.hamming_pairs() == len(list(c.covers)), (kind, n, h)
 
 
+def _cube_from_ranks(n, ranks):
+    """The cube of path n 0 as a broken rank generator would build it, one
+    that yields the lists ``ranks``: the only way to a family that is not
+    the independent sets of a gap graph."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cube, "_ranks", lambda *graph: iter(ranks))
+        return build_cube(GapGraph(PATH, n, 0))
+
+
 def _hamming_pairs_reference(masks):
     return sum(1 for a, b in itertools.combinations(masks, 2) if (a ^ b).bit_count() == 1)
 
@@ -83,12 +92,12 @@ def test_hamming_pairs_match_the_pairwise_definition():
                 c = build_cube(GapGraph(kind, n, h))
                 assert c.hamming_pairs() == _hamming_pairs_reference(c.masks), (kind, n, h)
     # Families that are not down-closed: no pair, then one.
-    for masks, pairs in (([0, 0b11], 0), ([0b01, 0b11], 1)):
-        assert cube.CubeGraph(GapGraph(PATH, 2, 0), masks).hamming_pairs() == pairs
+    for ranks, pairs in (([[0], [], [0b11]], 0), ([[], [0b01], [0b11]], 1)):
+        assert _cube_from_ranks(2, ranks).hamming_pairs() == pairs
     # A repeated mask counts its pairs once per copy, so the flips no
     # longer pair up.
     with pytest.raises(ArithmeticError, match="^odd Hamming pair count 3$"):
-        cube.CubeGraph(GapGraph(PATH, 1, 0), [0, 1, 1]).hamming_pairs()
+        _cube_from_ranks(1, [[0], [1, 1]]).hamming_pairs()
 
 
 def test_rank_readers_match_a_scan_of_the_masks():
@@ -117,7 +126,7 @@ def test_rank_readers_on_a_family_that_skips_a_rank():
     # {0, 0b11} has no rank 1: the profile has no entry for it, the other
     # readers see the two vertices, and covers still fail at the closure,
     # though their len, the rank sum, answers.
-    c = cube.CubeGraph(GapGraph(PATH, 2, 0), [0, 0b11])
+    c = _cube_from_ranks(2, [[0], [], [0b11]])
     assert c.rank_profile() == {0: 1, 2: 1}
     assert len(c.covers) == c.cover_count == 2
     assert [c.index_of(VertexMask(2, m)) for m in (0, 0b11)] == [0, 1]
@@ -129,25 +138,22 @@ def test_rank_readers_on_a_family_that_skips_a_rank():
             read()
 
 
-def test_constructor_rejects_masks_out_of_vertex_order():
-    # Each of these once gave silent wrong answers: [2, 1, 0] a profile of
-    # {1: 3}, [0b11, 0, 1, 2] the edge list "1 2\n1 3\n", and the value
-    # order of path 3 0 a profile of {0: 1, 1: 4, 2: 2, 3: 1} and 11 covers.
-    for n, masks in ((2, [2, 1, 0]), (2, [0b11, 0, 1, 2]), (3, iter_masks(GapGraph(PATH, 3, 0)))):
-        with pytest.raises(ValueError, match="not in vertex order"):
-            cube.CubeGraph(GapGraph(PATH, n, 0), masks)
-    # A mask longer than n, or negative, would be exported with a wrong label.
-    for masks in ([0, 0b10], [0, 0b11], [-1, 0]):
-        with pytest.raises(ValueError, match="^masks out of range for length 1$"):
-            cube.CubeGraph(GapGraph(PATH, 1, 0), masks)
-    # The families built elsewhere in these tests, a repeated mask among
-    # them, still construct, with the rank offsets that a scan gives.
-    for n, masks in ((1, []), (1, [0]), (1, [0, 1]), (1, [0, 1, 1]), (2, [0, 0b11]),
-                     (2, [0b01, 0b11])):
-        c = cube.CubeGraph(GapGraph(PATH, n, 0), masks)
-        assert c._ranks == [sum(m.bit_count() < k for m in masks) for k in range(n + 3)]
-    for c in _cubes_up_to(8, 3):
-        assert cube.CubeGraph(c.source, c.masks)._ranks == c._ranks
+def test_constructor_builds_the_cube_of_its_graph():
+    # There is one way to a cube: its graph, whose family the constructor
+    # generates itself.
+    for kind in (PATH, CYCLE):
+        for h in range(4):
+            for n in range(9):
+                g = GapGraph(kind, n, h)
+                c, built = cube.CubeGraph(g), build_cube(g)
+                assert (c.masks, c._ranks) == (built.masks, built._ranks), (kind, n, h)
+
+
+def test_constructor_checks_the_cap_and_takes_no_masks():
+    with pytest.raises(CapacityError, match=r"^refusing to enumerate n=5 \(cap 4\)$"):
+        cube.CubeGraph(GapGraph(PATH, 5, 1), cap=4)
+    with pytest.raises(TypeError):
+        cube.CubeGraph(GapGraph(PATH, 1, 0), [0, 1])
 
 
 def _ranked(g):
@@ -240,7 +246,7 @@ def test_cover_count_raises_on_family_not_subset_closed(monkeypatch):
 def test_covers_and_exports_raise_on_family_not_subset_closed(read):
     # {0, 0b11} lacks 0b01 and 0b10, so deleting a bit of 0b11 leaves it.
     # Covers are generated where they are walked, so the check runs there.
-    c = cube.CubeGraph(GapGraph(PATH, 2, 0), [0, 0b11])
+    c = _cube_from_ranks(2, [[0], [], [0b11]])
     with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
         read(c)
 
@@ -353,9 +359,8 @@ def _cubes_up_to(n_max, h_max):
 
 
 def test_json_export_is_the_indented_json_dumps_layout():
-    # The built cubes, and families of path 1 with no vertex, no cover and one cover.
-    families = [cube.CubeGraph(GapGraph(PATH, 1, 0), masks) for masks in ([], [0], [0, 1])]
-    for c in itertools.chain(_cubes_up_to(9, 3), families):
+    # Among them path 0 h, with no cover, and path 1 0, with one.
+    for c in _cubes_up_to(9, 3):
         g = c.source
         layout = {
             "kind": g.kind,

@@ -341,6 +341,25 @@ def test_rows_over_several_kinds_name_the_kind_in_their_witnesses(monkeypatch):
         {"kind": CYCLE, "n": 1, "h": 0, "k": None, "i": None, "expected": 1, "actual": 2}]
 
 
+def test_a_cover_walk_that_drops_an_upper_fails_both_cube_rows(monkeypatch):
+    # The walk side of the two cube rows: drop one upper from the first
+    # nonempty row of each pair of ranks.  Both rows must count the covers
+    # by walking them; their len, the rank sum, would not see this.
+    real = cube._place_covers
+
+    def dropping(lower, upper, names):
+        rows = real(lower, upper, names)
+        first = next((row for row in rows if row), None)
+        if first:
+            first.pop()
+        return rows
+
+    monkeypatch.setattr(cube, "_place_covers", dropping)
+    reports = verify.run_suite(12, 3, 8)
+    assert {r.identity: (r.failed, r.checked) for r in reports if r.failed} == {
+        "hamming-distance-covers": (64, 72), "small-cycle-star-poset": (16, 40)}
+
+
 def _off_by_one_at(monkeypatch, route, at):
     original = getattr(verify, route)
     monkeypatch.setattr(verify, route,
