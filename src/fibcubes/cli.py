@@ -32,8 +32,10 @@ invariant, propagates.
 
 Output is streamed: ``table`` computes and writes one row at a time, ``seq``
 and ``graph`` a chunk of lines at a time, and ``_emit`` writes each chunk as
-it arrives, so memory stays flat in the size of the output (``cube`` and
-``verify`` build their text first and write it the same way).  One size,
+it arrives, so memory stays flat in the size of the output.  ``cube`` and
+``verify`` build their text first and write it the same way, so they write
+nothing until it is whole; a cube export holds that text once, grown in
+place by ``cube._whole``, not beside the chunks it was made of.  One size,
 ``cube._CHUNK_CHARS``, sets both the chunks of ``cube._chunks``, which
 concatenate to the whole text, and the slices ``_emit`` writes.  Every usage
 check runs before the first byte is written.  ``--out`` to a regular file

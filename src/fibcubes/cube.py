@@ -19,9 +19,11 @@ walk over the ranks that places each cover through a ``{mask: row}`` map of
 the rank below alone; no map of the whole cube is ever held.  The walk
 labels each row with what its reader wants: the exporters take decimal
 strings, formatted a rank at a time, and ``covers`` takes indices, which it
-yields as pairs.  An export is one join of chunks of about ``_CHUNK_CHARS``
+yields as pairs.  An export is made of chunks of about ``_CHUNK_CHARS``
 characters, which ``_chunks`` makes from one string per label or row and
-which concatenate to the whole.
+which concatenate to the whole; ``_whole`` appends them onto one string,
+grown in place, so the export holds its text once, not beside its chunks.
+The ``to_*`` return that string, so nothing is written until it is whole.
 
 For h = 0 this is the Boolean lattice (the n-cube); for h = 1 on paths and
 cycles it is the classic Fibonacci and Lucas cube.
@@ -55,6 +57,29 @@ def _chunks(pieces, sep: str = ""):
             batch, size, lead = [], 0, sep
     if batch:
         yield lead + sep.join(batch)
+
+
+def _whole(*parts) -> str:
+    """The concatenation of the chunks of the iterables ``parts``, grown in
+    place: at its peak the text is held once, plus the chunk in hand.
+
+    CPython extends a str that nothing else references in place (``+=`` on
+    a local), so the text is reallocated, not copied, as it grows.  A
+    ``"".join`` keeps every chunk alive beside its result, and
+    ``io.StringIO.getvalue`` copies the buffer: both peak at twice the text.
+    """
+    text = ""
+    try:
+        for chunk in itertools.chain.from_iterable(parts):
+            text += chunk
+    except MemoryError:
+        # As in ``_ranks``, free the partial text, and then the cover walk
+        # that makes the chunks, before the error unwinds: the traceback
+        # keeps this frame.  The ``to_*`` pass the walk unnamed, so that
+        # ``parts`` holds its last reference.
+        text = parts = None
+        raise
+    return text
 
 
 def _json_array(items, depth: int):
@@ -246,15 +271,17 @@ class CubeGraph:
 
     # -- exports ------------------------------------------------------------
     # A row of covers is one string: its lower name is repeated through the
-    # separator of one join over its upper names.  An export is one join.
+    # separator of one join over its upper names.  An export is its chunks,
+    # appended by ``_whole``.
 
     def to_dot(self) -> str:
         g = self.source
         n = g.n
         labels = _chunks(f'  {i} [label="{_bit_string(n, m)}"];\n' for i, m in enumerate(self.masks))
-        covers = self._cover_rows(lambda lo, his: f"  {lo} -- " + f";\n  {lo} -- ".join(his) + ";\n")
         head = f"graph cube_{g.kind}_{n}_{g.h} {{\n"
-        return "".join(itertools.chain((head,), labels, covers, ("}\n",)))
+        return _whole((head,), labels,
+                      self._cover_rows(lambda lo, his: f"  {lo} -- " + f";\n  {lo} -- ".join(his) + ";\n"),
+                      ("}\n",))
 
     def to_json(self) -> str:
         """``json.dumps(..., indent=2) + "\\n"`` of ``{"kind", "n", "h", "ranks",
@@ -264,18 +291,18 @@ class CubeGraph:
         n = g.n
         ranks = ("".join(_json_array((f'"{_bit_string(n, m)}"' for m in block), 2))
                  for block in self._rank_blocks())
-        head = f'{{\n  "kind": "{g.kind}",\n  "n": {n},\n  "h": {g.h},\n  "ranks": '
-        covers = self._cover_rows(
-            lambda lo, his: (f"[\n      {lo},\n      "
-                             + f"\n    ],\n    [\n      {lo},\n      ".join(his) + "\n    ]"),
-            ",\n    ")
         # The top vertex is nonzero exactly when some vertex has a cover below it.
         opening, closing = ("[\n    ", "\n  ]") if self.masks[-1] else ("[", "]")
-        return "".join(itertools.chain((head,), _chunks(_json_array(ranks, 1)),
-                                       (',\n  "covers": ' + opening,), covers, (closing + "\n}\n",)))
+        head = f'{{\n  "kind": "{g.kind}",\n  "n": {n},\n  "h": {g.h},\n  "ranks": '
+
+        def row(lo, his):
+            return f"[\n      {lo},\n      " + f"\n    ],\n    [\n      {lo},\n      ".join(his) + "\n    ]"
+
+        return _whole((head,), _chunks(_json_array(ranks, 1)), (',\n  "covers": ' + opening,),
+                      self._cover_rows(row, ",\n    "), (closing + "\n}\n",))
 
     def to_edgelist_text(self) -> str:
-        return "".join(self._cover_rows(lambda lo, his: f"{lo} " + f"\n{lo} ".join(his) + "\n"))
+        return _whole(self._cover_rows(lambda lo, his: f"{lo} " + f"\n{lo} ".join(his) + "\n"))
 
 
 def _ranks(n: int, h: int, cycle: bool):

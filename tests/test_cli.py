@@ -881,6 +881,39 @@ def test_cube_build_out_of_memory_frees_its_partial_lists():
 
 
 @needs_rlimit_as
+def test_cube_export_out_of_memory_frees_its_partial_text():
+    # path 20 0 builds in about 60 MB of address space, but its 450 MB of
+    # JSON does not fit in 300: the export runs out of memory, and both its
+    # partial text and the cover walk that makes it are gone before the
+    # error unwinds.
+    code = ("from fibcubes.cube import build_cube; from fibcubes.graphs import GapGraph\n"
+            "c = build_cube(GapGraph('path', 20, 0))\n"
+            "try:\n"
+            "    c.to_json()\n"
+            "except MemoryError as exc:\n"
+            "    print(len(bytearray(200 << 20)) >> 20, exc.__traceback__ is not None)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120,
+                         preexec_fn=_limit_address_space)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "200 True\n", "")
+
+
+@needs_rlimit_as
+def test_cube_export_out_of_memory_leaves_the_file_alone(tmp_path):
+    # Nothing is written until the text is whole.
+    target = tmp_path / "cube.json"
+    target.write_text("keep\n", encoding="utf-8")
+    cmd, env = _python_m_fibcubes("cube", "path", "20", "0", "--format", "json",
+                                  "--out", str(target))
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120,
+                         preexec_fn=_limit_address_space)
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", "error: out of memory\n")
+    assert target.read_text(encoding="utf-8") == "keep\n"
+    assert os.listdir(tmp_path) == ["cube.json"]
+
+
+@needs_rlimit_as
 def test_mask_of_huge_length_is_checked_in_a_small_address_space():
     # The range check reads the bits' length: a bound of 1 << n would take
     # n / 8 bytes, 1.25 GB here.

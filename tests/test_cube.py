@@ -492,6 +492,46 @@ def test_chunks_concatenate_to_the_whole(size, sep, monkeypatch):
         assert "".join(cube._chunks(iter(pieces), sep)) == sep.join(pieces)
 
 
+def test_whole_is_the_concatenation_of_its_chunks():
+    long = "z" * (cube._CHUNK_CHARS + 3)
+    for parts in ([], [[]], [[""]], [["", "a"], [""]], [["ab"], [long, "", "c"], ["d"]]):
+        want = "".join(itertools.chain.from_iterable(parts))
+        assert cube._whole(*parts) == cube._whole(*map(iter, parts)) == want
+
+
+def test_whole_holds_the_text_once():
+    # The text grows in place, so its peak is the text plus the chunk in
+    # hand: about 1.02 times the text here on Python 3.11.  "".join and
+    # io.StringIO keep a second copy beside it, 2.00 times.
+    count, size = 160, cube._CHUNK_CHARS
+    fresh = (chr(97 + i % 26) * size for i in range(count))  # none of them interned
+    tracemalloc.start()
+    try:
+        text = cube._whole(fresh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == count * size
+    assert peak <= 1.1 * count * size, f"peak {peak / (count * size):.2f} times the text"
+
+
+def test_json_export_to_a_file_peaks_below_1_6_times_its_size(tmp_path):
+    # Build, export and write of path 14 0 (4.6 MB of JSON): the masks, one
+    # rank's rows, the text once and one slice being written, about 1.21
+    # times the bytes written on Python 3.11; a join beside its chunks
+    # would read 2.15.
+    target = tmp_path / "cube.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(["cube", "path", "14", "0", "--format", "json", "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert code == 0 and size > 4 << 20
+    assert peak < 1.6 * size, f"peak {peak / size:.2f} times the {size} bytes written"
+
+
 def test_cover_count_reads_no_pairs(monkeypatch):
     c = build_cube(GapGraph(CYCLE, 9, 1))
 
