@@ -16,13 +16,12 @@ Conventions used throughout:
   overflows.  :class:`HSequence` and the rows of the totals and edge counts
   (``path_count_row``, ``cycle_count_row``, ``path_edges_row``,
   ``cycle_edges_row``) may instead run over exact ``decimal.Decimal``:
-  given ``Decimal(1)`` as their private unit, they multiply every seed by
-  it, and every later value is a sum, or a product with a small int, of
-  those.  That is exact integer arithmetic only under a context that
-  raises on any rounding, which the caller sets up (``fibcubes.cli`` does
-  for large output, since a Decimal converts to decimal text in time
-  linear in its digits and an int in quadratic time).  The per-size rows
-  and the closed forms stay on int.
+  given ``Decimal(1)`` as their private unit, they multiply every seed, and
+  the jumps below every power of x, by it.  That is exact integer
+  arithmetic only under a context that raises on any rounding, which the
+  caller sets up (``fibcubes.cli`` does for large output, since a Decimal
+  converts to decimal text in time linear in its digits and an int in
+  quadratic time).  The per-size rows and the closed forms stay on int.
 * The closed-form totals and edge sums walk consecutive binomials along a
   diagonal, C(m, k) -> C(m-h, k+1), each from the one before by one
   multiply and one exact divide, so a total costs one big-integer step per
@@ -39,8 +38,8 @@ Conventions used throughout:
   totals (p(n) = n+1 for n <= h, c(n) = n+1 for n <= 2h+1) that give the
   recurrence route independently of the closed forms.  A sequence keeps no
   memo: every use runs the recurrence from the seeds with a window of at
-  most h+1 terms, so memory stays flat in n.  A single int term far past
-  the seeds is instead reached by Fiduccia's jump (C. M. Fiduccia, SIAM J.
+  most h+1 terms, so memory stays flat in n.  A single term far past the
+  seeds is instead reached by Fiduccia's jump (C. M. Fiduccia, SIAM J.
   Comput. 14 (1985)): x^m mod P(x) = x^(h+1) - x^h - 1 by square and
   multiply, applied to the last h+1 seeds, in O(h^2 log n) products, taken
   where a measured cost estimate (:func:`_jump_pays`) says it beats
@@ -50,7 +49,7 @@ Conventions used throughout:
   which obeys the same delayed recurrence driven by a.  One private
   generator streams u(1), u(2), ... at three big-integer additions per
   index and keeps at most h+1 of its values; :func:`convolve` applies beta
-  once, to the last few, and a row applies it at each index.  A single int
+  once, to the last few, and a row applies it at each index.  A single
   convolution far enough out (:func:`_conv_jump_pays`) is reached by the
   same jump instead, under the modulus P(x)^2, as a * b obeys P(E)^2 g = 0
   past its first few terms; the jump's modulus is one argument, the taps
@@ -205,7 +204,7 @@ def path_count_rec(n: int, h: int) -> int:
 def cycle_count_k(n: int, h: int, k: int) -> int:
     """Number of independent k-subsets of the h-power of the n-cycle.
 
-    For k >= 2 this is (n/k) * C(n - h*k - 1, k - 1); the division is exact
+    For k >= 1 this is (n/k) * C(n - h*k - 1, k - 1); the division is exact
     because the formula counts each subset once per element before dividing.
     """
     _require_nonnegative(n, h)
@@ -213,8 +212,6 @@ def cycle_count_k(n: int, h: int, k: int) -> int:
         return 0
     if k == 0:
         return 1
-    if k == 1:
-        return n
     return next(_cycle_shares(h, [n], [k], [binom(n - h * k - 1, k - 1)]))
 
 
@@ -362,16 +359,16 @@ def _reduce(s: list[int], taps: tuple[tuple[int, int], ...]) -> list[int]:
     return s
 
 
-def _x_power(m: int, taps: tuple[tuple[int, int], ...]) -> list[int]:
-    """Coefficients of x^m mod the modulus of ``taps``, of degree d, by
-    square and multiply from the top bits of m; the most leading bits that
-    make an exponent below d give a single 1 without a product."""
+def _x_power(m: int, taps: tuple[tuple[int, int], ...], unit) -> list[int]:
+    """Coefficients of x^m mod the modulus of ``taps``, of degree d, as
+    multiples of ``unit``, by square and multiply from the top bits of m; the
+    leading bits that make an exponent below d give ``unit`` without a product."""
     d = taps[-1][0]
     i = max(m.bit_length() - d.bit_length(), 0)  # m >> i has at most as many bits as d
     if m >> i >= d:
         i += 1
     c = [0] * d
-    c[m >> i] = 1
+    c[m >> i] = unit
     for i in reversed(range(i)):
         # c^2, each product of two distinct coefficients taken once and
         # doubled, then times x where bit i of m is set.
@@ -388,11 +385,11 @@ def _x_power(m: int, taps: tuple[tuple[int, int], ...]) -> list[int]:
     return c
 
 
-def _jump_terms(ts: list[int], m: int, taps: tuple[tuple[int, int], ...]) -> int:
+def _jump_terms(ts: list[int], m: int, taps: tuple[tuple[int, int], ...], unit) -> int:
     """T_m of a sequence that obeys M(E) T = 0 from T_0 on, E the shift and
     M the modulus of ``taps``, of degree d, given T_0..T_(2d-2) as ``ts``:
     Fiduccia's jump (C. M. Fiduccia, SIAM J. Comput. 14 (1985)), in
-    O(d^2 log m) products.
+    O(d^2 log m) products, on the sequence's ``unit``.
 
     T_m = L(x^m mod M), L the linear map taking x^k to T_k.  Split x^m =
     x^r * x^(m-r), r = m // 2, with a = x^r mod M and c = x^(m-r) mod M (a,
@@ -402,7 +399,7 @@ def _jump_terms(ts: list[int], m: int, taps: tuple[tuple[int, int], ...]) -> int
     """
     d = taps[-1][0]
     r = m >> 1
-    a = _x_power(r, taps)
+    a = _x_power(r, taps, unit)
     c = _reduce([0, *a], taps) if m & 1 else a
     return sum(ai * sum(map(mul, c, ts[i:i + d])) for i, ai in enumerate(a) if ai)
 
@@ -427,11 +424,12 @@ class HSequence:
     yielded.  An index inside the seed run is answered by the seed function
     alone, and one within h+1 past it by stepping from the last seed, so a
     large h costs nothing until terms well past the seeds are needed.
-    :meth:`term` reaches an index further on by iterating, or, for int
-    terms far enough past the seeds, by the jump of :meth:`_jump`.
+    :meth:`term` reaches an index further on by iterating, or, far enough
+    past the seeds, by the jump of :meth:`_jump`.
 
-    Every seed is multiplied by ``_unit``, ``1`` or ``Decimal(1)``, so the
-    terms are ints or Decimals; :meth:`numerator` is int either way.
+    Every seed is multiplied by ``_unit``, ``1`` or ``Decimal(1)``, and so
+    are the jump's powers of x, so the terms are ints or Decimals;
+    :meth:`numerator` is int either way.
     """
 
     def __init__(self, kind: str, h: int, _unit=1):
@@ -448,8 +446,8 @@ class HSequence:
         self._last = last(h)  # at least min_index + h: the recurrence starts from seeds
         seed = globals()[seed]
         # Seeds in the unit's type; the int unit 1 needs no product.
-        self._int = type(_unit) is int
-        self._seed = seed if self._int else lambda h, n: _unit * seed(h, n)
+        self._unit = _unit
+        self._seed = seed if type(_unit) is int else lambda h, n: _unit * seed(h, n)
 
     def __repr__(self) -> str:
         return f"HSequence({self.kind!r}, h={self.h})"
@@ -476,9 +474,8 @@ class HSequence:
     def term(self, n: int) -> int:
         """The n-th term; n counts from ``min_index`` (1, 0, or -h).
 
-        Past the first h+1 indices after the seeds, an int sequence takes
-        :meth:`_jump` where :func:`_jump_pays` says it is cheaper than
-        iterating; a Decimal sequence always iterates.
+        Past the first h+1 indices after the seeds, it takes :meth:`_jump`
+        where :func:`_jump_pays` says that is cheaper than iterating.
         """
         h, seed, last = self.h, self._seed, self._last
         if n < self.min_index:
@@ -491,7 +488,7 @@ class HSequence:
             # t(j-h-1) is a seed for every j <= n: a step per index past the
             # last seed, and no window.
             return seed(h, last) + sum(seed(h, j) for j in range(last - h, n - h))
-        if self._int and _jump_pays(h, n - last):
+        if _jump_pays(h, n - last):
             return self._jump(n)
         return self._iterate(n)
 
@@ -507,7 +504,7 @@ class HSequence:
         h, seed, last = self.h, self._seed, self._last
         ts = [seed(h, j) for j in range(last - h, last + 1)]
         ts[h:] = accumulate(ts[:h], initial=ts[h])  # each step adds a seed
-        return _jump_terms(ts, n - last + h, _modulus(h, 1))
+        return _jump_terms(ts, n - last + h, _modulus(h, 1), self._unit)
 
     def prefix(self, n: int) -> list[int]:
         """Terms from ``min_index`` through n inclusive (none if n is below
@@ -571,17 +568,19 @@ def convolve(a: HSequence, b: HSequence, n: int) -> int:
     a's own recurrence, at three big-integer additions per index, and beta
     is applied once, to the last few values of u.
 
-    Far enough out (:func:`_conv_jump_pays`), int sequences take
-    :func:`_conv_jump` instead, in O(h^2 log n) products.
+    Far enough out (:func:`_conv_jump_pays`), it takes :func:`_conv_jump`
+    instead, in O(h^2 log n) products.
     """
     if a.h != b.h:
         raise ValueError(f"cannot convolve sequences with h={a.h} and h={b.h}")
     if n < 1:
         raise ValueError("convolution index must be >= 1")
-    if a._int and b._int and _conv_jump_pays(a.h, n - _conv_start(a, b)):
+    if _conv_jump_pays(a.h, n - _conv_start(a, b)):
         return _conv_jump(a, b, n)
     beta = b.numerator(n)
-    if not beta:  # b vanishes on 1..n
+    # b vanishes on 1..n.  No kind does (b(1) >= 1), but the tests' Lucas
+    # fault injection, t(1) = h instead of h+1, does at h = 0.
+    if not beta:
         return 0
     # Every k in beta is below n, so the tail holds u(n-K) .. u(n).
     return _combine(beta, deque(_driven(a, n), maxlen=beta[-1][0] + 1))
@@ -604,7 +603,7 @@ def _conv_jump(a: HSequence, b: HSequence, n: int) -> int:
     gives: O(h^2 log n) products instead of n streamed indices."""
     s, d = _conv_start(a, b), 2 * a.h + 2
     ts = [*islice(_convolution(a, b, s + 2 * d - 2), s - 1, None)]
-    return _jump_terms(ts, n - s, _modulus(a.h, 2))
+    return _jump_terms(ts, n - s, _modulus(a.h, 2), a._unit)
 
 
 def _driven(a: HSequence, n: int) -> Iterator[int]:

@@ -171,7 +171,7 @@ class CubeGraph:
     Vertex order is (rank, numeric mask value): all size-0 sets first, then
     size-1, and so on, each block ascending.  ``masks`` lists the integer
     masks in that order, the only per-vertex table kept; rank k spans
-    ``_ranks[k]:_ranks[k + 1]`` of it, for k = 0..n + 1, which every
+    ``_offsets[k]:_offsets[k + 1]`` of it, for k = 0..n + 1, which every
     question by rank reads.  ``vertices`` is a read-only sequence of
     :class:`VertexMask` whose items are made on access.
 
@@ -194,7 +194,7 @@ class CubeGraph:
         self.masks = masks
         self.vertices = _Vertices(n, masks)
         # The ranks above the top one, rank n + 1 among them, are empty.
-        self._ranks = list(itertools.accumulate(sizes + [0] * (n + 2 - len(sizes)), initial=0))
+        self._offsets = list(itertools.accumulate(sizes + [0] * (n + 2 - len(sizes)), initial=0))
 
     def __repr__(self) -> str:
         g = self.source
@@ -209,7 +209,7 @@ class CubeGraph:
     def cover_count(self) -> int:
         """Σ_k k·|rank k|: one cover below a vertex per element, so the number
         of covers of a subset-closed family, without generating them."""
-        return sum(k * (b - a) for k, (a, b) in enumerate(itertools.pairwise(self._ranks)))
+        return sum(k * (b - a) for k, (a, b) in enumerate(itertools.pairwise(self._offsets)))
 
     @property
     def covers(self) -> _Covers:
@@ -221,7 +221,7 @@ class CubeGraph:
             raise ValueError(f"mask length {mask.n} does not match graph order {self.source.n}")
         bits = mask.bits
         k = bits.bit_count()  # at most n, so that its rank has both offsets
-        i = bisect_left(self.masks, bits, *self._ranks[k:k + 2])
+        i = bisect_left(self.masks, bits, *self._offsets[k:k + 2])
         if self.masks[i:i + 1] != [bits]:
             raise KeyError(bits)
         return i
@@ -232,7 +232,7 @@ class CubeGraph:
         the labels of one rank's range of indices.  Only the labels of the
         two ranks in hand and the rows of the lower one are held.
         """
-        masks, bounds = self.masks, self._ranks  # rank n + 1 is empty: the top rank's rows too
+        masks, bounds = self.masks, self._offsets  # rank n + 1 is empty: the top rank's rows too
         names = label(range(bounds[0], bounds[1]))
         for a, b, c in zip(bounds, bounds[1:], bounds[2:]):
             lower_names, names = names, label(range(b, c))
@@ -247,11 +247,11 @@ class CubeGraph:
 
     def _rank_blocks(self):
         masks = self.masks
-        return (itertools.islice(masks, a, b) for a, b in itertools.pairwise(self._ranks) if b > a)
+        return (itertools.islice(masks, a, b) for a, b in itertools.pairwise(self._offsets) if b > a)
 
     def rank_profile(self) -> dict[int, int]:
         """Vertex counts by rank (= subset size), over the nonempty ranks."""
-        return {k: b - a for k, (a, b) in enumerate(itertools.pairwise(self._ranks)) if b > a}
+        return {k: b - a for k, (a, b) in enumerate(itertools.pairwise(self._offsets)) if b > a}
 
     def hamming_pairs(self) -> int:
         """Vertex pairs at Hamming distance exactly 1.

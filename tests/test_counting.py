@@ -236,6 +236,14 @@ def test_cycle_count_k_values(n, h, k, expected):
     assert cycle_count_k(n, h, k) == expected
 
 
+def test_cycle_singletons_come_from_the_general_share():
+    # k = 1 takes n * C(n-h-2, 0) / 1, and C(m, 0) = 1 for every m, even
+    # where n <= h+1 makes m negative.
+    for h in range(11):
+        for n in range(41):
+            assert cycle_count_k(n, h, 1) == n, (n, h)
+
+
 @pytest.mark.parametrize("n,h,expected", [
     (7, 2, 15),
     (16, 1, 2207),

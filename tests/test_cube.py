@@ -146,7 +146,7 @@ def test_constructor_builds_the_cube_of_its_graph():
             for n in range(9):
                 g = GapGraph(kind, n, h)
                 c, built = cube.CubeGraph(g), build_cube(g)
-                assert (c.masks, c._ranks) == (built.masks, built._ranks), (kind, n, h)
+                assert (c.masks, c._offsets) == (built.masks, built._offsets), (kind, n, h)
 
 
 def test_constructor_checks_the_cap_and_takes_no_masks():

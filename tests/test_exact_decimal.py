@@ -25,8 +25,10 @@ from fibcubes.counting import (
     LUCAS,
     HSequence,
     cycle_count_row,
+    cycle_edges,
     cycle_edges_row,
     path_count_row,
+    path_edges,
     path_edges_row,
 )
 
@@ -80,21 +82,55 @@ def test_decimal_rows_equal_int_rows(row, h, n_max):
         same_tokens(row(n_max, h, unit), row(n_max, h))
 
 
+def _jump_units(monkeypatch):
+    """The unit of every power of x that a jump makes, as it is made."""
+    units, real = [], counting._x_power
+    monkeypatch.setattr(counting, "_x_power",
+                        lambda m, taps, unit: units.append(unit) or real(m, taps, unit))
+    return units
+
+
+def _refuse(*args):
+    raise AssertionError("this route must not run")
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_decimal_term_past_the_crossover_still_iterates(kind, monkeypatch):
-    # An int sequence would jump this far past its seeds; a Decimal one
-    # keeps iterating and keeps its type.
+def test_decimal_term_past_the_crossover_jumps(kind, monkeypatch):
+    # As an int sequence does, a Decimal one jumps this far past its seeds,
+    # with its powers of x in Decimal, and keeps its type.
     h, steps = 3, 2000
     ints = HSequence(kind, h)
     n = ints._last + steps
     assert counting._jump_pays(h, steps)
-    expected = ints.term(n)
-    monkeypatch.setattr(HSequence, "_jump", lambda self, n: pytest.fail("jumped"))
+    expected = ints._iterate(n)
+    units = _jump_units(monkeypatch)
+    monkeypatch.setattr(HSequence, "__iter__", _refuse)
     unit, context = exact()
     with context:
         value = HSequence(kind, h, unit).term(n)
+    assert [type(u) for u in units] == [Decimal]
     assert type(value) is Decimal
-    assert value == expected
+    same_tokens([value], [expected])
+
+
+@pytest.mark.parametrize("h", [1, 3])
+@pytest.mark.parametrize("second", [FIBONACCI, LUCAS])
+def test_decimal_convolution_past_the_crossover_jumps(second, h, monkeypatch):
+    # F * F and F * L past _conv_jump_pays take the jump under P^2 in
+    # Decimal, streaming only its 2d-1 seeds; the ints are the closed forms.
+    n = 5000
+    assert counting._conv_jump_pays(h, n - 1)
+    expected = path_edges(n, h) if second == FIBONACCI else cycle_edges(n + h, h)
+    units = _jump_units(monkeypatch)
+    streamed, driven = [], counting._driven
+    monkeypatch.setattr(counting, "_driven", lambda a, n: streamed.append(n) or driven(a, n))
+    unit, context = exact()
+    with context:
+        value = counting.convolve(HSequence(FIBONACCI, h, unit), HSequence(second, h, unit), n)
+    assert [type(u) for u in units] == [Decimal]
+    assert streamed == [4 * h + 3], streamed  # 2d - 1 = 4h + 3
+    assert type(value) is Decimal
+    same_tokens([value], [expected])
 
 
 def test_negative_zero_is_why_tokens_are_checked():
