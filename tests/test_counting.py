@@ -237,8 +237,8 @@ def test_cycle_count_k_values(n, h, k, expected):
 
 
 def test_cycle_singletons_come_from_the_general_share():
-    # k = 1 takes n * C(n-h-2, 0) / 1, and C(m, 0) = 1 for every m, even
-    # where n <= h+1 makes m negative.
+    # k = 1 takes n * C(n-h-1, 0) / 1, and C(m, 0) = 1 for every m, even
+    # where n <= h makes m negative.
     for h in range(11):
         for n in range(41):
             assert cycle_count_k(n, h, 1) == n, (n, h)
