@@ -31,16 +31,18 @@ Any other exception, such as an ``ArithmeticError`` from a broken internal
 invariant, propagates.
 
 Output is streamed: ``table`` computes and writes one row at a time, ``seq``
-and ``graph`` a chunk of lines at a time, and ``_emit`` writes each chunk as
-it arrives, so memory stays flat in the size of the output.  ``cube`` and
-``verify`` build their text first and write it the same way, so they write
-nothing until it is whole; a cube export holds that text once, grown in
-place by ``cube._whole``, not beside the chunks it was made of.  One size,
+and ``graph`` a chunk of lines at a time, ``cube`` a chunk of labels or
+cover rows at a time from its walk over the ranks, and ``_emit`` writes each
+chunk as it arrives, so memory stays flat in the size of the output.  Only
+``verify`` builds its text first and writes it the same way.  One size,
 ``cube._CHUNK_CHARS``, sets both the chunks of ``cube._chunks``, which
 concatenate to the whole text, and the slices ``_emit`` writes.  Every usage
 check runs before the first byte is written.  ``--out`` to a regular file
 writes beside it and renames over it once the output is whole, so a command
-that fails midway leaves an existing file untouched.  JSON is the
+that fails midway leaves an existing file untouched.  To stdout, a command
+that fails midway leaves the text it wrote: a ``cube`` export that runs out
+of memory, or whose family is not subset-closed, in its cover walk leaves
+the chunks before it.  JSON is the
 ``json.dumps(..., indent=2)`` layout, written directly; outside ``verify``
 its strings are fixed ASCII names and bit strings, quoted as they are.  Only
 ``verify``'s JSON imports ``json``, and only Decimal values ``decimal``, so
@@ -313,12 +315,12 @@ def _cmd_table(args) -> int:
 def _cmd_cube(args) -> int:
     c = cube.build_cube(GapGraph(args.kind, args.n, args.h), cap=args.cap)
     if args.format == "dot":
-        text = c.to_dot()
+        chunks = c.to_dot()
     elif args.format == "json":
-        text = c.to_json()
+        chunks = c.to_json()
     else:
-        text = c.to_edgelist_text()
-    _emit(text, args.out)
+        chunks = c.to_edgelist_text()
+    _emit(chunks, args.out)
     _note(f"{c.vertex_count} vertices, {c.cover_count} edges")
     return EXIT_OK
 
@@ -363,17 +365,17 @@ _SEQ_KINDS = {"F": FIBONACCI, "L": LUCAS, "F-ext": EXTENDED_FIBONACCI,
 
 def _cmd_seq(args) -> int:
     unit, exact = _exact_numbers(args.h, args.n_max)
-    seq = HSequence(_SEQ_KINDS[args.kind], args.h, unit)
-    start = seq.min_index
-    terms = islice(seq, max(args.n_max - start + 1, 0))  # through n_max
-    if args.format == "json":  # json.dumps(payload, indent=2) + "\n", written directly
-        head = (f'{{\n  "kind": "{args.kind}",\n  "h": {args.h},\n'
-                f'  "start": {start},\n  "values": ')
-        text = chain([head], _chunks(_json_array(map(str, terms), 1)), ["\n}\n"])
-    else:
-        # !s: str() of a Decimal is quicker than its __format__.
-        text = _chunks(f"{n}\t{v!s}\n" for n, v in zip(count(start), terms))
     with exact:
+        seq = HSequence(_SEQ_KINDS[args.kind], args.h, unit)
+        start = seq.min_index
+        terms = islice(seq, max(args.n_max - start + 1, 0))  # through n_max
+        if args.format == "json":  # json.dumps(payload, indent=2) + "\n", written directly
+            head = (f'{{\n  "kind": "{args.kind}",\n  "h": {args.h},\n'
+                    f'  "start": {start},\n  "values": ')
+            text = chain([head], _chunks(_json_array(map(str, terms), 1)), ["\n}\n"])
+        else:
+            # !s: str() of a Decimal is quicker than its __format__.
+            text = _chunks(f"{n}\t{v!s}\n" for n, v in zip(count(start), terms))
         _emit(text, args.out)
     return EXIT_OK
 

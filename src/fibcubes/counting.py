@@ -21,7 +21,9 @@ Conventions used throughout:
   arithmetic only under a context that raises on any rounding, which the
   caller sets up (``fibcubes.cli`` does for large output, since a Decimal
   converts to decimal text in time linear in its digits and an int in
-  quadratic time).  The per-size rows and the closed forms stay on int.
+  quadratic time); a Decimal sequence raises ValueError rather than make a
+  term under a context that does not trap ``Inexact`` and ``Rounded``.
+  The per-size rows and the closed forms stay on int.
 * The closed-form totals and edge sums walk consecutive binomials along a
   diagonal, C(m, k) -> C(m-h, k+1), each from the one before by one
   multiply and one exact divide, so a total costs one big-integer step per
@@ -429,7 +431,9 @@ class HSequence:
 
     Every seed is multiplied by ``_unit``, ``1`` or ``Decimal(1)``, and so
     are the jump's powers of x, so the terms are ints or Decimals;
-    :meth:`numerator` is int either way.
+    :meth:`numerator` is int either way.  A Decimal sequence makes its terms
+    only under a context that traps ``Inexact`` and ``Rounded``, and raises
+    ValueError under any other, which would round them silently.
     """
 
     def __init__(self, kind: str, h: int, _unit=1):
@@ -452,9 +456,20 @@ class HSequence:
     def __repr__(self) -> str:
         return f"HSequence({self.kind!r}, h={self.h})"
 
+    def _seeds(self):
+        """The seed function, once a Decimal sequence has checked that the
+        current context traps rounding: every term is made from its seeds."""
+        if type(self._unit) is not int:
+            from decimal import Inexact, Rounded, getcontext  # loaded with the unit
+
+            traps = getcontext().traps
+            if not (traps[Inexact] and traps[Rounded]):
+                raise ValueError("Decimal terms need a context that traps Inexact and Rounded")
+        return self._seed
+
     def __iter__(self) -> Iterator[int]:
         """Yield t(min_index), t(min_index + 1), ... without end."""
-        h, seed, last = self.h, self._seed, self._last
+        h, seed, last = self.h, self._seeds(), self._last
         for n in range(self.min_index, last + 1):
             t = seed(h, n)
             yield t
@@ -477,7 +492,7 @@ class HSequence:
         Past the first h+1 indices after the seeds, it takes :meth:`_jump`
         where :func:`_jump_pays` says that is cheaper than iterating.
         """
-        h, seed, last = self.h, self._seed, self._last
+        h, seed, last = self.h, self._seeds(), self._last
         if n < self.min_index:
             raise ValueError(
                 f"index {n} below first index {self.min_index} of {self.kind} sequence"
@@ -501,7 +516,7 @@ class HSequence:
         x^h - 1: from index last - h on, the terms obey P(E) t = 0.  Its
         T_0..T_2h are the last h+1 seeds and the h terms stepped from them.
         """
-        h, seed, last = self.h, self._seed, self._last
+        h, seed, last = self.h, self._seed, self._last  # term has checked the context
         ts = [seed(h, j) for j in range(last - h, last + 1)]
         ts[h:] = accumulate(ts[:h], initial=ts[h])  # each step adds a seed
         return _jump_terms(ts, n - last + h, _modulus(h, 1), self._unit)

@@ -21,9 +21,10 @@ labels each row with what its reader wants: the exporters take decimal
 strings, formatted a rank at a time, and ``covers`` takes indices, which it
 yields as pairs.  An export is made of chunks of about ``_CHUNK_CHARS``
 characters, which ``_chunks`` makes from one string per label or row and
-which concatenate to the whole; ``_whole`` appends them onto one string,
-grown in place, so the export holds its text once, not beside its chunks.
-The ``to_*`` return that string, so nothing is written until it is whole.
+which concatenate to the whole text.  The ``to_*`` return a sized view of
+those chunks, not the text: each iteration walks the ranks afresh, holding
+two, so a writer that takes the chunks as they come never holds the text,
+and a family that is not subset-closed raises while they are being taken.
 
 For h = 0 this is the Boolean lattice (the n-cube); for h = 1 on paths and
 cycles it is the classic Fibonacci and Lucas cube.
@@ -59,29 +60,6 @@ def _chunks(pieces, sep: str = ""):
         yield lead + sep.join(batch)
 
 
-def _whole(*parts) -> str:
-    """The concatenation of the chunks of the iterables ``parts``, grown in
-    place: at its peak the text is held once, plus the chunk in hand.
-
-    CPython extends a str that nothing else references in place (``+=`` on
-    a local), so the text is reallocated, not copied, as it grows.  A
-    ``"".join`` keeps every chunk alive beside its result, and
-    ``io.StringIO.getvalue`` copies the buffer: both peak at twice the text.
-    """
-    text = ""
-    try:
-        for chunk in itertools.chain.from_iterable(parts):
-            text += chunk
-    except MemoryError:
-        # As in ``_ranks``, free the partial text, and then the cover walk
-        # that makes the chunks, before the error unwinds: the traceback
-        # keeps this frame.  The ``to_*`` pass the walk unnamed, so that
-        # ``parts`` holds its last reference.
-        text = parts = None
-        raise
-    return text
-
-
 def _json_array(items, depth: int):
     """Yield the ``json.dumps(..., indent=2)`` layout of an array at nesting
     depth ``depth`` whose items come already encoded, one piece per item
@@ -105,9 +83,10 @@ def _place_covers(lower: Iterable[int], upper: Iterable[int], names: Iterable) -
     """
     # One pass: making the rows first and zipping them into the map raised
     # the VmHWM of ``cube cycle 29 2 --format dot`` by about 2 MB.
-    row_of = {m: [] for m in lower}
-    rows = list(row_of.values())
+    row_of = rows = None
     try:
+        row_of = {m: [] for m in lower}
+        rows = list(row_of.values())
         for name, bits in zip(names, upper):
             rest = bits
             while rest:
@@ -116,6 +95,11 @@ def _place_covers(lower: Iterable[int], upper: Iterable[int], names: Iterable) -
                 rest ^= low
     except KeyError:
         raise ArithmeticError(f"family not subset-closed at mask 0x{bits:x}") from None
+    except MemoryError:
+        # As in ``_ranks``, free the partial rows before the error unwinds:
+        # the traceback keeps this frame.
+        row_of = rows = None
+        raise
     return rows
 
 
@@ -157,6 +141,28 @@ class _Covers:
         for lo, row in self._cube._rows(lambda indices: indices):
             for hi in row:
                 yield lo, hi
+
+
+class _Export:
+    """One export of a cube: the chunks of its text, which concatenate to it.
+
+    Each iteration calls ``make`` for a fresh walk over the ranks, holding
+    two, and raises ArithmeticError on a family that is not subset-closed;
+    nothing of the text is kept between chunks.  ``"".join(view)`` is the
+    text.  ``len`` is its number of characters, found by walking it once
+    more; it holds nothing, and only the benchmark's tracer reads it.
+    """
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        self._make = make
+
+    def __iter__(self):
+        return iter(self._make())
+
+    def __len__(self) -> int:
+        return sum(map(len, self))
 
 
 class CubeGraph:
@@ -233,11 +239,17 @@ class CubeGraph:
         two ranks in hand and the rows of the lower one are held.
         """
         masks, bounds = self.masks, self._offsets  # rank n + 1 is empty: the top rank's rows too
-        names = label(range(bounds[0], bounds[1]))
-        for a, b, c in zip(bounds, bounds[1:], bounds[2:]):
-            lower_names, names = names, label(range(b, c))
-            lower, upper = itertools.islice(masks, a, b), itertools.islice(masks, b, c)
-            yield from zip(lower_names, _place_covers(lower, upper, names))
+        names = lower_names = None
+        try:
+            names = label(range(bounds[0], bounds[1]))
+            for a, b, c in zip(bounds, bounds[1:], bounds[2:]):
+                lower_names, names = names, label(range(b, c))
+                lower, upper = itertools.islice(masks, a, b), itertools.islice(masks, b, c)
+                yield from zip(lower_names, _place_covers(lower, upper, names))
+        except MemoryError:
+            # As in ``_place_covers``: the labels of the two ranks in hand.
+            names = lower_names = None
+            raise
 
     def _cover_rows(self, row, sep: str = ""):
         """Chunks of the ``sep``-joined ``row(lower_name, upper_names)`` over the
@@ -271,38 +283,59 @@ class CubeGraph:
 
     # -- exports ------------------------------------------------------------
     # A row of covers is one string: its lower name is repeated through the
-    # separator of one join over its upper names.  An export is its chunks,
-    # appended by ``_whole``.
+    # separator of one join over its upper names.  Each export is a
+    # generator of its chunks, which ``_Export`` runs afresh on every
+    # iteration.
 
-    def to_dot(self) -> str:
+    def to_dot(self) -> _Export:
+        """The DOT text, as a view of its chunks (see :class:`_Export`)."""
         g = self.source
         n = g.n
-        labels = _chunks(f'  {i} [label="{_bit_string(n, m)}"];\n' for i, m in enumerate(self.masks))
-        head = f"graph cube_{g.kind}_{n}_{g.h} {{\n"
-        return _whole((head,), labels,
-                      self._cover_rows(lambda lo, his: f"  {lo} -- " + f";\n  {lo} -- ".join(his) + ";\n"),
-                      ("}\n",))
 
-    def to_json(self) -> str:
+        def chunks():
+            yield f"graph cube_{g.kind}_{n}_{g.h} {{\n"
+            yield from _chunks(f'  {i} [label="{_bit_string(n, m)}"];\n' for i, m in enumerate(self.masks))
+            yield from self._cover_rows(lambda lo, his: f"  {lo} -- " + f";\n  {lo} -- ".join(his) + ";\n")
+            yield "}\n"
+
+        return _Export(chunks)
+
+    def to_json(self) -> _Export:
         """``json.dumps(..., indent=2) + "\\n"`` of ``{"kind", "n", "h", "ranks",
         "covers"}``, written directly: the vertex strings rank by rank, and
-        the ``[lower, upper]`` index pairs of ``covers``."""
+        the ``[lower, upper]`` index pairs of ``covers``; a view of its
+        chunks (see :class:`_Export`)."""
         g = self.source
         n = g.n
-        ranks = ("".join(_json_array((f'"{_bit_string(n, m)}"' for m in block), 2))
-                 for block in self._rank_blocks())
         # The top vertex is nonzero exactly when some vertex has a cover below it.
         opening, closing = ("[\n    ", "\n  ]") if self.masks[-1] else ("[", "]")
-        head = f'{{\n  "kind": "{g.kind}",\n  "n": {n},\n  "h": {g.h},\n  "ranks": '
 
         def row(lo, his):
             return f"[\n      {lo},\n      " + f"\n    ],\n    [\n      {lo},\n      ".join(his) + "\n    ]"
 
-        return _whole((head,), _chunks(_json_array(ranks, 1)), (',\n  "covers": ' + opening,),
-                      self._cover_rows(row, ",\n    "), (closing + "\n}\n",))
+        def labels():
+            # The array of rank arrays, a piece per vertex, so that no rank is
+            # joined whole; rank 0 always holds the empty set.
+            lead = "[\n    "
+            for block in self._rank_blocks():
+                yield lead
+                yield from _json_array((f'"{_bit_string(n, m)}"' for m in block), 2)
+                lead = ",\n    "
+            yield "\n  ]"
 
-    def to_edgelist_text(self) -> str:
-        return _whole(self._cover_rows(lambda lo, his: f"{lo} " + f"\n{lo} ".join(his) + "\n"))
+        def chunks():
+            yield f'{{\n  "kind": "{g.kind}",\n  "n": {n},\n  "h": {g.h},\n  "ranks": '
+            yield from _chunks(labels())
+            yield ',\n  "covers": ' + opening
+            yield from self._cover_rows(row, ",\n    ")
+            yield closing + "\n}\n"
+
+        return _Export(chunks)
+
+    def to_edgelist_text(self) -> _Export:
+        """One ``lower upper`` line per cover, as a view of its chunks (see
+        :class:`_Export`)."""
+        return _Export(lambda: self._cover_rows(lambda lo, his: f"{lo} " + f"\n{lo} ".join(his) + "\n"))
 
 
 def _ranks(n: int, h: int, cycle: bool):

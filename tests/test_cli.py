@@ -18,8 +18,9 @@ except ImportError:  # not on every platform
     resource = None
 
 import fibcubes.cli as cli
-from fibcubes import counting, verify
+from fibcubes import counting, cube, verify
 from fibcubes.counting import path_count, path_count_rec
+from fibcubes.graphs import GapGraph
 
 
 def run(argv, capsys):
@@ -494,6 +495,88 @@ def test_streamed_output_peaks_below_a_quarter_of_its_size(argv, tmp_path):
     assert peak < size // 4, f"peak {peak} bytes for {size} bytes written"
 
 
+# A cube export is streamed too, but the command keeps the cube's masks and
+# the cover rows of one rank pair, which outweigh a quarter of the text at
+# any size that runs in about a second: the masks alone take about 36 bytes
+# a vertex, and the edge list of path 15 0 is about 85 bytes a vertex.  What
+# streaming removes is the text itself, so beyond the cube that the command
+# builds, an export peaks below the size of its output: 0.23 (json), 0.43
+# (dot) and 0.71 (edgelist) times it on Python 3.11, where a text made
+# whole before it is written peaks at 1.07, 1.20 and 1.35 times it.
+CUBE_STREAMED = {
+    "json": ["cube", "path", "14", "0", "--format", "json"],
+    "dot": ["cube", "path", "14", "0", "--format", "dot"],
+    "edgelist": ["cube", "path", "15", "0", "--format", "edgelist"],
+}
+
+
+@pytest.mark.parametrize("argv", CUBE_STREAMED.values(), ids=CUBE_STREAMED)
+def test_cube_export_peaks_below_its_size_beyond_the_cube(argv, tmp_path):
+    target = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        c = cube.build_cube(GapGraph(argv[1], int(argv[2]), int(argv[3])))
+        held = tracemalloc.get_traced_memory()[0]
+        del c
+        tracemalloc.reset_peak()
+        code = cli.main(argv + ["--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert code == 0 and size > 1 << 20
+    assert peak - held < size, f"{peak - held} bytes beyond the cube for {size} bytes written"
+
+
+def _fail_second_rank_pair(monkeypatch, error):
+    """Make every cover walk raise ``error`` at its second rank pair, after
+    the first pair's rows, and write every row as a chunk of its own."""
+    real, calls = cube._place_covers, []
+
+    def place(*args):
+        calls.append(args)
+        if len(calls) % 2 == 0:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(cube, "_place_covers", place)
+    monkeypatch.setattr(cube, "_CHUNK_CHARS", 1)
+
+
+# The end of the rows of rank 0 in each export of path 2 0: the empty set
+# below the two singletons.
+RANK_0_ROWS = {"dot": "  0 -- 2;\n", "json": "      0,\n      2\n    ]", "edgelist": "0 2\n"}
+
+
+@pytest.mark.parametrize("error,code,err", [(MemoryError, 3, "error: out of memory\n"),
+                                            (ArithmeticError("not subset-closed"), None, "")],
+                         ids=["out-of-memory", "not-subset-closed"])
+@pytest.mark.parametrize("fmt", list(RANK_0_ROWS))
+def test_cube_export_failing_mid_stream(fmt, error, code, err, tmp_path, monkeypatch, capsys):
+    argv = ["cube", "path", "2", "0", "--format", fmt]
+    whole = run(argv, capsys)[1]
+    _fail_second_rank_pair(monkeypatch, error)
+
+    def failing(argv):
+        # Out of memory is exit 3; a broken invariant propagates.
+        if code is None:
+            with pytest.raises(ArithmeticError, match="not subset-closed"):
+                cli.main(argv)
+            return (None, *capsys.readouterr())
+        return run(argv, capsys)
+
+    # On stdout the chunks before the failure are out: the header, any
+    # labels and the rows of rank 0, and nothing after them ...
+    end = whole.index(RANK_0_ROWS[fmt]) + len(RANK_0_ROWS[fmt])
+    assert failing(argv) == (code, whole[:end], err)
+    # ... but an existing --out file keeps its text, and nothing is left beside it.
+    target = tmp_path / "kept.txt"
+    target.write_text("kept\n")
+    assert failing(argv + ["--out", str(target)]) == (code, "", err)
+    assert target.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["kept.txt"]
+
+
 @pytest.mark.parametrize("fmt,first", [
     ("tsv", "\tn=0\t1\t2\nh=0\t1\t2\t4\n"),
     ("json", '{\n  "row": "h",\n  "rows": [\n    0,\n    1\n  ],\n  "col": "n",\n'
@@ -882,35 +965,42 @@ def test_cube_build_out_of_memory_frees_its_partial_lists():
 
 @needs_rlimit_as
 def test_cube_export_out_of_memory_frees_its_partial_text():
-    # path 20 0 builds in about 60 MB of address space, but its 450 MB of
-    # JSON does not fit in 300: the export runs out of memory, and both its
-    # partial text and the cover walk that makes it are gone before the
-    # error unwinds.
+    # path 22 0 builds in about 195 MB of address space, and its cover walk
+    # outgrows 300 MB at the middle ranks, after about 59 MB of edge list
+    # has streamed out.  The text is never held, and the rows and labels of
+    # the walk are gone before the error unwinds: 40-60 MB more fits here
+    # with the error and its traceback still held, where keeping them left
+    # no room for a line of /proc/self/status.
     code = ("from fibcubes.cube import build_cube; from fibcubes.graphs import GapGraph\n"
-            "c = build_cube(GapGraph('path', 20, 0))\n"
+            "c = build_cube(GapGraph('path', 22, 0))\n"
+            "written = 0\n"
             "try:\n"
-            "    c.to_json()\n"
+            "    for chunk in c.to_edgelist_text():\n"
+            "        written += len(chunk)\n"
             "except MemoryError as exc:\n"
-            "    print(len(bytearray(200 << 20)) >> 20, exc.__traceback__ is not None)\n")
+            "    print(written > 50 << 20, len(bytearray(20 << 20)) >> 20,\n"
+            "          exc.__traceback__ is not None)\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120,
                          preexec_fn=_limit_address_space)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "200 True\n", "")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "True 20 True\n", "")
 
 
 @needs_rlimit_as
 def test_cube_export_out_of_memory_leaves_the_file_alone(tmp_path):
-    # Nothing is written until the text is whole.
-    target = tmp_path / "cube.json"
+    # As above, the edge list runs out of memory after about 59 MB has been
+    # written beside the target: the command exits 3, the target keeps its
+    # text, and the partial file is gone.
+    target = tmp_path / "cube.txt"
     target.write_text("keep\n", encoding="utf-8")
-    cmd, env = _python_m_fibcubes("cube", "path", "20", "0", "--format", "json",
+    cmd, env = _python_m_fibcubes("cube", "path", "22", "0", "--format", "edgelist",
                                   "--out", str(target))
     out = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120,
                          preexec_fn=_limit_address_space)
     assert (out.returncode, out.stdout, out.stderr) == (3, "", "error: out of memory\n")
     assert target.read_text(encoding="utf-8") == "keep\n"
-    assert os.listdir(tmp_path) == ["cube.json"]
+    assert os.listdir(tmp_path) == ["cube.txt"]
 
 
 @needs_rlimit_as

@@ -133,7 +133,8 @@ def test_rank_readers_on_a_family_that_skips_a_rank():
     for m in (0b01, 0b10):
         with pytest.raises(KeyError):
             c.index_of(VertexMask(2, m))
-    for read in (lambda: list(c.covers), c.to_dot, c.to_json, c.to_edgelist_text):
+    for read in (lambda: list(c.covers), lambda: "".join(c.to_dot()),
+                 lambda: "".join(c.to_json()), lambda: "".join(c.to_edgelist_text())):
         with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
             read()
 
@@ -240,12 +241,13 @@ def test_cover_count_raises_on_family_not_subset_closed(monkeypatch):
 
 
 @pytest.mark.parametrize("read", [
-    lambda c: list(c.covers), cube.CubeGraph.to_dot, cube.CubeGraph.to_json,
-    cube.CubeGraph.to_edgelist_text],
+    lambda c: list(c.covers), lambda c: "".join(c.to_dot()), lambda c: "".join(c.to_json()),
+    lambda c: "".join(c.to_edgelist_text())],
     ids=["covers", "to_dot", "to_json", "to_edgelist_text"])
 def test_covers_and_exports_raise_on_family_not_subset_closed(read):
     # {0, 0b11} lacks 0b01 and 0b10, so deleting a bit of 0b11 leaves it.
-    # Covers are generated where they are walked, so the check runs there.
+    # Covers are generated where they are walked, so the check runs there:
+    # an export raises as its chunks are taken, not when it is made.
     c = _cube_from_ranks(2, [[0], [], [0b11]])
     with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
         read(c)
@@ -323,7 +325,7 @@ def test_building_a_cube_peaks_under_160_bytes_per_vertex():
 
 
 def test_dot_export():
-    dot = build_cube(GapGraph(PATH, 2, 1)).to_dot()
+    dot = "".join(build_cube(GapGraph(PATH, 2, 1)).to_dot())
     assert dot == (
         "graph cube_path_2_1 {\n"
         '  0 [label="00"];\n'
@@ -336,7 +338,7 @@ def test_dot_export():
 
 
 def test_json_export():
-    payload = json.loads(build_cube(GapGraph(CYCLE, 3, 1)).to_json())
+    payload = json.loads("".join(build_cube(GapGraph(CYCLE, 3, 1)).to_json()))
     assert payload == {
         "kind": "cycle",
         "n": 3,
@@ -347,7 +349,7 @@ def test_json_export():
 
 
 def test_edgelist_export():
-    text = build_cube(GapGraph(PATH, 2, 1)).to_edgelist_text()
+    text = "".join(build_cube(GapGraph(PATH, 2, 1)).to_edgelist_text())
     assert text == "0 1\n0 2\n"
 
 
@@ -369,15 +371,15 @@ def test_json_export_is_the_indented_json_dumps_layout():
             "ranks": [[VertexMask(g.n, m).to_string() for m in block] for block in c._rank_blocks()],
             "covers": [list(p) for p in c.covers],
         }
-        assert c.to_json() == json.dumps(layout, indent=2) + "\n", c
-    empty = build_cube(GapGraph(CYCLE, 0, 2)).to_json()
+        assert "".join(c.to_json()) == json.dumps(layout, indent=2) + "\n", c
+    empty = "".join(build_cube(GapGraph(CYCLE, 0, 2)).to_json())
     assert '\n  "covers": []\n' in empty
     assert json.loads(empty)["ranks"] == [[""]]
 
 
 def test_dot_labels_are_the_vertex_strings():
     for c in _cubes_up_to(9, 3):
-        labels = [line.split('"')[1] for line in c.to_dot().splitlines() if "label=" in line]
+        labels = [line.split('"')[1] for line in "".join(c.to_dot()).splitlines() if "label=" in line]
         assert labels == [c.vertices[i].to_string() for i in range(c.vertex_count)], c
 
 
@@ -400,7 +402,8 @@ def test_vertices_are_made_on_access(monkeypatch):
 
     monkeypatch.setattr(cube, "VertexMask", counting_mask)
     c = build_cube(GapGraph(PATH, 12, 1))
-    c.to_dot(), c.to_json(), c.to_edgelist_text(), c.rank_profile(), c.hamming_pairs()
+    "".join(c.to_dot()), "".join(c.to_json()), "".join(c.to_edgelist_text())
+    c.rank_profile(), c.hamming_pairs()
     assert made == []
     assert len(c.vertices) == 377
     assert c.vertices[5].bits == c.masks[5]
@@ -472,10 +475,14 @@ def test_covers_view_of_the_empty_and_star_diagrams():
 
 def test_exports_do_not_depend_on_the_chunk_size(monkeypatch):
     cubes = list(_cubes_up_to(7, 2))
-    want = [(c.to_dot(), c.to_json(), c.to_edgelist_text()) for c in cubes]
+    def texts():
+        return [tuple("".join(export()) for export in (c.to_dot, c.to_json, c.to_edgelist_text))
+                for c in cubes]
+
+    want = texts()
     for size in (1, 2, 3):
         monkeypatch.setattr(cube, "_CHUNK_CHARS", size)
-        assert [(c.to_dot(), c.to_json(), c.to_edgelist_text()) for c in cubes] == want
+        assert texts() == want
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, None])
@@ -492,44 +499,47 @@ def test_chunks_concatenate_to_the_whole(size, sep, monkeypatch):
         assert "".join(cube._chunks(iter(pieces), sep)) == sep.join(pieces)
 
 
-def test_whole_is_the_concatenation_of_its_chunks():
-    long = "z" * (cube._CHUNK_CHARS + 3)
-    for parts in ([], [[]], [[""]], [["", "a"], [""]], [["ab"], [long, "", "c"], ["d"]]):
-        want = "".join(itertools.chain.from_iterable(parts))
-        assert cube._whole(*parts) == cube._whole(*map(iter, parts)) == want
+def _exports(c):
+    return {"to_dot": c.to_dot(), "to_json": c.to_json(), "to_edgelist_text": c.to_edgelist_text()}
 
 
-def test_whole_holds_the_text_once():
-    # The text grows in place, so its peak is the text plus the chunk in
-    # hand: about 1.02 times the text here on Python 3.11.  "".join and
-    # io.StringIO keep a second copy beside it, 2.00 times.
-    count, size = 160, cube._CHUNK_CHARS
-    fresh = (chr(97 + i % 26) * size for i in range(count))  # none of them interned
+def test_exports_are_sized_views_walked_afresh():
+    # Each export is its chunks, not its text: len counts the characters,
+    # and every iteration walks the ranks again, two walks in step sharing
+    # no position.
+    for c in _cubes_up_to(7, 2):
+        for name, export in _exports(c).items():
+            text = "".join(export)
+            assert not isinstance(export, str) and not hasattr(export, "__dict__")
+            assert len(export) == len(text) and "".join(export) == text, (c, name)
+            a, b = iter(export), iter(export)
+            assert list(zip(a, b)) == [(x, x) for x in export], (c, name)
+
+
+def test_an_export_raises_as_its_chunks_are_taken():
+    # Making the view walks nothing; the chunks before the cover walk come
+    # out before the walk finds the family not subset-closed.
+    c = _cube_from_ranks(2, [[0], [], [0b11]])
+    dot = iter(c.to_dot())
+    assert next(dot) == "graph cube_path_2_0 {\n"
+    assert next(dot) == '  0 [label="00"];\n  1 [label="11"];\n'
+    with pytest.raises(ArithmeticError, match="^family not subset-closed at mask 0x3$"):
+        next(dot)
+
+
+def test_export_len_holds_no_text():
+    # len walks the export once more and keeps only the chunk in hand: for
+    # path 14 0 (4.6 MB of JSON) it peaks at the cover rows of one rank pair,
+    # about 0.22 times the text on Python 3.11.
+    export = build_cube(GapGraph(PATH, 14, 0)).to_json()
     tracemalloc.start()
     try:
-        text = cube._whole(fresh)
+        size = len(export)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(text) == count * size
-    assert peak <= 1.1 * count * size, f"peak {peak / (count * size):.2f} times the text"
-
-
-def test_json_export_to_a_file_peaks_below_1_6_times_its_size(tmp_path):
-    # Build, export and write of path 14 0 (4.6 MB of JSON): the masks, one
-    # rank's rows, the text once and one slice being written, about 1.21
-    # times the bytes written on Python 3.11; a join beside its chunks
-    # would read 2.15.
-    target = tmp_path / "cube.json"
-    tracemalloc.start()
-    try:
-        code = cli.main(["cube", "path", "14", "0", "--format", "json", "--out", str(target)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = target.stat().st_size
-    assert code == 0 and size > 4 << 20
-    assert peak < 1.6 * size, f"peak {peak / size:.2f} times the {size} bytes written"
+    assert size > 4 << 20
+    assert peak < size // 2, f"peak {peak / size:.2f} times the text"
 
 
 def test_cover_count_reads_no_pairs(monkeypatch):
@@ -540,7 +550,7 @@ def test_cover_count_reads_no_pairs(monkeypatch):
 
     monkeypatch.setattr(cube._Covers, "__iter__", boom)
     assert len(c.covers) == c.cover_count == cycle_edges(9, 1)
-    c.to_dot(), c.to_json(), c.to_edgelist_text()
+    "".join(c.to_dot()), "".join(c.to_json()), "".join(c.to_edgelist_text())
 
 
 def test_covers_len_walks_no_rank(monkeypatch):
@@ -560,11 +570,11 @@ def test_exported_covers_are_the_covers_view():
     # of cover rows; they must list the same pairs in the same order.
     for c in _cubes_up_to(9, 3):
         pairs = [list(p) for p in c.covers]
-        dot = [line for line in c.to_dot().splitlines() if " -- " in line]
+        dot = [line for line in "".join(c.to_dot()).splitlines() if " -- " in line]
         assert [list(map(int, line.strip(" ;").split(" -- "))) for line in dot] == pairs, c
-        edges = [list(map(int, line.split())) for line in c.to_edgelist_text().splitlines()]
+        edges = [list(map(int, line.split())) for line in "".join(c.to_edgelist_text()).splitlines()]
         assert edges == pairs, c
-        assert json.loads(c.to_json())["covers"] == pairs, c
+        assert json.loads("".join(c.to_json()))["covers"] == pairs, c
 
 
 EXPORTS = {"dot": "to_dot", "json": "to_json", "edgelist": "to_edgelist_text"}
@@ -576,7 +586,7 @@ def test_cube_command_builds_no_cover_arrays(fmt, monkeypatch, tmp_path, capsys)
     def boom(self):
         raise AssertionError("covers was read")
 
-    want = getattr(build_cube(GapGraph(CYCLE, 9, 1)), EXPORTS[fmt])()
+    want = "".join(getattr(build_cube(GapGraph(CYCLE, 9, 1)), EXPORTS[fmt])())
     monkeypatch.setattr(cube.CubeGraph, "covers", property(boom))
     out = tmp_path / "cube.out"
     assert cli.main(["cube", "cycle", "9", "1", "--format", fmt, "--out", str(out)]) == 0

@@ -12,7 +12,7 @@ import os
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import nullcontext, redirect_stdout
 from decimal import Decimal
 
 import pytest
@@ -133,6 +133,40 @@ def test_decimal_convolution_past_the_crossover_jumps(second, h, monkeypatch):
     same_tokens([value], [expected])
 
 
+def _contexts_that_round():
+    """The default context, and exact ones that leave Inexact or Rounded
+    untrapped."""
+    _, context = exact()
+    for signal in (decimal.Inexact, decimal.Rounded):
+        with context:
+            partial = decimal.getcontext().copy()
+        partial.traps[signal] = False
+        yield decimal.localcontext(partial)
+    yield nullcontext()
+
+
+@pytest.mark.parametrize("make", [
+    lambda unit: HSequence(FIBONACCI, 1, unit).term(1000),  # past the crossover: the jump
+    lambda unit: HSequence(LUCAS, 3, unit).term(2),  # a seed
+    lambda unit: HSequence(FIBONACCI, 2, unit).prefix(10),
+    lambda unit: next(iter(HSequence(EXTENDED_LUCAS, 2, unit))),
+    lambda unit: counting.convolve(HSequence(FIBONACCI, 1, unit), HSequence(LUCAS, 1, unit), 5000),
+    lambda unit: path_edges_row(20, 1, unit),
+    lambda unit: cycle_count_row(20, 2, unit),
+], ids=["jump", "seed", "prefix", "iteration", "convolution-jump", "edge-row", "count-row"])
+def test_decimal_terms_refuse_a_context_that_rounds(make):
+    # Under the default context, F(1000) would round to 28 digits,
+    # 4.346655768693745643568852769E+208, with no error.
+    unit, context = exact()
+    for rounding in _contexts_that_round():
+        with rounding, pytest.raises(ValueError, match="^Decimal terms need a context that "
+                                                       "traps Inexact and Rounded$"):
+            make(unit)
+    with context:
+        make(unit)
+    assert make(1) is not None  # int terms need no context
+
+
 def test_negative_zero_is_why_tokens_are_checked():
     # Any product of a Decimal zero with a negative number prints "-0"; the
     # extended Lucas seeds hold both a zero and -h.
@@ -223,7 +257,7 @@ def test_count_and_small_tables_leave_decimal_unloaded():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = """if True:
         import io, sys
-        from contextlib import redirect_stdout
+        from contextlib import nullcontext, redirect_stdout
         from fibcubes import cli
         def run(*argv):
             with redirect_stdout(io.StringIO()):
